@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .encoding import compute_event_id
 
@@ -225,6 +225,15 @@ class MegState:
         return dup
 
 
+def make_vertex(
+    payload: EventPayload, sender: ReplicaId, seq: int, parents: Iterable[EventId]
+) -> Vertex:
+    """Vertex whose id is the content hash of exactly these fields."""
+    parents = tuple(parents)
+    vid = compute_event_id(payload.kind, payload.body, sender, seq, parents)
+    return Vertex(payload=payload, id=vid, parents=parents, sender=sender, seq=seq)
+
+
 def init(room: str = DEFAULT_ROOM) -> MegState:
     """Fresh state holding only the root vertex derived from the room identifier.
 
@@ -232,8 +241,7 @@ def init(room: str = DEFAULT_ROOM) -> MegState:
     the initial state without communicating.
     """
     payload = EventPayload(kind="create", body=room.encode("utf-8"))
-    rid = compute_event_id(payload.kind, payload.body, ROOT_SENDER, 0, ())
-    return MegState(Vertex(payload=payload, id=rid, parents=(), sender=ROOT_SENDER, seq=0))
+    return MegState(make_vertex(payload, ROOT_SENDER, 0, ()))
 
 
 def select_parents(
@@ -278,10 +286,7 @@ def generate_add(
         if not state.lookup(w):
             raise UnknownVertexError(f"required parent {w.hex()[:16]} is unknown")
     parents = select_parents(state.get_extremities(), d, required, rng)
-    vid = compute_event_id(payload.kind, payload.body, sender, seq, parents)
-    return AddOperation(
-        Vertex(payload=payload, id=vid, parents=tuple(parents), sender=sender, seq=seq)
-    )
+    return AddOperation(make_vertex(payload, sender, seq, parents))
 
 
 class PendingBuffer:
@@ -337,26 +342,31 @@ class PendingBuffer:
         return out
 
 
-def ingest(state: MegState, buffer: PendingBuffer, op: AddOperation) -> list[EventId]:
+def ingest(
+    state: MegState,
+    buffer: PendingBuffer,
+    op: AddOperation,
+    check: Callable[[MegState], None] | None = None,
+) -> list[EventId]:
     """Apply an operation if its parents are present, else buffer it.
 
     After a successful apply, drains the buffer to fixpoint: any buffered
     operation whose precondition became true is applied, in ascending event
     id order for determinism.  Returns the ids applied by this call; a
-    re-delivered duplicate applies nothing.
+    re-delivered duplicate applies nothing.  `check(state)`, if given, runs
+    after every applied operation.
     """
     applied: list[EventId] = []
     if not state.precondition_holds(op):
         buffer.add(op)
         return applied
-    if state.apply_add(op):
-        applied.append(op.vertex.id)
-    while True:
+    ready = [op]
+    while ready:
+        for nxt in ready:
+            buffer.remove(nxt.vertex.id)
+            if state.apply_add(nxt):
+                applied.append(nxt.vertex.id)
+                if check is not None:
+                    check(state)
         ready = buffer.ready_ops(state)
-        if not ready:
-            break
-        for pending in ready:
-            buffer.remove(pending.vertex.id)
-            if state.apply_add(pending):
-                applied.append(pending.vertex.id)
     return applied

@@ -11,8 +11,15 @@ then lets the system settle and grades the run:
   replicas; no operation from a correct sender is still stuck in a buffer.
 * termination: the run settled (no payload in flight, activity stopped for a
   full grace window inside the horizon).
-* dag_invariants: after every delivery each replica's graph stayed a rooted
-  DAG with consistent extremity bookkeeping.
+* dag_invariants: every delivery changed each replica's graph only as its
+  applied vertices allow (each new, with present parents, exactly its own
+  edges and extremity update), and at the end a full walk finds a rooted DAG
+  with consistent extremity bookkeeping.  From the root, the per-delivery
+  check implies the walk's invariants after every delivery.
+
+`convergence_tick` is the quiescence tick when the correct replicas' final
+digests agree, else None.  Correct replicas change state only on ticks that
+count as activity, so from quiescence on their digests are the final ones.
 
 There is also a lockstep mode that synchronizes all replicas between rounds.
 It exists to compare measured extremity-width trajectories against the urn
@@ -32,12 +39,11 @@ from .core import (
     EventPayload,
     MegState,
     PendingBuffer,
-    Vertex,
     generate_add,
     ingest,
     init,
+    make_vertex,
 )
-from .encoding import compute_event_id
 from .monitor import (
     MembershipDirectory,
     SignedEnvelope,
@@ -302,9 +308,7 @@ class ReplicaNode:
     def absorb_own(self, env: SignedEnvelope) -> None:
         """Apply the replica's own operation synchronously at broadcast time."""
         self.store[env.op.vertex.id] = env
-        applied = ingest(self.state, self.buffer, env.op)
-        self.applied.update(applied)
-        self._check_invariants(applied)
+        self._ingest(env.op)
 
     def receive_envelope(self, env: SignedEnvelope) -> list[EventId]:
         """Verify, then apply or buffer.  Returns the event ids applied."""
@@ -313,20 +317,53 @@ class ReplicaNode:
             return []
         op = env.op
         self.store[op.vertex.id] = env
-        if self.state.precondition_holds(op):
-            ext = self.state.get_extremities()
-            if any(p not in ext for p in op.vertex.parents):
-                # Parents that already have children: late or deliberately
-                # old references.  Accepted, but worth counting.
-                self.stale_parent_ops += 1
-        applied = ingest(self.state, self.buffer, op)
-        self.applied.update(applied)
-        self._check_invariants(applied)
-        return applied
+        state = self.state
+        if (
+            op.vertex.id not in self.applied
+            and state.precondition_holds(op)
+            and any(state.has_child(p) for p in op.vertex.parents)
+        ):
+            # A first-time apply whose parents already have children: late or
+            # deliberately old references.  Accepted, but worth counting.
+            self.stale_parent_ops += 1
+        return self._ingest(op)
 
-    def _check_invariants(self, applied: list[EventId]) -> None:
-        if applied and not (self.state.is_rooted_dag() and extremities_consistent(self.state)):
+    def _ingest(self, op: AddOperation) -> list[EventId]:
+        """Deliver through `ingest`, then check what the delivery changed.
+
+        Each applied vertex, in order, must be new, have a non-empty,
+        duplicate-free parent list of vertices present before it, and have
+        added exactly its own edges; the extremities must end as the old set
+        with each vertex's parents removed and the vertex added.  If the graph
+        was a rooted DAG with consistent extremities before the delivery and
+        the check passes, it still is one after, so O(width + parents) per
+        delivery stands in for a whole-graph walk.
+        """
+        state = self.state
+        extremities = set(state.get_extremities())
+        edges = len(state.edges)
+        applied = ingest(state, self.buffer, op)
+        this_or_later = set(applied)
+        ok = len(this_or_later) == len(applied) and not this_or_later & self.applied
+        for vid in applied:
+            parents = state.vertices[vid].parents
+            ok = (
+                ok
+                and bool(parents)
+                and len(set(parents)) == len(parents)
+                and all(
+                    p in state.vertices and p not in this_or_later and (vid, p) in state.edges
+                    for p in parents
+                )
+            )
+            this_or_later.discard(vid)
+            edges += len(parents)
+            extremities.difference_update(parents)
+            extremities.add(vid)
+        self.applied.update(applied)
+        if not (ok and edges == len(state.edges) and extremities == state.get_extremities()):
             self.invariant_failures += 1
+        return applied
 
     def missing_parents_of(self, op: AddOperation) -> set[EventId]:
         return {p for p in op.vertex.parents if not self.state.lookup(p)}
@@ -395,16 +432,8 @@ def equivocate(
     wire this is indistinguishable from two senders that each crashed after
     reaching part of the group.
     """
-    state = node.state
-    op_a = generate_add(
-        state, payload_a, node.d, (), node.parent_rng, node.key.replica_id, node.seq
-    )
-    op_b = generate_add(
-        state, payload_b, node.d, (), node.parent_rng, node.key.replica_id, node.seq + 1
-    )
-    node.seq += 2
-    env_a = sign_envelope(op_a, node.key)
-    env_b = sign_envelope(op_b, node.key)
+    env_a = node.make_op(payload_a)
+    env_b = node.make_op(payload_b)
     node.absorb_own(env_a)
     node.absorb_own(env_b)
     return env_a, env_b
@@ -514,7 +543,6 @@ def run_scenario(spec: ScenarioSpec) -> tuple[Metrics, Verdict]:
         ReplicaNode(i, keys[i], directory, room, spec.d, spec.seed, byzantine=i in byz)
         for i in range(spec.n)
     ]
-    idx_of = {keys[i].replica_id: i for i in range(spec.n)}
     net = Network(
         spec.n,
         spec.guarantee,
@@ -532,7 +560,6 @@ def run_scenario(spec: ScenarioSpec) -> tuple[Metrics, Verdict]:
     correct_broadcast: set[EventId] = set()
     width = [[0] * spec.horizon for _ in range(spec.n)]
     occupancy = [[0] * spec.horizon for _ in range(spec.n)]
-    all_equal = [False] * spec.horizon
     last_activity = -1
 
     def send_own(i: int, env: SignedEnvelope, targets=None) -> None:
@@ -558,25 +585,14 @@ def run_scenario(spec: ScenarioSpec) -> tuple[Metrics, Verdict]:
                 if t < spec.rounds:
                     for _ in range(spec.updates_per_round):
                         env = node.make_op(EventPayload("msg", node.payload_rng.randbytes(8)))
-                        node.absorb_own(env)
-                        targets = set(range(spec.n)) - set(behavior.skip)
-                        net.broadcast(b_idx, env, targets=targets)
+                        send_own(b_idx, env, set(range(spec.n)) - set(behavior.skip))
                         acted = True
             elif isinstance(behavior, OrphanFlood):
                 if t < spec.rounds:
                     for _ in range(behavior.rate):
                         parents = (orphan_rng.randbytes(32), orphan_rng.randbytes(32))
                         payload = EventPayload("msg", node.payload_rng.randbytes(8))
-                        vid = compute_event_id(
-                            payload.kind, payload.body, node.key.replica_id, node.seq, parents
-                        )
-                        vertex = Vertex(
-                            payload=payload,
-                            id=vid,
-                            parents=parents,
-                            sender=node.key.replica_id,
-                            seq=node.seq,
-                        )
+                        vertex = make_vertex(payload, node.key.replica_id, node.seq, parents)
                         node.seq += 1
                         net.broadcast(b_idx, sign_envelope(AddOperation(vertex), node.key))
                         acted = True
@@ -647,20 +663,15 @@ def run_scenario(spec: ScenarioSpec) -> tuple[Metrics, Verdict]:
         for i in range(spec.n):
             width[i][t] = len(nodes[i].state.get_extremities())
             occupancy[i][t] = len(nodes[i].buffer)
-        digests = {nodes[i].state.state_digest() for i in correct}
-        all_equal[t] = len(digests) == 1
         if activity:
             last_activity = t
 
     quiescence_tick: int | None = last_activity + spec.grace if last_activity >= 0 else 0
     if quiescence_tick >= spec.horizon or net.pending_payload():
         quiescence_tick = None
-    convergence_tick = None
-    if quiescence_tick is not None:
-        for t in range(quiescence_tick, spec.horizon):
-            if all_equal[t]:
-                convergence_tick = t
-                break
+    final_digests = [nodes[i].state.state_digest() for i in range(spec.n)]
+    converged = len({final_digests[i] for i in correct}) == 1
+    convergence_tick = quiescence_tick if converged else None
 
     correct_ids = {keys[i].replica_id for i in correct}
     buffered_correct = [
@@ -676,7 +687,7 @@ def run_scenario(spec: ScenarioSpec) -> tuple[Metrics, Verdict]:
         convergence_tick=convergence_tick,
         quiescence_tick=quiescence_tick,
         trace=list(net.trace),
-        final_digests=[nodes[i].state.state_digest() for i in range(spec.n)],
+        final_digests=final_digests,
         applied_sets=[set(nodes[i].applied) for i in range(spec.n)],
         correct_indices=correct,
         correct_broadcast_ids=correct_broadcast,
@@ -730,13 +741,7 @@ def run_lockstep_rounds(
         root = state.root
         for j in range(u0):
             payload = EventPayload("msg", j.to_bytes(4, "big"))
-            sender = senders[j % n]
-            vid = compute_event_id(payload.kind, payload.body, sender, seqs[j % n], (root,))
-            state.apply_add(
-                AddOperation(
-                    Vertex(payload=payload, id=vid, parents=(root,), sender=sender, seq=seqs[j % n])
-                )
-            )
+            state.apply_add(AddOperation(make_vertex(payload, senders[j % n], seqs[j % n], (root,))))
             seqs[j % n] += 1
     widths = [len(state.get_extremities())]
     for _ in range(rounds):

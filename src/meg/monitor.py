@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .core import MAX_PAYLOAD_BYTES, AddOperation, EventPayload, ReplicaId, Vertex
+from .core import MAX_PAYLOAD_BYTES, AddOperation, EventPayload, ReplicaId, Vertex, make_vertex
 from .encoding import (
     compute_event_id,
     decode_envelope_bytes,
@@ -167,12 +167,5 @@ def envelope_to_wire(env: SignedEnvelope) -> bytes:
 def envelope_from_wire(data: bytes) -> SignedEnvelope:
     """Reverse of `envelope_to_wire`.  Parent order is normalized to sorted."""
     kind, body, sender, seq, parents, env_sender, signature = decode_envelope_bytes(data)
-    vid = compute_event_id(kind, body, sender, seq, parents)
-    vertex = Vertex(
-        payload=EventPayload(kind=kind, body=body),
-        id=vid,
-        parents=parents,
-        sender=sender,
-        seq=seq,
-    )
+    vertex = make_vertex(EventPayload(kind=kind, body=body), sender, seq, parents)
     return SignedEnvelope(op=AddOperation(vertex), sender=env_sender, signature=signature)

@@ -343,6 +343,3 @@ class Network:
             if isinstance(item.msg, BackfillResponse) and item.msg.envelopes:
                 return True
         return any(self._held)
-
-    def trace_lines(self) -> list[str]:
-        return [ev.line() for ev in self.trace]

@@ -69,13 +69,7 @@ def replay_schedule(ops: list[AddOperation], room: str = "soup") -> bytes:
     Raises if the schedule leaves anything undelivered, which for a complete
     permutation of a soup would mean the buffering logic lost an op.
     """
-    state = init(room)
-    buffer = PendingBuffer()
-    for op in ops:
-        ingest(state, buffer, op)
-    if len(buffer):
-        raise ValueError(f"schedule left {len(buffer)} ops buffered")
-    return state.state_digest()
+    return replay_with_invariants(ops, room)
 
 
 def replay_with_invariants(
@@ -83,31 +77,11 @@ def replay_with_invariants(
     room: str = "soup",
     check: Callable[[MegState], None] | None = None,
 ) -> bytes:
-    """Like replay_schedule but calls `check(state)` after every applied op.
-
-    The cascade drains buffered ops lowest-id first, re-scanning after each
-    application; the applied set per delivery matches `ingest`, only the
-    instrumentation granularity differs.
-    """
+    """Like replay_schedule but calls `check(state)` after every applied op."""
     state = init(room)
     buffer = PendingBuffer()
-
-    def apply_checked(op: AddOperation) -> None:
-        if state.apply_add(op) and check is not None:
-            check(state)
-
     for op in ops:
-        if not state.precondition_holds(op):
-            buffer.add(op)
-            continue
-        apply_checked(op)
-        while True:
-            ready = buffer.ready_ops(state)
-            if not ready:
-                break
-            nxt = ready[0]
-            buffer.remove(nxt.vertex.id)
-            apply_checked(nxt)
+        ingest(state, buffer, op, check)
     if len(buffer):
         raise ValueError(f"schedule left {len(buffer)} ops buffered")
     return state.state_digest()

@@ -103,8 +103,6 @@ def variance_removed(u: int, d: int, k: int, exact: bool = False) -> Number:
     V(R_{d,1}) = 0 since a single drawing removes exactly d reds.
     """
     _check_domain(u, d, k)
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
     uu: Number = Fraction(u) if exact else float(u)
     val = _variance_closed_form(uu, d, k)
     return val if exact else float(val)
@@ -136,8 +134,6 @@ def variance_removed_recursive(u: int, d: int, k: int, exact: bool = False) -> N
     with the closed form; it exists as an independent route for testing.
     """
     _check_domain(u, d, k)
-    if d < 2:
-        raise ValueError(f"d must be at least 2, got {d}")
     uu = Fraction(u) if exact else float(u)
     p = (uu - d) / uu
     c = (d / (uu * uu)) * ((uu - d) / (uu - 1))

@@ -28,7 +28,7 @@ from meg.encoding import (
     encode_envelope_bytes,
     encode_vertex_fields,
 )
-from meg.replay import make_op_soup, replay_schedule, soup_sender
+from meg.replay import make_op_soup, replay_schedule, replay_with_invariants, soup_sender
 
 SETTINGS = {"max_examples": 50, "deadline": None}
 
@@ -305,6 +305,14 @@ def test_extremities_are_childless_vertices(seed):
     with_child = {p for (_, p) in state.edges}
     assert state.get_extremities() == set(state.vertices) - with_child
     assert state.is_rooted_dag()
+
+
+def test_replay_with_invariants_checks_once_per_applied_op():
+    ops = make_op_soup(4, 20, seed=11)
+    schedule = list(reversed(ops))  # most ops arrive before a parent and drain in cascades
+    sizes = []
+    replay_with_invariants(schedule, check=lambda state: sizes.append(len(state.applied_ids())))
+    assert sizes == list(range(1, len(ops) + 1))
 
 
 def test_soup_senders_are_stable():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from meg.core import EventPayload
+from meg.core import EventPayload, MegState
 from meg.harness import (
     AdversarySpec,
     Equivocate,
@@ -185,6 +185,54 @@ def test_buffers_drain_under_reordering():
     assert sum(metrics.stale_parent_ops) > 0
 
 
+def test_convergence_tick_is_quiescence_tick_on_happy_path():
+    metrics, _ = run_scenario(spec_with())
+    assert metrics.quiescence_tick is not None
+    assert metrics.convergence_tick == metrics.quiescence_tick
+
+
+def test_quiescence_without_convergence():
+    # Replica 1 never sees the withholder's ops and nothing gossips, so the
+    # run settles with the correct replicas on different digests.
+    spec = spec_with(
+        n=3,
+        f=1,
+        adversary={"byzantine": [2], "behaviors": [{"kind": "withhold", "skip": [1]}]},
+        rounds=3,
+        horizon=100,
+        grace=10,
+        seed=3,
+    )
+    metrics, verdict = run_scenario(spec)
+    assert metrics.quiescence_tick == 17
+    assert metrics.convergence_tick is None
+    assert not verdict.eventual_delivery
+
+
+def test_dag_invariants_catch_extremity_corruption_healed_later(monkeypatch):
+    original = MegState.apply_add
+    corrupted = []
+
+    def corrupt_then_heal(self, op):
+        applied = original(self, op)
+        if applied and not corrupted:
+            # Leave a parent listed as an extremity ...
+            self._extremities.add(op.vertex.parents[0])
+            corrupted.append((self, op.vertex.parents[0]))
+        elif applied and len(corrupted) == 1 and corrupted[0][0] is self:
+            # ... and repair the bookkeeping on the same state's next apply.
+            self._extremities.discard(corrupted[0][1])
+            corrupted.append(None)
+        return applied
+
+    monkeypatch.setattr(MegState, "apply_add", corrupt_then_heal)
+    _, verdict = run_scenario(spec_with())
+    assert len(corrupted) == 2
+    state = corrupted[0][0]
+    assert state.is_rooted_dag() and extremities_consistent(state)  # healed by the end
+    assert not verdict.dag_invariants
+
+
 # -- checker negative controls ---------------------------------------------------------
 
 
@@ -286,6 +334,24 @@ def test_serve_backfill_returns_ancestor_closure():
     assert served_ids == {e.op.vertex.id for e in envs}  # whole chain, root excluded
     assert len(node.serve_backfill(frozenset({tip}), limit=2)) == 2
     assert node.serve_backfill(frozenset({b"\x77" * 32})) == ()
+
+
+def test_stale_parent_ops_counts_first_applies_only():
+    writer, reader, late = (make_node(i, n=3) for i in range(3))
+    envs = []
+    for i in range(3):
+        env = writer.make_op(EventPayload("msg", bytes([i])))
+        writer.absorb_own(env)
+        envs.append(env)
+    for env in envs:
+        assert reader.receive_envelope(env) == [env.op.vertex.id]
+    assert reader.stale_parent_ops == 0
+    for env in envs:  # re-delivery applies nothing and is not a stale reference
+        assert reader.receive_envelope(env) == []
+    assert reader.stale_parent_ops == 0
+    old = late.make_op(EventPayload("msg", b"late"))  # parent: the root, long since covered
+    assert reader.receive_envelope(old) == [old.op.vertex.id]
+    assert reader.stale_parent_ops == 1
 
 
 # -- adversarial scenarios ------------------------------------------------------------------
