@@ -3,9 +3,11 @@
 
 Each scenario exercises one delivery regime: `happy3` is the clean baseline,
 `reorder` stretches delays to force parent-before-child violations, `droppy`
-loses and duplicates messages until gossip repairs the gaps, and
-`equivocation` forks a byzantine sender across a healing partition.  All four
-are expected to end with every verdict flag true (exit 0).
+loses and duplicates messages until gossip repairs the gaps,
+`equivocation` forks a byzantine sender across a healing partition, and
+`equivocation-causal` does the same under causal order, where a replica left
+out of one send must still get the sender's later ones.  All five are
+expected to end with every verdict flag true (exit 0).
 """
 
 import argparse
@@ -14,7 +16,13 @@ from pathlib import Path
 
 from meg.cli import main as meg
 
-SCENARIOS = ["happy3.json", "reorder.json", "droppy.json", "equivocation.json"]
+SCENARIOS = [
+    "happy3.json",
+    "reorder.json",
+    "droppy.json",
+    "equivocation.json",
+    "equivocation-causal.json",
+]
 
 
 def run(out_dir: str) -> int:

@@ -125,7 +125,14 @@ class MegState:
 
     def precondition_holds(self, op: AddOperation) -> bool:
         """Delivery precondition: every parent is already in the state."""
-        return all(p in self.vertices for p in op.vertex.parents)
+        return self.first_missing_parent(op) is None
+
+    def first_missing_parent(self, op: AddOperation) -> EventId | None:
+        """The first parent of `op` not in the state, None if there is none."""
+        for p in op.vertex.parents:
+            if p not in self.vertices:
+                return p
+        return None
 
     # -- effector ----------------------------------------------------------
 
@@ -292,15 +299,22 @@ def generate_add(
 class PendingBuffer:
     """Operations whose parents have not all arrived yet.
 
-    Indexed by the missing parent ids; an operation is stored once no matter
-    how many parents are outstanding.  An optional cap bounds memory under
-    hostile input: when full, new arrivals are counted and discarded.  The
-    eviction choice is pragmatic, nothing in the replication scheme depends
-    on it.
+    Each operation is stored once and indexed under one parent it still
+    misses.  `ingest` applies a level of operations, then `wake`s the
+    waiters of the ids that level applied: those now ready leave the buffer
+    as the next level, the rest re-wait on a parent they still miss.  So a
+    delivery touches only the operations it unblocked, and the index never
+    holds more entries than the buffer holds operations.  `ready_ops` is the
+    full scan the index must agree with.  An optional cap bounds memory
+    under hostile input: when full, new arrivals are counted and discarded.
+    The eviction choice is pragmatic, nothing in the replication scheme
+    depends on it.
     """
 
     def __init__(self, max_ops: int | None = None) -> None:
         self._ops: dict[EventId, AddOperation] = {}
+        # Missing parent id -> ids of the buffered ops indexed under it.
+        self._waiters: dict[EventId, list[EventId]] = {}
         self.max_ops = max_ops
         self.dropped = 0
 
@@ -310,23 +324,59 @@ class PendingBuffer:
     def __contains__(self, op_id: EventId) -> bool:
         return op_id in self._ops
 
-    def add(self, op: AddOperation) -> bool:
-        if op.vertex.id in self._ops:
+    def add(self, op: AddOperation, waiting_on: EventId | None = None) -> bool:
+        """Buffer `op` under `waiting_on`, a parent it misses (default: its first)."""
+        op_id = op.vertex.id
+        if op_id in self._ops:
             return True
         if self.max_ops is not None and len(self._ops) >= self.max_ops:
             self.dropped += 1
             return False
-        self._ops[op.vertex.id] = op
+        self._ops[op_id] = op
+        if waiting_on is None:
+            waiting_on = op.vertex.parents[0]
+        self._waiters.setdefault(waiting_on, []).append(op_id)
         return True
 
     def remove(self, op_id: EventId) -> None:
-        self._ops.pop(op_id, None)
+        op = self._ops.pop(op_id, None)
+        if op is None:
+            return
+        for p in op.vertex.parents:
+            waiters = self._waiters.get(p)
+            if waiters and op_id in waiters:
+                waiters.remove(op_id)
+                if not waiters:
+                    del self._waiters[p]
+                return
+
+    def wake(self, state: MegState, applied: Iterable[EventId]) -> list[AddOperation]:
+        """Ops waiting on `applied` whose precondition now holds, ascending by id.
+
+        They leave the buffer; a woken op that still misses a parent waits
+        on that parent instead.
+        """
+        ready: list[AddOperation] = []
+        for vid in applied:
+            for op_id in self._waiters.pop(vid, ()):
+                op = self._ops[op_id]
+                missing = state.first_missing_parent(op)
+                if missing is None:
+                    del self._ops[op_id]
+                    ready.append(op)
+                else:
+                    self._waiters.setdefault(missing, []).append(op_id)
+        ready.sort(key=lambda op: op.vertex.id)
+        return ready
 
     def operations(self) -> list[AddOperation]:
         return [self._ops[k] for k in sorted(self._ops)]
 
     def ready_ops(self, state: MegState) -> list[AddOperation]:
-        """Buffered ops whose precondition now holds, ascending by event id."""
+        """Buffered ops whose precondition now holds, ascending by event id.
+
+        A full scan; after every `ingest` it must come back empty.
+        """
         return [
             self._ops[k]
             for k in sorted(self._ops)
@@ -350,23 +400,26 @@ def ingest(
 ) -> list[EventId]:
     """Apply an operation if its parents are present, else buffer it.
 
-    After a successful apply, drains the buffer to fixpoint: any buffered
-    operation whose precondition became true is applied, in ascending event
-    id order for determinism.  Returns the ids applied by this call; a
-    re-delivered duplicate applies nothing.  `check(state)`, if given, runs
-    after every applied operation.
+    After a successful apply, drains the buffer to fixpoint level by level:
+    the next level is the buffered operations that waited on an id the last
+    level applied and are now ready, applied in ascending event id order for
+    determinism.  Returns the ids applied by this call; a re-delivered
+    duplicate applies nothing and wakes nothing.  `check(state)`, if given,
+    runs after every applied operation.
     """
     applied: list[EventId] = []
-    if not state.precondition_holds(op):
-        buffer.add(op)
+    missing = state.first_missing_parent(op)
+    if missing is not None:
+        buffer.add(op, missing)
         return applied
-    ready = [op]
-    while ready:
-        for nxt in ready:
+    level = [op]
+    while level:
+        start = len(applied)
+        for nxt in level:
             buffer.remove(nxt.vertex.id)
             if state.apply_add(nxt):
                 applied.append(nxt.vertex.id)
                 if check is not None:
                     check(state)
-        ready = buffer.ready_ops(state)
+        level = buffer.wake(state, applied[start:])
     return applied

@@ -14,8 +14,13 @@ Three delivery guarantees are simulated for operation messages:
   and traffic crossing a partition is deferred until the cut heals.
 * CAUSAL_ORDER_RELIABLE: RELIABLE plus receiver-side holdback so no operation
   is handed over before its parents or before earlier sends from the same
-  sender.  Parent links plus per-sender FIFO cover the happened-before
-  relation that matters for the DAG; no extra vector bookkeeping is kept.
+  sender to the same recipient.  Parent links plus FIFO per (sender,
+  recipient) cover the happened-before relation that matters for the DAG; no
+  extra vector bookkeeping is kept.  Sends are numbered per recipient, so a
+  recipient left out of one send does not wait for it.  A held operation is
+  indexed by the first condition it still waits on (its sender's FIFO turn or
+  a parent not yet handed over) and by its own id, so each delivery wakes
+  only the operations it unblocked or made duplicates.
 
 Gossip and backfill messages are auxiliary and always best-effort: partitions
 drop them and the periodic retry cadence is expected to absorb losses.
@@ -159,12 +164,20 @@ class Network:
         self._queue: list[_Scheduled] = []
         self._seq = 0
         self._rng = Random(f"{config.seed}:net")
-        self._send_counters = [0] * n
+        # Per sender, per recipient: next send index to assign.
+        self._send_counters = [[0] * n for _ in range(n)]
         # Per receiver: operation ids already handed over (dedup and holdback).
         self._delivered_ops: list[set[EventId]] = [set(initial_ids) for _ in range(n)]
         # Per receiver, per sender: next expected send index (FIFO holdback).
         self._fifo_next = [[0] * n for _ in range(n)]
-        self._held: list[list[_Scheduled]] = [[] for _ in range(n)]
+        # Per receiver, the causal holdback: held items by seq; a heap of
+        # (sender, send_index, seq) that may be deliverable or duplicates,
+        # re-checked when popped; and the seqs waiting on each condition, an
+        # event id (a parent, or the item's own id) or a (sender, send_index)
+        # FIFO turn.  Entries of items already gone are skipped.
+        self._held: list[dict[int, _Scheduled]] = [{} for _ in range(n)]
+        self._ready: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self._waiting: list[dict[object, list[int]]] = [{} for _ in range(n)]
 
     # -- helpers -----------------------------------------------------------
 
@@ -178,11 +191,14 @@ class Network:
         return any(p.separates(a, b, tick) for p in self.config.partitions)
 
     def _next_open_tick(self, a: int, b: int, tick: int) -> int:
+        """First tick from `tick` on at which no partition separates a and b."""
         t = tick
-        horizon = max((p.end for p in self.config.partitions), default=tick)
-        while t <= horizon and self._separated(a, b, t):
-            t += 1
-        return t
+        while True:
+            ends = [p.end for p in self.config.partitions if p.separates(a, b, t)]
+            if not ends:
+                return t
+            # Each of these partitions separates the pair until its end.
+            t = max(ends)
 
     def _push(self, due: int, sender: int, receiver: int, msg: object) -> None:
         heapq.heappush(self._queue, _Scheduled(due, self._seq, sender, receiver, msg))
@@ -208,15 +224,16 @@ class Network:
         restricted target sets model crash-mid-send and byzantine behavior.
         """
         vid = env.op.vertex.id
-        send_index = self._send_counters[sender]
-        self._send_counters[sender] += 1
         self._log("SEND", sender, None, vid.hex()[:16])
         self._delivered_ops[sender].add(vid)
-        self._fifo_next[sender][sender] = send_index + 1
+        self._wake(sender, vid)
         recipients = set(range(self.n)) if targets is None else set(targets)
         recipients.discard(sender)
         best_effort = self.guarantee is DeliveryGuarantee.BEST_EFFORT
+        counters = self._send_counters[sender]
         for r in sorted(recipients):
+            send_index = counters[r]
+            counters[r] += 1
             if best_effort and self.config.drop > 0 and self._rng.random() < self.config.drop:
                 self._log("DROP", sender, r, vid.hex()[:16])
                 continue
@@ -288,34 +305,60 @@ class Network:
             self._deliver(item, out)
             return
         # Causal order: hold back until parents are available at the receiver
-        # and all earlier sends from this sender went through.
-        self._held[item.receiver].append(item)
-        self._drain_holdback(item.receiver, out)
+        # and all earlier sends from this sender to it went through.
+        r = item.receiver
+        self._held[r][item.seq] = item
+        self._waiting[r].setdefault(vid, []).append(item.seq)
+        heapq.heappush(self._ready[r], (item.sender, msg.send_index, item.seq))
+        self._drain_holdback(r, out)
 
-    def _deliverable(self, receiver: int, item: _Scheduled) -> bool:
+    def _unmet(self, receiver: int, item: _Scheduled) -> object | None:
+        """The first condition a held item still waits on, None if deliverable."""
         msg: OpMessage = item.msg  # type: ignore[assignment]
         if msg.send_index != self._fifo_next[receiver][item.sender]:
-            return False
-        return all(p in self._delivered_ops[receiver] for p in msg.env.op.vertex.parents)
+            return (item.sender, msg.send_index)
+        delivered = self._delivered_ops[receiver]
+        for p in msg.env.op.vertex.parents:
+            if p not in delivered:
+                return p
+        return None
+
+    def _wake(self, receiver: int, key: object) -> None:
+        seqs = self._waiting[receiver].pop(key, None)
+        if seqs:
+            held = self._held[receiver]
+            for seq in seqs:
+                item = held.get(seq)
+                if item is not None:
+                    heapq.heappush(self._ready[receiver], (item.sender, item.msg.send_index, seq))
 
     def _drain_holdback(self, receiver: int, out: list[tuple[int, int, object]]) -> None:
-        progress = True
-        while progress:
-            progress = False
-            for item in sorted(self._held[receiver], key=lambda it: (it.sender, it.msg.send_index, it.seq)):
-                msg: OpMessage = item.msg  # type: ignore[assignment]
-                vid = msg.env.op.vertex.id
-                if vid in self._delivered_ops[receiver]:
-                    # A duplicate copy got held while the first went through.
-                    self._held[receiver].remove(item)
-                    self._log("DROP", item.sender, receiver, vid.hex()[:16])
-                    progress = True
-                    break
-                if self._deliverable(receiver, item):
-                    self._held[receiver].remove(item)
-                    self._deliver(item, out)
-                    progress = True
-                    break
+        """Hand over held items, least (sender, send_index, seq) first.
+
+        Every held item that is a duplicate or deliverable is on the ready
+        heap, so popping it in key order hands items over in the order of
+        repeatedly taking the least such item.
+        """
+        held, ready = self._held[receiver], self._ready[receiver]
+        while ready:
+            sender, send_index, seq = heapq.heappop(ready)
+            item = held.get(seq)
+            if item is None:
+                continue
+            vid = item.msg.env.op.vertex.id
+            if vid in self._delivered_ops[receiver]:
+                # A duplicate copy got held while the first went through.
+                del held[seq]
+                self._log("DROP", sender, receiver, vid.hex()[:16])
+                continue
+            unmet = self._unmet(receiver, item)
+            if unmet is not None:
+                self._waiting[receiver].setdefault(unmet, []).append(seq)
+                continue
+            del held[seq]
+            self._deliver(item, out)
+            self._wake(receiver, vid)
+            self._wake(receiver, (sender, send_index + 1))
 
     def _deliver(self, item: _Scheduled, out: list[tuple[int, int, object]]) -> None:
         msg: OpMessage = item.msg  # type: ignore[assignment]

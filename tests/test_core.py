@@ -273,6 +273,59 @@ def test_pending_buffer_cap_drops_new():
     assert len(buffer) == 2
 
 
+def test_ingest_rewakes_op_missing_two_parents():
+    state = init()
+    buffer = PendingBuffer()
+    a = make_child(state, (state.root,), body=b"a")
+    b = make_child(state, (state.root,), body=b"b", seq=1)
+    c = make_child(state, (a.vertex.id, b.vertex.id), body=b"c", seq=2)
+    assert ingest(state, buffer, c) == []
+    # Woken by a, still blocked on b: it stays buffered and waits on b.
+    assert ingest(state, buffer, a) == [a.vertex.id]
+    assert c.vertex.id in buffer
+    assert buffer.ready_ops(state) == []
+    assert buffer.missing_parent_ids(state) == {b.vertex.id}
+    assert ingest(state, buffer, b) == [b.vertex.id, c.vertex.id]
+    assert len(buffer) == 0
+
+
+def full_scan_ingest(state, buffer, op):
+    """The drain as a full rescan of the buffer after every level."""
+    if not state.precondition_holds(op):
+        buffer.add(op)
+        return []
+    applied, ready = [], [op]
+    while ready:
+        for nxt in ready:
+            buffer.remove(nxt.vertex.id)
+            if state.apply_add(nxt):
+                applied.append(nxt.vertex.id)
+        ready = buffer.ready_ops(state)
+    return applied
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+@settings(**SETTINGS)
+def test_ingest_wakes_exactly_what_a_full_scan_finds(seed, data):
+    ops = make_op_soup(3, 14, seed=seed)
+    schedule = list(data.draw(st.permutations(ops)))
+    for pos, pick in data.draw(st.lists(st.tuples(st.integers(0, 30), st.integers(0, 13)), max_size=8)):
+        schedule.insert(min(pos, len(schedule)), ops[pick])
+    state, buffer = init("soup"), PendingBuffer()
+    ref_state, ref_buffer = init("soup"), PendingBuffer()
+    order = []
+    for op in schedule:
+        got = ingest(state, buffer, op)
+        assert got == full_scan_ingest(ref_state, ref_buffer, op)
+        assert buffer.ready_ops(state) == []
+        assert buffer.operations() == ref_buffer.operations()
+        order.extend(got)
+    assert len(buffer) == 0
+    seen = []
+    replay_with_invariants(schedule, check=lambda s: seen.append(next(reversed(s.vertices))))
+    assert order == seen
+
+
 # -- order independence -----------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 """Scenario parsing, execution, verdict checkers, and the lockstep runner."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +31,8 @@ from meg.harness import (
 from meg.monitor import MembershipDirectory, SigningKey
 from meg.network import DeliveryGuarantee, Partition
 from meg.width import fixed_point
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
 
 BASE = {
     "n": 3,
@@ -434,6 +438,40 @@ def test_equivocation_positive_and_negative():
     metrics, verdict = run_scenario(neg)
     assert not verdict.eventual_delivery
     assert verdict.strong_convergence
+
+
+def test_causal_equivocation_delivers_to_the_left_out_replica():
+    # Replica 2 is left out of the first equivocating send; under causal
+    # order it must still get the second one and everything after it.
+    spec = load_scenario(SCENARIOS / "equivocation-causal.json")
+    assert spec.guarantee is DeliveryGuarantee.CAUSAL_ORDER_RELIABLE
+    metrics, verdict = run_scenario(spec)
+    assert verdict.all_ok()
+    assert metrics.applied_counts == [11, 11, 11, 11]
+
+
+def test_causal_trace_is_pinned():
+    """Holdback order, duplicate drops and partition deferral, byte for byte."""
+    spec = spec_with(
+        n=5,
+        guarantee="CausalOrderReliable",
+        delay=[1, 30],
+        duplicate=0.3,
+        partitions=[[10, 60, [0, 1]]],
+        rounds=6,
+        d=3,
+        dummy_threshold=4,
+        dummy_d=6,
+        gossip_period=15,
+        horizon=400,
+        grace=40,
+        seed=11,
+    )
+    metrics, verdict = run_scenario(spec)
+    assert verdict.all_ok()
+    assert hashlib.sha256(trace_tsv(metrics).encode()).hexdigest() == (
+        "6276700bd22ddbe759f5035490cdeafb884d0c4ada5ebf338f2b4535edad587f"
+    )
 
 
 # -- lockstep rounds ---------------------------------------------------------------------

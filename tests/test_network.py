@@ -184,6 +184,58 @@ def test_causal_duplicate_in_holdback_dropped():
     assert net.queue_empty()
 
 
+def test_causal_fifo_counts_sends_per_recipient():
+    # Receiver 2 is left out of the first send; it must not wait for it.
+    net = Network(
+        3,
+        DeliveryGuarantee.CAUSAL_ORDER_RELIABLE,
+        NetworkConfig(delay=(1, 5), seed=14),
+        initial_ids=(ROOT,),
+    )
+    key = KEYS[0]
+    op_1, op_2 = (
+        generate_add(init("net"), EventPayload("msg", body), 2, (), Random(0), key.replica_id, seq)
+        for seq, body in enumerate((b"one", b"two"))
+    )
+    net.broadcast(0, sign_envelope(op_1, key), targets=(1,))
+    net.broadcast(0, sign_envelope(op_2, key))
+    got = op_deliveries(drain(net))
+    assert {(r, m.env.op.vertex.id) for r, _, m in got} == {
+        (1, op_1.vertex.id),
+        (1, op_2.vertex.id),
+        (2, op_2.vertex.id),
+    }
+    assert net.queue_empty()
+
+
+def test_causal_held_copy_dropped_when_its_id_goes_through():
+    # X is sent twice around Y.  The second copy of X arrives first and waits
+    # for its FIFO turn; once the first copy goes through it is a duplicate
+    # and is dropped on that tick, not when its turn comes.
+    net = Network(
+        2,
+        DeliveryGuarantee.CAUSAL_ORDER_RELIABLE,
+        NetworkConfig(delay=(1, 20), seed=27),
+        initial_ids=(ROOT,),
+    )
+    key = KEYS[0]
+    x, y = (
+        sign_envelope(
+            generate_add(init("net"), EventPayload("msg", body), 2, (), Random(0), key.replica_id, seq),
+            key,
+        )
+        for seq, body in enumerate((b"x", b"y"))
+    )
+    for env in (x, y, x):
+        net.broadcast(0, env)
+    got = op_deliveries(drain(net))
+    assert [m.send_index for _, _, m in got] == [0, 1]
+    x_hex = x.op.vertex.id.hex()[:16]
+    x_events = [(ev.tick, ev.kind) for ev in net.trace if ev.event_hex == x_hex and ev.kind != "SEND"]
+    assert x_events == [(6, "DELIVER"), (6, "DROP")]
+    assert net.queue_empty()
+
+
 # -- best effort -----------------------------------------------------------------------
 
 
@@ -206,6 +258,27 @@ def test_best_effort_partition_drops():
     net = Network(2, DeliveryGuarantee.BEST_EFFORT, cfg)
     net.broadcast(0, Chain(0).env()[1])
     assert op_deliveries(drain(net)) == []
+
+
+def test_next_open_tick_jumps_over_overlapping_partitions():
+    parts = (
+        Partition(5, 20, frozenset({0})),
+        Partition(15, 40, frozenset({0, 1})),
+        Partition(40, 45, frozenset({2})),
+    )
+    net = Network(3, DeliveryGuarantee.RELIABLE, NetworkConfig(partitions=parts))
+
+    def stepping(a, b, tick):
+        t = tick
+        while any(p.separates(a, b, t) for p in parts):
+            t += 1
+        return t
+
+    assert net._next_open_tick(0, 2, 5) == 45
+    for a in range(3):
+        for b in range(3):
+            for tick in range(50):
+                assert net._next_open_tick(a, b, tick) == stepping(a, b, tick)
 
 
 # -- auxiliary messages ------------------------------------------------------------------
