@@ -88,7 +88,10 @@ class MegState:
     """Rooted event DAG owned by a single logical writer.
 
     Queries hand out immutable snapshots, so readers never observe a
-    half-applied effector.
+    half-applied effector.  The extremities are also kept as one sorted
+    list, the pool `generate_add` samples parents from; it is built on first
+    use, dropped whenever `apply_add` lands a new vertex, and never shared
+    with a `copy()`.
     """
 
     def __init__(self, root: Vertex) -> None:
@@ -98,6 +101,7 @@ class MegState:
         self.vertices: dict[EventId, Vertex] = {root.id: root}
         self.edges: set[tuple[EventId, EventId]] = set()
         self._extremities: set[EventId] = {root.id}
+        self._sorted_extremities: list[EventId] | None = None
 
     # -- queries -----------------------------------------------------------
 
@@ -112,6 +116,12 @@ class MegState:
     def get_extremities(self) -> frozenset[EventId]:
         """Exactly the vertices with no incoming edge.  Never empty."""
         return frozenset(self._extremities)
+
+    def sorted_extremities(self) -> list[EventId]:
+        """The extremity ids in ascending order; callers must not mutate it."""
+        if self._sorted_extremities is None:
+            self._sorted_extremities = sorted(self._extremities)
+        return self._sorted_extremities
 
     def get_state(self) -> tuple[frozenset[Vertex], frozenset[tuple[EventId, EventId]]]:
         """Immutable (vertex set, edge set) snapshot."""
@@ -159,6 +169,7 @@ class MegState:
             self.edges.add((v.id, p))
             self._extremities.discard(p)
         self._extremities.add(v.id)
+        self._sorted_extremities = None
         return True
 
     # -- structural checks -------------------------------------------------
@@ -229,6 +240,7 @@ class MegState:
         dup.vertices = dict(self.vertices)
         dup.edges = set(self.edges)
         dup._extremities = set(self._extremities)
+        dup._sorted_extremities = None
         return dup
 
 
@@ -265,13 +277,21 @@ def select_parents(
     max(d, len(required)) parents.  Sampling runs over a sorted pool so the
     result is a pure function of the rng state.
     """
+    return _select_sorted(sorted(set(extremities)), sorted(set(required)), d, rng)
+
+
+def _select_sorted(
+    ext: list[EventId], req: list[EventId], d: int, rng: Random
+) -> list[EventId]:
+    """`select_parents` on the sorted extremity ids and the sorted required ids."""
     if d < 2:
         raise ValueError("parent cap d must be at least 2")
-    ext = set(extremities)
     if not ext:
         raise EmptyExtremitiesError("cannot select parents from empty extremity set")
-    req = sorted(set(required))
-    pool = sorted(ext - set(req))
+    pool = ext
+    if req:
+        taken = set(req)
+        pool = [w for w in ext if w not in taken]
     if len(req) + len(pool) <= d:
         return req + pool
     fill = max(d, len(req)) - len(req)
@@ -287,12 +307,17 @@ def generate_add(
     sender: ReplicaId,
     seq: int,
 ) -> AddOperation:
-    """Generator half of add: pick parents, derive the id, leave state untouched."""
+    """Generator half of add: pick parents, derive the id, leave state untouched.
+
+    The parents are those `select_parents(state.get_extremities(), d,
+    required, rng)` would pick, drawn from the state's sorted extremity list
+    so that generating many events against one state version sorts once.
+    """
     required = list(required)
     for w in required:
         if not state.lookup(w):
             raise UnknownVertexError(f"required parent {w.hex()[:16]} is unknown")
-    parents = select_parents(state.get_extremities(), d, required, rng)
+    parents = _select_sorted(state.sorted_extremities(), sorted(set(required)), d, rng)
     return AddOperation(make_vertex(payload, sender, seq, parents))
 
 

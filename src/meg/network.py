@@ -20,7 +20,9 @@ Three delivery guarantees are simulated for operation messages:
   recipient left out of one send does not wait for it.  A held operation is
   indexed by the first condition it still waits on (its sender's FIFO turn or
   a parent not yet handed over) and by its own id, so each delivery wakes
-  only the operations it unblocked or made duplicates.
+  only the operations it unblocked or made duplicates.  A copy dropped as a
+  duplicate still uses up its send index, so a re-sent envelope does not
+  leave its sender's FIFO turn waiting for an index that never arrives.
 
 Gossip and backfill messages are auxiliary and always best-effort: partitions
 drop them and the periodic retry cadence is expected to absorb losses.
@@ -168,8 +170,10 @@ class Network:
         self._send_counters = [[0] * n for _ in range(n)]
         # Per receiver: operation ids already handed over (dedup and holdback).
         self._delivered_ops: list[set[EventId]] = [set(initial_ids) for _ in range(n)]
-        # Per receiver, per sender: next expected send index (FIFO holdback).
+        # Per receiver, per sender: next expected send index (FIFO holdback),
+        # and the later indexes already used up out of turn.
         self._fifo_next = [[0] * n for _ in range(n)]
+        self._fifo_skipped: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(n)]
         # Per receiver, the causal holdback: held items by seq; a heap of
         # (sender, send_index, seq) that may be deliverable or duplicates,
         # re-checked when popped; and the seqs waiting on each condition, an
@@ -300,6 +304,8 @@ class Network:
             return
         if vid in self._delivered_ops[item.receiver]:
             self._log("DROP", item.sender, item.receiver, vid.hex()[:16])
+            if self._consume_turn(item.receiver, item.sender, msg.send_index):
+                self._drain_holdback(item.receiver, out)
             return
         if self.guarantee is DeliveryGuarantee.RELIABLE:
             self._deliver(item, out)
@@ -350,6 +356,7 @@ class Network:
                 # A duplicate copy got held while the first went through.
                 del held[seq]
                 self._log("DROP", sender, receiver, vid.hex()[:16])
+                self._consume_turn(receiver, sender, send_index)
                 continue
             unmet = self._unmet(receiver, item)
             if unmet is not None:
@@ -358,16 +365,35 @@ class Network:
             del held[seq]
             self._deliver(item, out)
             self._wake(receiver, vid)
-            self._wake(receiver, (sender, send_index + 1))
 
     def _deliver(self, item: _Scheduled, out: list[tuple[int, int, object]]) -> None:
         msg: OpMessage = item.msg  # type: ignore[assignment]
         vid = msg.env.op.vertex.id
         self._delivered_ops[item.receiver].add(vid)
-        if msg.send_index == self._fifo_next[item.receiver][item.sender]:
-            self._fifo_next[item.receiver][item.sender] = msg.send_index + 1
+        self._consume_turn(item.receiver, item.sender, msg.send_index)
         self._log("DELIVER", item.sender, item.receiver, vid.hex()[:16])
         out.append((item.receiver, item.sender, msg))
+
+    def _consume_turn(self, receiver: int, sender: int, send_index: int) -> bool:
+        """Use up a send index, by a delivery or by a dropped duplicate copy.
+
+        The index equal to the FIFO turn advances the turn past any later
+        indexes already used up and wakes the new turn; an index ahead of the
+        turn is recorded as used up.  Returns True when the turn advanced.
+        """
+        turn = self._fifo_next[receiver][sender]
+        skipped = self._fifo_skipped[receiver][sender]
+        if send_index > turn:
+            skipped.add(send_index)
+        if send_index != turn:
+            return False
+        turn += 1
+        while turn in skipped:
+            skipped.remove(turn)
+            turn += 1
+        self._fifo_next[receiver][sender] = turn
+        self._wake(receiver, (sender, turn))
+        return True
 
     # -- introspection -----------------------------------------------------
 

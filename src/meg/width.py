@@ -11,8 +11,10 @@ extremities, so the width chain steps as U_{n+1} = U_n + k - R_{d,k}(U_n).
 Everything here is closed-form or exact combinatorics; the only sampling is
 in `simulate_urn_round` and `monte_carlo_trajectory`, which exist to
 cross-check the analytics and the full replica simulation.  Functions accept
-`exact=True` to compute in rational arithmetic; the default is float with
-exact integer binomials underneath.
+`exact=True` to compute in rational arithmetic; the default is float.  The
+removal pmf is computed on integer numerators over one common denominator
+and divided once at the end, so its float and exact outputs are the same
+numbers, the float one correctly rounded.
 """
 
 from __future__ import annotations
@@ -205,22 +207,25 @@ def pmf_removed(u: int, d: int, k: int, exact: bool = False) -> Pmf:
         P(R_k = j) = sum_{l=0}^{d} C(u-(j-l), l) C(j-l, d-l) / C(u, d)
                        * P(R_{k-1} = j - l)
 
-    with base case P(R_1 = d) = 1.  Support lies in [d, min(u, k d)].
+    with base case P(R_1 = d) = 1.  Support lies in [d, min(u, k d)].  The
+    recursion runs on integer numerators over C(u, d)^(k-1), and each
+    probability is one division at the end: a Fraction when `exact`, else
+    the correctly rounded float of the same ratio.
     """
     _check_domain(u, d, k)
-    denom = math.comb(u, d)
-    cur: dict[int, Fraction] = {d: Fraction(1)}
+    cur: dict[int, int] = {d: 1}
     for _ in range(k - 1):
-        nxt: dict[int, Fraction] = {}
-        for prev_j, prev_p in cur.items():
+        nxt: dict[int, int] = {}
+        for prev_j, prev_n in cur.items():
             for l in range(0, d + 1):
-                j = prev_j + l
-                weight = Fraction(_comb0(u - prev_j, l) * _comb0(prev_j, d - l), denom)
+                weight = _comb0(u - prev_j, l) * _comb0(prev_j, d - l)
                 if weight:
-                    nxt[j] = nxt.get(j, Fraction(0)) + weight * prev_p
+                    j = prev_j + l
+                    nxt[j] = nxt.get(j, 0) + weight * prev_n
         cur = nxt
+    scale = math.comb(u, d) ** (k - 1)
     probs: dict[int, Number] = {
-        j: (p if exact else float(p)) for j, p in sorted(cur.items()) if p
+        j: (Fraction(n, scale) if exact else n / scale) for j, n in sorted(cur.items()) if n
     }
     return Pmf(probs)
 
@@ -346,20 +351,24 @@ def rounds_until_convergence(u0: float, d: int, k: int) -> int:
 def simulate_urn_round(u: int, d: int, k: int, rng: Random) -> int:
     """Sample R for one round: k sequential drawings of min(d, u) balls.
 
-    Tracks only the red count; by exchangeability the reds drawn in a single
-    drawing follow the hypergeometric law, realized here by sampling ball
-    indices and treating the first `reds` as red.
+    Tracks only the red count.  Each drawing takes its balls one at a time
+    without replacement: after i balls, hits of them red, the next ball is red
+    with probability (reds - hits) / (u - i), decided by one `rng.random()`.
+    The reds a drawing removes thus follow the hypergeometric law, up to the
+    2^-53 resolution of a float uniform.
     """
     if u < 1 or d < 1 or k < 1:
         raise ValueError("need u, d, k >= 1")
+    random = rng.random
+    take = min(d, u)
     reds = u
-    removed = 0
     for _ in range(k):
-        take = min(d, u)
-        hits = sum(1 for x in rng.sample(range(u), take) if x < reds)
+        hits = 0
+        for i in range(take):
+            if random() * (u - i) < reds - hits:
+                hits += 1
         reds -= hits
-        removed += hits
-    return removed
+    return u - reds
 
 
 @dataclass(frozen=True)

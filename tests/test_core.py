@@ -370,3 +370,41 @@ def test_replay_with_invariants_checks_once_per_applied_op():
 
 def test_soup_senders_are_stable():
     assert soup_sender(0) == hashlib.sha256(b"soup-sender-0").digest()
+
+
+# -- parent selection from the state's sorted extremity pool ---------------------------
+
+
+def assert_picks_match_select_parents(state):
+    payload = EventPayload("msg", b"pick")
+    ext = state.get_extremities()
+    for s in range(4):
+        op = generate_add(state, payload, 2, (), Random(s), SENDER, 0)
+        assert list(op.vertex.parents) == select_parents(ext, 2, (), Random(s))
+    required = [state.root]
+    op = generate_add(state, payload, 3, required, Random(0), SENDER, 0)
+    assert list(op.vertex.parents) == select_parents(ext, 3, required, Random(0))
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(**SETTINGS)
+def test_generate_add_picks_follow_every_state_version(seed):
+    ops = make_op_soup(5, 16, seed=seed)
+    state = init("soup")
+    for op in ops[:10]:
+        assert_picks_match_select_parents(state)
+        assert state.apply_add(op)
+        assert_picks_match_select_parents(state)
+    dup = state.copy()
+    for op in ops[10:]:
+        assert_picks_match_select_parents(dup)
+        assert dup.apply_add(op)
+        assert_picks_match_select_parents(dup)
+        assert_picks_match_select_parents(state)
+    assert not dup.apply_add(ops[0])
+    assert_picks_match_select_parents(dup)
+
+
+def test_generate_add_rejects_cap_below_two():
+    with pytest.raises(ValueError):
+        generate_add(init(), EventPayload("msg", b""), 1, (), Random(0), SENDER, 0)

@@ -3,6 +3,8 @@
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meg.core import EventPayload, generate_add, init
 from meg.monitor import SigningKey, sign_envelope
@@ -234,6 +236,68 @@ def test_causal_held_copy_dropped_when_its_id_goes_through():
     x_events = [(ev.tick, ev.kind) for ev in net.trace if ev.event_hex == x_hex and ev.kind != "SEND"]
     assert x_events == [(6, "DELIVER"), (6, "DROP")]
     assert net.queue_empty()
+
+
+def test_causal_resent_envelope_does_not_stall_later_sends():
+    # x goes out twice, so its second copy takes send index 1; dropping that
+    # copy as a duplicate must still let y, at index 2, take its turn.
+    net = Network(
+        2,
+        DeliveryGuarantee.CAUSAL_ORDER_RELIABLE,
+        NetworkConfig(delay=(1, 1), seed=3),
+        initial_ids=(ROOT,),
+    )
+    chain = Chain(0)
+    x, y = chain.env(b"x")[1], chain.env(b"y")[1]
+    for env in (x, x, y):
+        net.broadcast(0, env)
+    got = op_deliveries(drain(net))
+    assert [(m.env, m.send_index) for _, _, m in got] == [(x, 0), (y, 2)]
+    assert net.queue_empty()
+
+
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    seed=st.integers(min_value=0, max_value=10_000),
+    hi=st.integers(min_value=1, max_value=15),
+    duplicate=st.sampled_from([0.0, 0.3]),
+    guarantee=st.sampled_from(
+        [DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, DeliveryGuarantee.RELIABLE]
+    ),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate, guarantee, data):
+    # Senders extend one shared DAG and broadcast to everyone; now and then a
+    # sender re-sends one of its earlier envelopes.
+    config = NetworkConfig(delay=(1, hi), duplicate=duplicate, seed=seed)
+    net = Network(n, guarantee, config, initial_ids=(ROOT,))
+    state, rng = init("net"), Random(seed)
+    sent: list[list] = [[] for _ in range(n)]
+    origin, got = {}, []
+    for step in range(data.draw(st.integers(min_value=1, max_value=25))):
+        i = data.draw(st.integers(min_value=0, max_value=n - 1))
+        if sent[i] and data.draw(st.booleans()):
+            net.broadcast(i, data.draw(st.sampled_from(sent[i])))
+        else:
+            payload = EventPayload("msg", bytes([step]))
+            op = generate_add(state, payload, 2, (), rng, KEYS[i].replica_id, len(sent[i]))
+            state.apply_add(op)
+            env = sign_envelope(op, KEYS[i])
+            sent[i].append(env)
+            origin[op.vertex.id] = i
+            net.broadcast(i, env)
+        if data.draw(st.booleans()):
+            got.extend(net.step())
+    got.extend(drain(net))
+    assert net.queue_empty()
+    ops = op_deliveries(got)
+    delivered = sorted((r, m.env.op.vertex.id) for r, _, m in ops)
+    assert delivered == sorted((r, vid) for vid, i in origin.items() for r in range(n) if r != i)
+    if guarantee is DeliveryGuarantee.CAUSAL_ORDER_RELIABLE:
+        for pair in {(r, s) for r, s, _ in ops}:
+            turns = [m.send_index for r, s, m in ops if (r, s) == pair]
+            assert turns == sorted(turns)
 
 
 # -- best effort -----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from those pmfs, and trajectory/fixed-point values by iterating the mean
 recurrence with exact rationals by hand.
 """
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -302,3 +303,52 @@ def test_pmf_container():
     assert pmf[2] == Fraction(1, 2)
     assert pmf[99] == 0
     assert pmf.support() == [2, 3]
+
+
+# -- pinned outputs and sampling law -------------------------------------------------
+
+
+@given(
+    u=st.integers(min_value=3, max_value=30),
+    d=st.integers(min_value=2, max_value=6),
+    k=st.integers(min_value=1, max_value=8),
+)
+@settings(**SETTINGS)
+def test_pmf_float_is_the_rounded_exact_pmf(u, d, k):
+    if d >= u:
+        return
+    approx = pmf_removed(u, d, k).probs
+    exact = pmf_removed(u, d, k, exact=True).probs
+    assert approx == {j: float(q) for j, q in exact.items()}
+    assert list(approx) == list(exact)
+
+
+def test_pmf_float_output_is_pinned():
+    # SHA-256 of the (150, 8, 40) float pmf as computed with Fraction arithmetic.
+    probs = repr(sorted(pmf_removed(150, 8, 40).probs.items())).encode()
+    assert (
+        hashlib.sha256(probs).hexdigest()
+        == "8954f79b18b15ee7f782dc94ab1238ac37a6a021c7d3f36b053252c613b51d7b"
+    )
+
+
+@pytest.mark.parametrize("u, d, k", [(10, 5, 3), (7, 3, 4), (6, 2, 3)])
+def test_simulate_urn_round_follows_the_exact_pmf(u, d, k):
+    trials = 20_000
+    rng = Random(f"urn-law:{u}:{d}:{k}")
+    counts: dict[int, int] = {}
+    for _ in range(trials):
+        r = simulate_urn_round(u, d, k, rng)
+        counts[r] = counts.get(r, 0) + 1
+    pmf = pmf_removed(u, d, k, exact=True)
+    assert set(counts) <= set(pmf.support())
+    for j in pmf.support():
+        p = float(pmf[j])
+        se = math.sqrt(p * (1 - p) / trials)
+        assert abs(counts.get(j, 0) / trials - p) <= 4 * se, (j, counts.get(j, 0), p)
+
+
+def test_simulate_urn_round_takes_all_when_u_at_most_d():
+    for u, d in [(1, 2), (3, 5), (5, 5)]:
+        for s in range(5):
+            assert simulate_urn_round(u, d, 4, Random(s)) == u
