@@ -6,8 +6,11 @@ Each scenario exercises one delivery regime: `happy3` is the clean baseline,
 loses and duplicates messages until gossip repairs the gaps,
 `equivocation` forks a byzantine sender across a healing partition, and
 `equivocation-causal` does the same under causal order, where a replica left
-out of one send must still get the sender's later ones.  All five are
-expected to end with every verdict flag true (exit 0).
+out of one send must still get the sender's later ones, and `withhold-causal`
+has a byzantine sender leave one replica out of every send under causal
+order, so that replica gets those ops only by backfill and must still be
+handed their children.  All six are expected to end with every verdict flag
+true (exit 0).
 """
 
 import argparse
@@ -22,6 +25,7 @@ SCENARIOS = [
     "droppy.json",
     "equivocation.json",
     "equivocation-causal.json",
+    "withhold-causal.json",
 ]
 
 

@@ -1,8 +1,10 @@
 """Scenario runner: replicas, workload, faults, metrics, and verdict checks.
 
-A scenario wires n replicas to one simulated transport, drives a workload of
-client appends for a number of rounds, optionally injects byzantine behavior,
-then lets the system settle and grades the run:
+A `Simulation` wires n replicas to one simulated transport.  Each `step()`
+runs one tick: client appends for the first `rounds` ticks, byzantine
+behavior, dummies, gossip, then the transport's deliveries, each handled by
+the receiving `ReplicaNode.route`.  After `horizon` steps the system has had
+time to settle, and `finish()` grades the run (`run_scenario` is that loop):
 
 * strong_convergence: replicas that applied the same operation set hold
   bit-identical state digests.
@@ -83,6 +85,15 @@ class Equivocate:
     subset_b: tuple[int, ...]
     at_round: int = 0
 
+    def act(self, sim: Simulation, node: ReplicaNode, t: int) -> bool:
+        """Run this behavior at `node` for tick t; True if it sent anything."""
+        if t != self.at_round:
+            return False
+        env_a, env_b = equivocate(node, node.random_payload(), node.random_payload())
+        sim.net.broadcast(node.idx, env_a, targets=self.subset_a)
+        sim.net.broadcast(node.idx, env_b, targets=self.subset_b)
+        return True
+
 
 @dataclass(frozen=True)
 class Withhold:
@@ -90,12 +101,26 @@ class Withhold:
 
     skip: tuple[int, ...]
 
+    def act(self, sim: Simulation, node: ReplicaNode, t: int) -> bool:
+        sends = sim.spec.updates_per_round if t < sim.spec.rounds else 0
+        for _ in range(sends):
+            env = node.make_op(node.random_payload())
+            sim.send_own(node.idx, env, set(range(sim.spec.n)) - set(self.skip))
+        return sends > 0
+
 
 @dataclass(frozen=True)
 class OrphanFlood:
     """Emit `rate` validly signed operations per round whose parents do not exist."""
 
     rate: int
+
+    def act(self, sim: Simulation, node: ReplicaNode, t: int) -> bool:
+        sends = self.rate if t < sim.spec.rounds else 0
+        for _ in range(sends):
+            parents = (sim.orphan_rng.randbytes(32), sim.orphan_rng.randbytes(32))
+            sim.net.broadcast(node.idx, node.make_op(node.random_payload(), parents=parents))
+        return sends > 0
 
 
 Behavior = Equivocate | Withhold | OrphanFlood
@@ -298,10 +323,19 @@ class ReplicaNode:
         self.rejected_ops = 0
         self.invariant_failures = 0
 
-    def make_op(self, payload: EventPayload) -> SignedEnvelope:
-        op = generate_add(
-            self.state, payload, self.d, (), self.parent_rng, self.key.replica_id, self.seq
-        )
+    def random_payload(self) -> EventPayload:
+        return EventPayload("msg", self.payload_rng.randbytes(8))
+
+    def make_op(
+        self, payload: EventPayload, d: int | None = None, parents: tuple[EventId, ...] | None = None
+    ) -> SignedEnvelope:
+        """Sign the next operation: on `parents`, else on extremities picked with cap `d`."""
+        if parents is None:
+            op = generate_add(
+                self.state, payload, d or self.d, (), self.parent_rng, self.key.replica_id, self.seq
+            )
+        else:
+            op = AddOperation(make_vertex(payload, self.key.replica_id, self.seq, parents))
         self.seq += 1
         return sign_envelope(op, self.key)
 
@@ -365,8 +399,32 @@ class ReplicaNode:
             self.invariant_failures += 1
         return applied
 
-    def missing_parents_of(self, op: AddOperation) -> set[EventId]:
-        return {p for p in op.vertex.parents if not self.state.lookup(p)}
+    def route(self, net: Network, sender: int, msg: object) -> bool:
+        """Handle one message `net` delivered; True if it applied an operation.
+
+        Every apply is reported to `net`.  Byzantine replicas take operations
+        in, but count no activity and stay silent on the auxiliary protocols.
+        """
+        state, buffer = self.state, self.buffer
+        if isinstance(msg, OpMessage):
+            applied = self.receive_envelope(msg.env)
+            vertex = msg.env.op.vertex
+            if not self.byzantine and vertex.id in buffer:
+                missing = {p for p in vertex.parents if not state.lookup(p)}
+                net.request_backfill(self.idx, sender, missing)
+        elif self.byzantine:
+            return False
+        elif isinstance(msg, BackfillResponse):
+            applied = [vid for env in msg.envelopes for vid in self.receive_envelope(env)]
+        else:
+            if isinstance(msg, GossipMessage):
+                unknown = {w for w in msg.extremities if not state.lookup(w) and w not in buffer}
+                net.request_backfill(self.idx, sender, unknown | buffer.missing_parent_ids(state))
+            elif isinstance(msg, BackfillRequest):
+                net.respond_backfill(self.idx, sender, self.serve_backfill(msg.missing))
+            return False
+        net.mark_applied(self.idx, applied)
+        return bool(applied) and not self.byzantine
 
     def serve_backfill(
         self, missing: frozenset[EventId], limit: int = BACKFILL_BATCH
@@ -411,12 +469,7 @@ def maybe_emit_dummy(
     """
     if len(node.state.get_extremities()) <= threshold:
         return None
-    payload = EventPayload(kind="dummy", body=b"")
-    op = generate_add(
-        node.state, payload, dummy_d, (), node.parent_rng, node.key.replica_id, node.seq
-    )
-    node.seq += 1
-    return sign_envelope(op, node.key)
+    return node.make_op(EventPayload(kind="dummy", body=b""), d=dummy_d)
 
 
 def equivocate(
@@ -508,10 +561,6 @@ def check_eventual_delivery(metrics: Metrics) -> bool:
     return True
 
 
-def check_termination(metrics: Metrics) -> bool:
-    return metrics.quiescence_tick is not None
-
-
 def width_series_csv(metrics: Metrics) -> str:
     lines = ["tick,replica,width"]
     horizon = len(metrics.width[0]) if metrics.width else 0
@@ -528,185 +577,131 @@ def trace_tsv(metrics: Metrics) -> str:
 # -- scenario execution ----------------------------------------------------------
 
 
-def run_scenario(spec: ScenarioSpec) -> tuple[Metrics, Verdict]:
-    """Execute one scenario deterministically and grade it."""
-    byz = spec.adversary.byzantine if spec.adversary else frozenset()
-    behaviors = spec.adversary.behaviors if spec.adversary else ()
-    correct = tuple(i for i in range(spec.n) if i not in byz)
-    room = f"scenario:{spec.seed}"
+class Simulation:
+    """One scenario, driven one tick at a time by `step()` and graded by `finish()`."""
 
-    keys = [SigningKey.from_seed(f"{spec.seed}:replica:{i}") for i in range(spec.n)]
-    directory = MembershipDirectory(
-        {k.replica_id: k.verification_key for k in keys}, f=spec.f
-    )
-    nodes = [
-        ReplicaNode(i, keys[i], directory, room, spec.d, spec.seed, byzantine=i in byz)
-        for i in range(spec.n)
-    ]
-    net = Network(
-        spec.n,
-        spec.guarantee,
-        NetworkConfig(
-            delay=spec.delay,
-            drop=spec.drop,
-            duplicate=spec.duplicate,
-            partitions=spec.partitions,
-            seed=spec.seed,
-        ),
-        initial_ids=(nodes[0].state.root,),
-    )
-    orphan_rng = Random(f"{spec.seed}:orphans")
+    def __init__(self, spec: ScenarioSpec) -> None:
+        self.spec = spec
+        self.adversary = spec.adversary or AdversarySpec(frozenset())
+        self.byzantine = self.adversary.byzantine
+        self.correct = tuple(i for i in range(spec.n) if i not in self.byzantine)
+        keys = [SigningKey.from_seed(f"{spec.seed}:replica:{i}") for i in range(spec.n)]
+        directory = MembershipDirectory(
+            {k.replica_id: k.verification_key for k in keys}, f=spec.f
+        )
+        room = f"scenario:{spec.seed}"
+        self.nodes = [
+            ReplicaNode(i, keys[i], directory, room, spec.d, spec.seed, byzantine=i in self.byzantine)
+            for i in range(spec.n)
+        ]
+        self.net = Network(
+            spec.n,
+            spec.guarantee,
+            NetworkConfig(
+                delay=spec.delay,
+                drop=spec.drop,
+                duplicate=spec.duplicate,
+                partitions=spec.partitions,
+                seed=spec.seed,
+            ),
+            initial_ids=(self.nodes[0].state.root,),
+        )
+        self.orphan_rng = Random(f"{spec.seed}:orphans")
+        self.correct_broadcast: set[EventId] = set()
+        self.width = [[0] * spec.horizon for _ in range(spec.n)]
+        self.occupancy = [[0] * spec.horizon for _ in range(spec.n)]
+        # A full grace window after the last tick with activity.
+        self.settled_at = 0
 
-    correct_broadcast: set[EventId] = set()
-    width = [[0] * spec.horizon for _ in range(spec.n)]
-    occupancy = [[0] * spec.horizon for _ in range(spec.n)]
-    last_activity = -1
+    def send_own(self, i: int, env: SignedEnvelope, targets: set[int] | None = None) -> None:
+        self.nodes[i].absorb_own(env)
+        self.net.broadcast(i, env, targets)
+        if i not in self.byzantine:
+            self.correct_broadcast.add(env.op.vertex.id)
 
-    def send_own(i: int, env: SignedEnvelope, targets=None) -> None:
-        nodes[i].absorb_own(env)
-        net.broadcast(i, env, targets)
-        if i in byz:
-            return
-        correct_broadcast.add(env.op.vertex.id)
+    def append(self, i: int) -> None:
+        """A client append at replica i: a fresh operation sent to everyone."""
+        self.send_own(i, self.nodes[i].make_op(self.nodes[i].random_payload()))
 
-    def run_behaviors(b_idx: int, t: int) -> bool:
-        acted = False
-        node = nodes[b_idx]
-        for behavior in behaviors:
-            if isinstance(behavior, Equivocate):
-                if t == behavior.at_round:
-                    pa = EventPayload("msg", node.payload_rng.randbytes(8))
-                    pb = EventPayload("msg", node.payload_rng.randbytes(8))
-                    env_a, env_b = equivocate(node, pa, pb)
-                    net.broadcast(b_idx, env_a, targets=behavior.subset_a)
-                    net.broadcast(b_idx, env_b, targets=behavior.subset_b)
-                    acted = True
-            elif isinstance(behavior, Withhold):
-                if t < spec.rounds:
-                    for _ in range(spec.updates_per_round):
-                        env = node.make_op(EventPayload("msg", node.payload_rng.randbytes(8)))
-                        send_own(b_idx, env, set(range(spec.n)) - set(behavior.skip))
-                        acted = True
-            elif isinstance(behavior, OrphanFlood):
-                if t < spec.rounds:
-                    for _ in range(behavior.rate):
-                        parents = (orphan_rng.randbytes(32), orphan_rng.randbytes(32))
-                        payload = EventPayload("msg", node.payload_rng.randbytes(8))
-                        vertex = make_vertex(payload, node.key.replica_id, node.seq, parents)
-                        node.seq += 1
-                        net.broadcast(b_idx, sign_envelope(AddOperation(vertex), node.key))
-                        acted = True
-        return acted
-
-    def route(receiver: int, sender: int, msg: object) -> bool:
-        """Handle one delivery; returns True if it moved payload."""
-        node = nodes[receiver]
-        if isinstance(msg, OpMessage):
-            if node.byzantine:
-                node.receive_envelope(msg.env)
-                return False
-            applied = node.receive_envelope(msg.env)
-            op_id = msg.env.op.vertex.id
-            if op_id in node.buffer:
-                missing = node.missing_parents_of(msg.env.op)
-                net.request_backfill(receiver, sender, missing)
-            return bool(applied)
-        if node.byzantine:
-            # Byzantine replicas stay silent on auxiliary protocols.
-            return False
-        if isinstance(msg, GossipMessage):
-            unknown = {
-                w
-                for w in msg.extremities
-                if not node.state.lookup(w) and w not in node.buffer
-            }
-            unknown |= node.buffer.missing_parent_ids(node.state)
-            if unknown:
-                net.request_backfill(receiver, sender, unknown)
-            return False
-        if isinstance(msg, BackfillRequest):
-            net.respond_backfill(receiver, sender, node.serve_backfill(msg.missing))
-            return False
-        if isinstance(msg, BackfillResponse):
-            moved = False
-            for env in msg.envelopes:
-                if node.receive_envelope(env):
-                    moved = True
-            return moved and bool(msg.envelopes)
-        return False
-
-    for t in range(spec.horizon):
+    def step(self) -> None:
+        """Run the next tick; a run has `spec.horizon` of them."""
+        spec, net, nodes = self.spec, self.net, self.nodes
+        t = net.tick
         activity = False
         if t < spec.rounds:
-            for i in correct:
+            for i in self.correct:
                 for _ in range(spec.updates_per_round):
-                    env = nodes[i].make_op(
-                        EventPayload("msg", nodes[i].payload_rng.randbytes(8))
-                    )
-                    send_own(i, env)
+                    self.append(i)
                     activity = True
-        for b_idx in sorted(byz):
-            if run_behaviors(b_idx, t):
-                activity = True
+        for b in sorted(self.byzantine):
+            for behavior in self.adversary.behaviors:
+                activity = behavior.act(self, nodes[b], t) or activity
         if spec.dummy_threshold > 0:
-            for i in correct:
+            for i in self.correct:
                 env = maybe_emit_dummy(nodes[i], spec.dummy_threshold, spec.dummy_d)
                 if env is not None:
-                    send_own(i, env)
+                    self.send_own(i, env)
                     activity = True
         if spec.gossip_period > 0 and t > 0 and t % spec.gossip_period == 0:
-            for i in correct:
+            for i in self.correct:
                 net.gossip_extremities(i, nodes[i].state.get_extremities())
         for receiver, sender, msg in net.step():
-            if route(receiver, sender, msg):
-                activity = True
-        for i in range(spec.n):
-            width[i][t] = len(nodes[i].state.get_extremities())
-            occupancy[i][t] = len(nodes[i].buffer)
+            activity = nodes[receiver].route(net, sender, msg) or activity
+        for i, node in enumerate(nodes):
+            self.width[i][t] = len(node.state.get_extremities())
+            self.occupancy[i][t] = len(node.buffer)
         if activity:
-            last_activity = t
+            self.settled_at = t + spec.grace
 
-    quiescence_tick: int | None = last_activity + spec.grace if last_activity >= 0 else 0
-    if quiescence_tick >= spec.horizon or net.pending_payload():
-        quiescence_tick = None
-    final_digests = [nodes[i].state.state_digest() for i in range(spec.n)]
-    converged = len({final_digests[i] for i in correct}) == 1
-    convergence_tick = quiescence_tick if converged else None
+    def finish(self) -> tuple[Metrics, Verdict]:
+        """Grade the run; call once the horizon has been stepped through."""
+        spec, nodes, correct = self.spec, self.nodes, self.correct
+        quiescence_tick: int | None = self.settled_at
+        if quiescence_tick >= spec.horizon or self.net.pending_payload():
+            quiescence_tick = None
+        final_digests = [node.state.state_digest() for node in nodes]
+        converged = len({final_digests[i] for i in correct}) == 1
+        correct_ids = {nodes[i].key.replica_id for i in correct}
+        metrics = Metrics(
+            width=self.width,
+            buffer_occupancy=self.occupancy,
+            applied_counts=[len(node.applied) for node in nodes],
+            stale_parent_ops=[node.stale_parent_ops for node in nodes],
+            rejected_ops=[node.rejected_ops for node in nodes],
+            convergence_tick=quiescence_tick if converged else None,
+            quiescence_tick=quiescence_tick,
+            trace=list(self.net.trace),
+            final_digests=final_digests,
+            applied_sets=[set(node.applied) for node in nodes],
+            correct_indices=correct,
+            correct_broadcast_ids=self.correct_broadcast,
+            buffered_correct_origin=[
+                sum(1 for op in node.buffer.operations() if op.vertex.sender in correct_ids)
+                for node in nodes
+            ],
+        )
+        verdict = Verdict(
+            strong_convergence=check_strong_convergence(
+                [(metrics.applied_sets[i], metrics.final_digests[i]) for i in correct]
+            ),
+            eventual_delivery=check_eventual_delivery(metrics),
+            termination=quiescence_tick is not None,
+            dag_invariants=all(
+                node.invariant_failures == 0
+                and node.state.is_rooted_dag()
+                and extremities_consistent(node.state)
+                for node in nodes
+            ),
+        )
+        return metrics, verdict
 
-    correct_ids = {keys[i].replica_id for i in correct}
-    buffered_correct = [
-        sum(1 for op in nodes[i].buffer.operations() if op.vertex.sender in correct_ids)
-        for i in range(spec.n)
-    ]
-    metrics = Metrics(
-        width=width,
-        buffer_occupancy=occupancy,
-        applied_counts=[len(nodes[i].applied) for i in range(spec.n)],
-        stale_parent_ops=[nodes[i].stale_parent_ops for i in range(spec.n)],
-        rejected_ops=[nodes[i].rejected_ops for i in range(spec.n)],
-        convergence_tick=convergence_tick,
-        quiescence_tick=quiescence_tick,
-        trace=list(net.trace),
-        final_digests=final_digests,
-        applied_sets=[set(nodes[i].applied) for i in range(spec.n)],
-        correct_indices=correct,
-        correct_broadcast_ids=correct_broadcast,
-        buffered_correct_origin=buffered_correct,
-    )
-    verdict = Verdict(
-        strong_convergence=check_strong_convergence(
-            [(metrics.applied_sets[i], metrics.final_digests[i]) for i in correct]
-        ),
-        eventual_delivery=check_eventual_delivery(metrics),
-        termination=check_termination(metrics),
-        dag_invariants=all(
-            nodes[i].invariant_failures == 0
-            and nodes[i].state.is_rooted_dag()
-            and extremities_consistent(nodes[i].state)
-            for i in range(spec.n)
-        ),
-    )
-    return metrics, verdict
+
+def run_scenario(spec: ScenarioSpec) -> tuple[Metrics, Verdict]:
+    """Execute one scenario deterministically and grade it."""
+    sim = Simulation(spec)
+    for _ in range(spec.horizon):
+        sim.step()
+    return sim.finish()
 
 
 # -- lockstep round mode -----------------------------------------------------------

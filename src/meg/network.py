@@ -23,6 +23,8 @@ Three delivery guarantees are simulated for operation messages:
   only the operations it unblocked or made duplicates.  A copy dropped as a
   duplicate still uses up its send index, so a re-sent envelope does not
   leave its sender's FIFO turn waiting for an index that never arrives.
+  An id a recipient was left out of counts as handed over there once its
+  replica reports applying it another way (`mark_applied`).
 
 Gossip and backfill messages are auxiliary and always best-effort: partitions
 drop them and the periodic retry cadence is expected to absorb losses.
@@ -168,8 +170,10 @@ class Network:
         self._rng = Random(f"{config.seed}:net")
         # Per sender, per recipient: next send index to assign.
         self._send_counters = [[0] * n for _ in range(n)]
-        # Per receiver: operation ids already handed over (dedup and holdback).
+        # Per receiver: operation ids already handed over (dedup and holdback),
+        # and ids sent without addressing it, until its replica applies them.
         self._delivered_ops: list[set[EventId]] = [set(initial_ids) for _ in range(n)]
+        self._unaddressed: list[set[EventId]] = [set() for _ in range(n)]
         # Per receiver, per sender: next expected send index (FIFO holdback),
         # and the later indexes already used up out of turn.
         self._fifo_next = [[0] * n for _ in range(n)]
@@ -233,6 +237,9 @@ class Network:
         self._wake(sender, vid)
         recipients = set(range(self.n)) if targets is None else set(targets)
         recipients.discard(sender)
+        if targets is not None:
+            for r in set(range(self.n)) - recipients - {sender}:
+                self._unaddressed[r].add(vid)
         best_effort = self.guarantee is DeliveryGuarantee.BEST_EFFORT
         counters = self._send_counters[sender]
         for r in sorted(recipients):
@@ -262,14 +269,33 @@ class Network:
 
     # -- delivery ----------------------------------------------------------
 
+    def mark_applied(self, receiver: int, ids: Iterable[EventId]) -> None:
+        """Tell the transport which operations the receiver's replica applied.
+
+        An id the receiver was left out of never arrives there, so once the
+        replica applies it another way (by backfill), the holdback counts it
+        handed over and wakes the items waiting on it; `step` hands those
+        over on the next tick.  Other ids are ignored.
+        """
+        unaddressed = self._unaddressed[receiver]
+        for vid in ids:
+            if vid in unaddressed:
+                unaddressed.remove(vid)
+                self._delivered_ops[receiver].add(vid)
+                self._wake(receiver, vid)
+
     def step(self) -> list[tuple[int, int, object]]:
         """Process everything due at the current tick, then advance one tick.
 
         Returns (receiver index, sender index, message) triples in delivery
-        order; the caller routes them into replica logic.
+        order; the caller routes them into replica logic.  Held items woken
+        since the last step go first.
         """
         t = self.tick
         out: list[tuple[int, int, object]] = []
+        for r, ready in enumerate(self._ready):
+            if ready:
+                self._drain_holdback(r, out)
         while self._queue and self._queue[0].due <= t:
             item = heapq.heappop(self._queue)
             msg = item.msg

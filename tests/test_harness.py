@@ -1,10 +1,14 @@
 """Scenario parsing, execution, verdict checkers, and the lockstep runner."""
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from meg.core import EventPayload, MegState
 from meg.harness import (
@@ -15,6 +19,7 @@ from meg.harness import (
     ReplicaNode,
     ScenarioError,
     ScenarioSpec,
+    Simulation,
     Withhold,
     check_eventual_delivery,
     check_strong_convergence,
@@ -450,6 +455,18 @@ def test_causal_equivocation_delivers_to_the_left_out_replica():
     assert metrics.applied_counts == [11, 11, 11, 11]
 
 
+@pytest.mark.parametrize(
+    "name, seed", [("equivocation-causal.json", 5), ("withhold-causal.json", 3)]
+)
+def test_causal_run_settles_after_backfilling_a_left_out_op(name, seed):
+    # A replica left out of an op gets it by backfill; the held copies of its
+    # children must then go through, or the run never quiesces.
+    spec = dataclasses.replace(load_scenario(SCENARIOS / name), seed=seed)
+    metrics, verdict = run_scenario(spec)
+    assert verdict.all_ok()
+    assert len(set(metrics.applied_counts)) == 1
+
+
 def test_causal_trace_is_pinned():
     """Holdback order, duplicate drops and partition deferral, byte for byte."""
     spec = spec_with(
@@ -472,6 +489,71 @@ def test_causal_trace_is_pinned():
     assert hashlib.sha256(trace_tsv(metrics).encode()).hexdigest() == (
         "6276700bd22ddbe759f5035490cdeafb884d0c4ada5ebf338f2b4535edad587f"
     )
+
+
+# -- stepping a simulation by hand -----------------------------------------------------------
+
+APPEND_TICKS = 20
+
+
+class SimulationMachine(RuleBasedStateMachine):
+    """Appends and ticks in random order, through the methods `run_scenario` uses."""
+
+    @initialize(
+        n=st.integers(min_value=2, max_value=4),
+        guarantee=st.sampled_from(["Reliable", "CausalOrderReliable"]),
+        duplicate=st.sampled_from([0.0, 0.3]),
+        partition=st.none()
+        | st.tuples(
+            st.integers(min_value=0, max_value=APPEND_TICKS),
+            st.integers(min_value=1, max_value=30),
+            st.integers(min_value=1, max_value=3),
+        ),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    def start(self, n, guarantee, duplicate, partition, seed):
+        partitions = []
+        if partition is not None:
+            start, length, side = partition
+            partitions = [[start, start + length, list(range(min(side, n - 1)))]]
+        self.sim = Simulation(
+            spec_with(
+                n=n,
+                guarantee=guarantee,
+                duplicate=duplicate,
+                partitions=partitions,
+                rounds=0,
+                horizon=APPEND_TICKS + 100,
+                grace=20,
+                seed=seed,
+            )
+        )
+
+    @precondition(lambda self: self.sim.net.tick < APPEND_TICKS)
+    @rule(i=st.integers(min_value=0, max_value=3))
+    def append(self, i):
+        self.sim.append(i % self.sim.spec.n)
+
+    @precondition(lambda self: self.sim.net.tick < self.sim.spec.horizon)
+    @rule()
+    def step(self):
+        self.sim.step()
+
+    @invariant()
+    def replicas_stay_consistent(self):
+        nodes = self.sim.nodes
+        assert [node.invariant_failures for node in nodes] == [0] * len(nodes)
+        assert check_strong_convergence([(node.applied, node.state.state_digest()) for node in nodes])
+
+    def teardown(self):
+        while self.sim.net.tick < self.sim.spec.horizon:
+            self.sim.step()
+        _, verdict = self.sim.finish()
+        assert verdict.all_ok(), verdict
+
+
+TestSimulationMachine = SimulationMachine.TestCase
+TestSimulationMachine.settings = settings(max_examples=25, stateful_step_count=40, deadline=None)
 
 
 # -- lockstep rounds ---------------------------------------------------------------------

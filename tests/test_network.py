@@ -210,6 +210,28 @@ def test_causal_fifo_counts_sends_per_recipient():
     assert net.queue_empty()
 
 
+def test_causal_child_of_unaddressed_op_waits_until_it_is_applied():
+    # Receiver 2 is left out of x and y builds on x, so y waits at 2 until
+    # its replica reports x applied some other way; then y goes next tick.
+    net = Network(
+        3,
+        DeliveryGuarantee.CAUSAL_ORDER_RELIABLE,
+        NetworkConfig(delay=(1, 3), seed=4),
+        initial_ids=(ROOT,),
+    )
+    chain = Chain(0)
+    x, y = chain.env(b"x")[1], chain.env(b"y")[1]
+    assert y.op.vertex.parents == (x.op.vertex.id,)
+    net.broadcast(0, x, targets=(1,))
+    net.broadcast(0, y)
+    got = op_deliveries([d for _ in range(10) for d in net.step()])
+    assert {(r, m.env) for r, _, m in got} == {(1, x), (1, y)}
+    net.mark_applied(1, [y.op.vertex.id])  # addressed to 1: no effect
+    net.mark_applied(2, [x.op.vertex.id])
+    assert [(r, m.env) for r, _, m in op_deliveries(net.step())] == [(2, y)]
+    assert net.queue_empty()
+
+
 def test_causal_held_copy_dropped_when_its_id_goes_through():
     # X is sent twice around Y.  The second copy of X arrives first and waits
     # for its FIFO turn; once the first copy goes through it is a duplicate
