@@ -404,6 +404,12 @@ class ReplicaNode:
 
         Every apply is reported to `net`.  Byzantine replicas take operations
         in, but count no activity and stay silent on the auxiliary protocols.
+
+        A backfill envelope whose id is already applied or buffered, possibly
+        by an earlier envelope of the same response, is skipped before
+        verification: ids are content hashes, so it could add nothing.  A
+        forged envelope that reuses a held id is therefore dropped without
+        counting in `rejected_ops`.
         """
         state, buffer = self.state, self.buffer
         if isinstance(msg, OpMessage):
@@ -415,7 +421,11 @@ class ReplicaNode:
         elif self.byzantine:
             return False
         elif isinstance(msg, BackfillResponse):
-            applied = [vid for env in msg.envelopes for vid in self.receive_envelope(env)]
+            applied = []
+            for env in msg.envelopes:
+                vid = env.op.vertex.id
+                if vid not in self.applied and vid not in buffer:
+                    applied += self.receive_envelope(env)
         else:
             if isinstance(msg, GossipMessage):
                 unknown = {w for w in msg.extremities if not state.lookup(w) and w not in buffer}

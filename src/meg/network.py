@@ -3,7 +3,9 @@
 Time advances in integer ticks.  Sends schedule deliveries after a bounded
 random delay; `step` hands back everything due at the current tick, ordered
 by (due tick, enqueue sequence number), so identical configurations and seeds
-replay the identical event trace.
+replay the identical event trace.  The queue is a heap of plain
+`(due, seq, item)` tuples; `seq` is unique, so the heap orders entries by
+integer comparison alone and never compares the items.
 
 Three delivery guarantees are simulated for operation messages:
 
@@ -37,7 +39,7 @@ for ordering purposes.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from random import Random
 from typing import Iterable
@@ -137,13 +139,12 @@ def _msg_hex(msg: object) -> str:
     return "-"
 
 
-@dataclass(order=True)
+@dataclass
 class _Scheduled:
-    due: int
     seq: int
-    sender: int = field(compare=False)
-    receiver: int = field(compare=False)
-    msg: object = field(compare=False)
+    sender: int
+    receiver: int
+    msg: object
 
 
 class Network:
@@ -165,7 +166,7 @@ class Network:
         self.config = config
         self.tick = 0
         self.trace: list[TraceEvent] = []
-        self._queue: list[_Scheduled] = []
+        self._queue: list[tuple[int, int, _Scheduled]] = []
         self._seq = 0
         self._rng = Random(f"{config.seed}:net")
         # Per sender, per recipient: next send index to assign.
@@ -209,7 +210,8 @@ class Network:
             t = max(ends)
 
     def _push(self, due: int, sender: int, receiver: int, msg: object) -> None:
-        heapq.heappush(self._queue, _Scheduled(due, self._seq, sender, receiver, msg))
+        seq = self._seq
+        heapq.heappush(self._queue, (due, seq, _Scheduled(seq, sender, receiver, msg)))
         self._seq += 1
 
     def _sample_delay(self) -> int:
@@ -296,8 +298,9 @@ class Network:
         for r, ready in enumerate(self._ready):
             if ready:
                 self._drain_holdback(r, out)
-        while self._queue and self._queue[0].due <= t:
-            item = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue and queue[0][0] <= t:
+            item = heapq.heappop(queue)[2]
             msg = item.msg
             if isinstance(msg, OpMessage):
                 self._handle_op(item, out)
@@ -432,7 +435,7 @@ class Network:
         Gossip that nobody will answer and empty responses do not count as
         pending work; undelivered operations and held-back operations do.
         """
-        for item in self._queue:
+        for _, _, item in self._queue:
             if isinstance(item.msg, OpMessage):
                 return True
             if isinstance(item.msg, BackfillResponse) and item.msg.envelopes:

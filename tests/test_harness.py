@@ -33,8 +33,9 @@ from meg.harness import (
     trace_tsv,
     width_series_csv,
 )
+from meg import harness
 from meg.monitor import MembershipDirectory, SigningKey
-from meg.network import DeliveryGuarantee, Partition
+from meg.network import BackfillResponse, DeliveryGuarantee, Network, NetworkConfig, Partition
 from meg.width import fixed_point
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
@@ -345,6 +346,44 @@ def test_serve_backfill_returns_ancestor_closure():
     assert node.serve_backfill(frozenset({b"\x77" * 32})) == ()
 
 
+def count_verifications(monkeypatch) -> list[int]:
+    """Count `verify_envelope` calls made by replicas from now on."""
+    calls = [0]
+    verify = harness.verify_envelope
+
+    def counted(*args):
+        calls[0] += 1
+        return verify(*args)
+
+    monkeypatch.setattr(harness, "verify_envelope", counted)
+    return calls
+
+
+def test_backfill_skips_held_ids_before_verification(monkeypatch):
+    writer, reader, reference = (make_node(i, n=3) for i in range(3))
+    root = writer.state.root
+    env_a = writer.make_op(EventPayload("msg", b"a"), parents=(root,))
+    env_b = writer.make_op(EventPayload("msg", b"b"), parents=(env_a.op.vertex.id,))
+    assert reader.receive_envelope(env_b) == []  # b is buffered, missing a
+    forged_a = dataclasses.replace(env_a, signature=bytes(32))
+    forged_b = dataclasses.replace(env_b, signature=bytes(32))
+    net = Network(3, DeliveryGuarantee.RELIABLE, NetworkConfig(), initial_ids=(root,))
+    verified = count_verifications(monkeypatch)
+    # forged_b reuses the buffered id; forged_a and env_b reuse ids that
+    # env_a, the one new parent, applies or wakes earlier in the response.
+    response = BackfillResponse((forged_b, env_a, forged_a, env_b))
+    assert reader.route(net, 0, response)
+    assert verified[0] == 1
+    assert reader.rejected_ops == 0
+    assert reader.applied == {env_a.op.vertex.id, env_b.op.vertex.id}
+    assert len(reader.buffer) == 0
+    assert reader.invariant_failures == 0
+    for env in (env_a, env_b):
+        reference.receive_envelope(env)
+    assert reader.state.state_digest() == reference.state.state_digest()
+    assert reader.store[env_b.op.vertex.id] == env_b
+
+
 def test_stale_parent_ops_counts_first_applies_only():
     writer, reader, late = (make_node(i, n=3) for i in range(3))
     envs = []
@@ -489,6 +528,44 @@ def test_causal_trace_is_pinned():
     assert hashlib.sha256(trace_tsv(metrics).encode()).hexdigest() == (
         "6276700bd22ddbe759f5035490cdeafb884d0c4ada5ebf338f2b4535edad587f"
     )
+
+
+def test_reliable_repair_trace_is_pinned():
+    """Backfill, gossip, duplicate filtering and orphan buffering, byte for byte."""
+    spec = spec_with(
+        n=5,
+        f=1,
+        delay=[1, 20],
+        duplicate=0.2,
+        adversary={"byzantine": [4], "behaviors": [{"kind": "orphan_flood", "rate": 3}]},
+        rounds=6,
+        d=3,
+        gossip_period=10,
+        horizon=300,
+        grace=40,
+        seed=11,
+    )
+    metrics, verdict = run_scenario(spec)
+    assert verdict.all_ok()
+    assert metrics.convergence_tick == 64
+    assert hashlib.sha256(trace_tsv(metrics).encode()).hexdigest() == (
+        "638b65a32a86fa50ac97ce2d2a5242e3ccb877c31316f3367aec0f14d28b6c71"
+    )
+    assert hashlib.sha256(b"".join(metrics.final_digests)).hexdigest() == (
+        "4f2ce3270a4f9e16823bb5c7b8990c4d0b18fe87e130d270e15931d0f403c105"
+    )
+
+
+def test_reliable_repair_verifies_about_once_per_delivery(monkeypatch):
+    # Backfill responses repeat ancestors the requester already holds; only
+    # envelopes it does not hold may be verified again.
+    spec = spec_with(n=8, d=4, delay=[1, 10], rounds=2, updates_per_round=4, seed=1)
+    verified = count_verifications(monkeypatch)
+    metrics, verdict = run_scenario(spec)
+    assert verdict.all_ok()
+    assert any(ev.kind == "BACKFILL_RESP" for ev in metrics.trace)
+    deliveries = sum(1 for ev in metrics.trace if ev.kind == "DELIVER")
+    assert verified[0] <= 1.1 * deliveries
 
 
 # -- stepping a simulation by hand -----------------------------------------------------------
