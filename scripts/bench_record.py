@@ -3,18 +3,18 @@
 
 Usage, from the root of a source checkout:
 
-    python scripts/bench_record.py --label pr6 --seconds 40
+    python scripts/bench_record.py --label pr6
 
 Runs `bench/run.py` (unchanged) for every workload it defines, end to end
-(`--trace 0`) and per layer (`--trace 1`), at the benchmark's default seed,
-and keeps both lines each run prints: the record line (commit, Python
-version, nproc, parameters, per-repetition times) and the result line (the
-metrics).  It then times the Reliable ladder, the shape of Reliable repair
+(`--trace 0`) and per layer (`--trace 1`), at the benchmark's default seed
+and run length, and keeps both lines each run prints: the record line
+(commit, Python version, nproc, parameters, per-repetition times) and the
+result line (the metrics).  It then times the Reliable ladder, the shape of Reliable repair
 that no benchmark workload covers: n=8, f=0, d=4, delay 1..10, 8 updates per
 replica per round, 10 and 20 rounds (640 and 1280 ops), seed 1.  Each ladder
 point is timed `LADDER_REPEATS` times without instrumentation; one more run
 counts `verify_envelope` calls and `DELIVER` trace events.  The package is
-imported from this checkout's `src/`.
+imported from this checkout's `src/`, as in `fuzz_fingerprints.py`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,9 @@ import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
+from unittest import mock
+
+from fuzz_fingerprints import import_harness
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -64,7 +67,7 @@ def git(*args: str) -> str:
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
-def bench_runs(seconds: float) -> list[dict]:
+def bench_runs() -> list[dict]:
     sys.path.insert(0, str(BENCH))
     import workloads
 
@@ -76,8 +79,6 @@ def bench_runs(seconds: float) -> list[dict]:
                 str(BENCH / "run.py"),
                 "--workload",
                 workload,
-                "--seconds",
-                str(seconds),
                 "--trace",
                 str(trace),
             ]
@@ -91,11 +92,7 @@ def bench_runs(seconds: float) -> list[dict]:
 
 
 def ladder() -> list[dict]:
-    sys.path.insert(0, str(SRC))
-    from meg import harness
-
-    if Path(harness.__file__).resolve().parent != SRC / "meg":
-        raise SystemExit(f"error: imported meg from {harness.__file__}, not from {SRC}")
+    harness = import_harness(SRC)
     points = []
     for rounds in LADDER_ROUNDS:
         spec = harness.parse_scenario(ladder_spec(rounds))
@@ -104,19 +101,9 @@ def ladder() -> list[dict]:
             start = perf_counter()
             harness.run_scenario(spec)
             walls.append(perf_counter() - start)
-        calls = 0
-        verify = harness.verify_envelope
-
-        def counted(*args):
-            nonlocal calls
-            calls += 1
-            return verify(*args)
-
-        harness.verify_envelope = counted
-        try:
+        with mock.patch.object(harness, "verify_envelope", wraps=harness.verify_envelope) as verify:
             metrics, verdict = harness.run_scenario(spec)
-        finally:
-            harness.verify_envelope = verify
+        calls = verify.call_count
         deliveries = sum(1 for ev in metrics.trace if ev.kind == "DELIVER")
         point = {
             "ops": spec.n * spec.rounds * spec.updates_per_round,
@@ -137,10 +124,7 @@ def ladder() -> list[dict]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="file name part: BENCH_<label>.json")
-    parser.add_argument("--seconds", type=float, default=40.0, help="run length of each bench run")
     args = parser.parse_args(argv)
-    if args.seconds <= 0:
-        parser.error("--seconds must be positive")
     out = ROOT / f"BENCH_{args.label}.json"
     record = {
         "label": args.label,
@@ -148,10 +132,11 @@ def main(argv=None) -> int:
         "tracked_changes": git("status", "--porcelain", "--untracked-files=no") != "",
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
-        "seconds": args.seconds,
-        "bench": bench_runs(args.seconds),
-        "reliable_ladder": ladder(),
     }
+    runs = bench_runs()
+    record["seconds"] = runs[0]["record"]["seconds"]
+    record["bench"] = runs
+    record["reliable_ladder"] = ladder()
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0
