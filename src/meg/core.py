@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 from .encoding import compute_event_id
 
@@ -116,6 +116,14 @@ class MegState:
     def get_extremities(self) -> frozenset[EventId]:
         """Exactly the vertices with no incoming edge.  Never empty."""
         return frozenset(self._extremities)
+
+    def extremities_view(self) -> AbstractSet[EventId]:
+        """The live extremity set, without a copy; callers must not mutate it."""
+        return self._extremities
+
+    def width(self) -> int:
+        """The number of extremities, `len(get_extremities())` without the copy."""
+        return len(self._extremities)
 
     def sorted_extremities(self) -> list[EventId]:
         """The extremity ids in ascending order; callers must not mutate it."""
@@ -409,12 +417,20 @@ class PendingBuffer:
         ]
 
     def missing_parent_ids(self, state: MegState) -> set[EventId]:
-        out: set[EventId] = set()
-        for op in self._ops.values():
-            for p in op.vertex.parents:
-                if not state.lookup(p) and p not in self._ops:
-                    out.add(p)
-        return out
+        """Parents of buffered ops that neither the state nor the buffer holds.
+
+        These are the ids a backfill request must name for the buffer to
+        drain.  Every call scans the whole buffer, so its cost grows with
+        what a flood of orphans leaves buffered; bounding the buffer itself
+        is ROADMAP item 2.
+        """
+        vertices, ops = state.vertices, self._ops
+        return {
+            p
+            for op in ops.values()
+            for p in op.vertex.parents
+            if p not in vertices and p not in ops
+        }
 
 
 def ingest(

@@ -316,6 +316,8 @@ class ReplicaNode:
         self.buffer = PendingBuffer()
         self.store: dict[EventId, SignedEnvelope] = {}
         self.applied: set[EventId] = set()
+        # (requested ids in the store, limit) -> response, for applied ids only.
+        self._served: dict[tuple[frozenset[EventId], int], tuple[SignedEnvelope, ...]] = {}
         self.parent_rng = Random(f"{seed}:parents:{idx}")
         self.payload_rng = Random(f"{seed}:payload:{idx}")
         self.seq = 0
@@ -374,7 +376,7 @@ class ReplicaNode:
         delivery stands in for a whole-graph walk.
         """
         state = self.state
-        extremities = set(state.get_extremities())
+        extremities = set(state.extremities_view())
         edges = len(state.edges)
         applied = ingest(state, self.buffer, op)
         this_or_later = set(applied)
@@ -395,7 +397,7 @@ class ReplicaNode:
             extremities.difference_update(parents)
             extremities.add(vid)
         self.applied.update(applied)
-        if not (ok and edges == len(state.edges) and extremities == state.get_extremities()):
+        if not (ok and edges == len(state.edges) and extremities == state.extremities_view()):
             self.invariant_failures += 1
         return applied
 
@@ -444,27 +446,40 @@ class ReplicaNode:
         Breadth-first from the requested ids so the requested events and near
         ancestors come first; capped at `limit` envelopes per response, the
         requester retries for the rest on its next trigger.
+
+        The walk depends only on the requested ids the store holds, so the
+        response is cached under those ids and `limit` once all of them are
+        applied.  An applied vertex's ancestors are applied too, and every
+        applied vertex but the root is stored before it is applied, so that
+        walk can never change.  A buffered id is not cached: its walk grows
+        when its missing parent arrives.
         """
+        store = self.store
+        held = frozenset(m for m in missing if m in store)
+        cached = self._served.get((held, limit))
+        if cached is not None:
+            return cached
         out: list[SignedEnvelope] = []
         seen: set[EventId] = set()
-        frontier = sorted(missing)
+        frontier = sorted(held)
         while frontier and len(out) < limit:
             nxt: list[EventId] = []
             for mid in frontier:
                 if mid in seen:
                     continue
                 seen.add(mid)
-                env = self.store.get(mid)
-                if env is None:
-                    continue
+                env = store[mid]
                 out.append(env)
                 if len(out) >= limit:
                     break
                 for p in env.op.vertex.parents:
-                    if p not in seen and p in self.store:
+                    if p not in seen and p in store:
                         nxt.append(p)
             frontier = sorted(set(nxt) - seen)
-        return tuple(out)
+        response = tuple(out)
+        if held <= self.applied:
+            self._served[(held, limit)] = response
+        return response
 
 
 def maybe_emit_dummy(
@@ -477,7 +492,7 @@ def maybe_emit_dummy(
     The dummy references up to `dummy_d` parents, so idle replicas pull the
     width down toward the level the urn analysis predicts for k emitters.
     """
-    if len(node.state.get_extremities()) <= threshold:
+    if node.state.width() <= threshold:
         return None
     return node.make_op(EventPayload(kind="dummy", body=b""), d=dummy_d)
 
@@ -658,7 +673,7 @@ class Simulation:
         for receiver, sender, msg in net.step():
             activity = nodes[receiver].route(net, sender, msg) or activity
         for i, node in enumerate(nodes):
-            self.width[i][t] = len(node.state.get_extremities())
+            self.width[i][t] = node.state.width()
             self.occupancy[i][t] = len(node.buffer)
         if activity:
             self.settled_at = t + spec.grace
@@ -748,10 +763,10 @@ def run_lockstep_rounds(
             payload = EventPayload("msg", j.to_bytes(4, "big"))
             state.apply_add(AddOperation(make_vertex(payload, senders[j % n], seqs[j % n], (root,))))
             seqs[j % n] += 1
-    widths = [len(state.get_extremities())]
+    widths = [state.width()]
     for _ in range(rounds):
         ops: list[AddOperation] = []
-        current_width = len(state.get_extremities())
+        current_width = state.width()
         for i in range(n):
             if dummy_threshold is not None:
                 if current_width <= dummy_threshold:
@@ -767,5 +782,5 @@ def run_lockstep_rounds(
             seqs[i] += 1
         for op in ops:
             state.apply_add(op)
-        widths.append(len(state.get_extremities()))
+        widths.append(state.width())
     return widths

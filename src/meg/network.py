@@ -133,7 +133,7 @@ def _msg_hex(msg: object) -> str:
     if isinstance(msg, OpMessage):
         return msg.env.op.vertex.id.hex()[:16]
     if isinstance(msg, BackfillRequest) and msg.missing:
-        return sorted(msg.missing)[0].hex()[:16]
+        return min(msg.missing).hex()[:16]
     if isinstance(msg, BackfillResponse) and msg.envelopes:
         return msg.envelopes[0].op.vertex.id.hex()[:16]
     return "-"
@@ -166,6 +166,9 @@ class Network:
         self.config = config
         self.tick = 0
         self.trace: list[TraceEvent] = []
+        # Trace names by replica index, and None ("to everyone") as "*".
+        self._names: dict[int | None, str] = {i: f"r{i}" for i in range(n)}
+        self._names[None] = "*"
         self._queue: list[tuple[int, int, _Scheduled]] = []
         self._seq = 0
         self._rng = Random(f"{config.seed}:net")
@@ -191,13 +194,14 @@ class Network:
     # -- helpers -----------------------------------------------------------
 
     def _name(self, idx: int | None) -> str:
-        return "*" if idx is None else f"r{idx}"
+        return self._names[idx]
 
     def _log(self, kind: str, sender: int | None, receiver: int | None, hex_id: str) -> None:
         self.trace.append(TraceEvent(self.tick, kind, self._name(sender), self._name(receiver), hex_id))
 
     def _separated(self, a: int, b: int, tick: int) -> bool:
-        return any(p.separates(a, b, tick) for p in self.config.partitions)
+        partitions = self.config.partitions
+        return bool(partitions) and any(p.separates(a, b, tick) for p in partitions)
 
     def _next_open_tick(self, a: int, b: int, tick: int) -> int:
         """First tick from `tick` on at which no partition separates a and b."""

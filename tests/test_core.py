@@ -289,6 +289,28 @@ def test_ingest_rewakes_op_missing_two_parents():
     assert len(buffer) == 0
 
 
+def missing_parent_ids_loop(buffer, state):
+    """`PendingBuffer.missing_parent_ids` as the plain loop, kept as its reference."""
+    out = set()
+    for op in buffer.operations():
+        for p in op.vertex.parents:
+            if not state.lookup(p) and p not in buffer:
+                out.add(p)
+    return out
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+@settings(**SETTINGS)
+def test_missing_parent_ids_matches_the_loop(seed, data):
+    ops = make_op_soup(3, 12, seed=seed)
+    stray = make_child(init("soup"), (b"\x0c" * 32, b"\x0d" * 32), body=b"orphan")
+    schedule = data.draw(st.lists(st.sampled_from([*ops, stray]), max_size=2 * len(ops)))
+    state, buffer = init("soup"), PendingBuffer()
+    for op in schedule:
+        ingest(state, buffer, op)
+        assert buffer.missing_parent_ids(state) == missing_parent_ids_loop(buffer, state)
+
+
 def full_scan_ingest(state, buffer, op):
     """The drain as a full rescan of the buffer after every level."""
     if not state.precondition_holds(op):
@@ -348,13 +370,15 @@ def test_random_schedules_converge(seed, data):
 @settings(**SETTINGS)
 def test_extremities_are_childless_vertices(seed):
     ops = make_op_soup(3, 12, seed=seed)
-    state = init()
+    state = init("soup")
     buffer = PendingBuffer()
     rng = Random(seed)
     order = list(ops)
     rng.shuffle(order)
     for op in order:
         ingest(state, buffer, op)
+        assert state.width() == len(state.get_extremities())
+    assert len(state.vertices) == len(ops) + 1
     with_child = {p for (_, p) in state.edges}
     assert state.get_extremities() == set(state.vertices) - with_child
     assert state.is_rooted_dag()

@@ -346,6 +346,70 @@ def test_serve_backfill_returns_ancestor_closure():
     assert node.serve_backfill(frozenset({b"\x77" * 32})) == ()
 
 
+def backfill_walk(node, missing, limit=harness.BACKFILL_BATCH):
+    """`serve_backfill` without its cache, kept as its reference."""
+    out, seen = [], set()
+    frontier = sorted(missing)
+    while frontier and len(out) < limit:
+        nxt = []
+        for mid in frontier:
+            if mid in seen:
+                continue
+            seen.add(mid)
+            env = node.store.get(mid)
+            if env is None:
+                continue
+            out.append(env)
+            if len(out) >= limit:
+                break
+            nxt.extend(p for p in env.op.vertex.parents if p not in seen and p in node.store)
+        frontier = sorted(set(nxt) - seen)
+    return tuple(out)
+
+
+def test_serve_backfill_answer_grows_once_a_buffered_id_applies():
+    writer, server = make_node(0, n=2), make_node(1, n=2)
+    env_p = writer.make_op(EventPayload("msg", b"p"), parents=(writer.state.root,))
+    env_x = writer.make_op(EventPayload("msg", b"x"), parents=(env_p.op.vertex.id,))
+    assert server.receive_envelope(env_x) == []  # buffered, missing p
+    x = frozenset({env_x.op.vertex.id})
+    assert server.serve_backfill(x) == (env_x,)
+    assert server.receive_envelope(env_p) == [env_p.op.vertex.id, env_x.op.vertex.id]
+    assert server.serve_backfill(x) == (env_x, env_p)
+    assert server.serve_backfill(x | {b"\x77" * 32}) == (env_x, env_p)
+    assert server.serve_backfill(x, limit=1) == (env_x,)
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_serve_backfill_matches_the_uncached_walk(monkeypatch, seed):
+    serve = ReplicaNode.serve_backfill
+    requests = []
+
+    def checked(node, missing, limit=harness.BACKFILL_BATCH):
+        got = serve(node, missing, limit)
+        assert got == backfill_walk(node, missing, limit)
+        requests.append((node.idx, frozenset(m for m in missing if m in node.store)))
+        return got
+
+    monkeypatch.setattr(ReplicaNode, "serve_backfill", checked)
+    spec = spec_with(
+        n=5,
+        f=1,
+        delay=[1, 20],
+        duplicate=0.2,
+        adversary={"byzantine": [4], "behaviors": [{"kind": "orphan_flood", "rate": 3}]},
+        rounds=6,
+        d=3,
+        gossip_period=10,
+        horizon=300,
+        grace=40,
+        seed=seed,
+    )
+    _, verdict = run_scenario(spec)
+    assert verdict.all_ok()
+    assert len(set(requests)) < len(requests)  # some answers are served again
+
+
 def count_verifications(monkeypatch) -> list[int]:
     """Count `verify_envelope` calls made by replicas from now on."""
     calls = [0]
