@@ -13,8 +13,11 @@ result line (the metrics).  It then times the Reliable ladder, the shape of Reli
 that no benchmark workload covers: n=8, f=0, d=4, delay 1..10, 8 updates per
 replica per round, 10 and 20 rounds (640 and 1280 ops), seed 1.  Each ladder
 point is timed `LADDER_REPEATS` times without instrumentation; one more run
-counts `verify_envelope` calls and `DELIVER` trace events.  The package is
-imported from this checkout's `src/`, as in `fuzz_fingerprints.py`.
+counts `verify_envelope` calls and `DELIVER` trace events.  Last, apart
+from every timed run, it records the size of the DAG state: the tracemalloc
+peak of one `run_lockstep_rounds(32, 3, 1000, 1)`, per vertex of its 32,001.
+The package is imported from this checkout's `src/`, as in
+`fuzz_fingerprints.py`.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 from unittest import mock
@@ -38,6 +42,8 @@ BENCH = ROOT / "bench"
 
 LADDER_ROUNDS = (10, 20)
 LADDER_REPEATS = 3
+# run_lockstep_rounds(n, d, rounds, seed) whose peak memory sizes the state.
+STATE_SIZE_RUN = (32, 3, 1000, 1)
 
 
 def ladder_spec(rounds: int) -> dict:
@@ -91,8 +97,7 @@ def bench_runs() -> list[dict]:
     return runs
 
 
-def ladder() -> list[dict]:
-    harness = import_harness(SRC)
+def ladder(harness) -> list[dict]:
     points = []
     for rounds in LADDER_ROUNDS:
         spec = harness.parse_scenario(ladder_spec(rounds))
@@ -121,6 +126,25 @@ def ladder() -> list[dict]:
     return points
 
 
+def state_size(harness) -> dict:
+    n, d, rounds, seed = STATE_SIZE_RUN
+    tracemalloc.start()
+    try:
+        harness.run_lockstep_rounds(n, d, rounds, seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vertices = n * rounds + 1
+    size = {
+        "run_lockstep_rounds": {"n": n, "d": d, "rounds": rounds, "seed": seed},
+        "vertices": vertices,
+        "tracemalloc_peak_bytes": peak,
+        "bytes_per_vertex": peak / vertices,
+    }
+    print(f"state size: {json.dumps(size)}", flush=True)
+    return size
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="file name part: BENCH_<label>.json")
@@ -136,7 +160,9 @@ def main(argv=None) -> int:
     runs = bench_runs()
     record["seconds"] = runs[0]["record"]["seconds"]
     record["bench"] = runs
-    record["reliable_ladder"] = ladder()
+    harness = import_harness(SRC)
+    record["reliable_ladder"] = ladder(harness)
+    record["state_size"] = state_size(harness)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -1,12 +1,13 @@
 """Replicated append-only event DAG with commutative, idempotent add effectors.
 
 State is a rooted DAG.  Vertices are immutable events; each edge points from
-a new event to a parent it acknowledged.  The single update operation, add,
+a new event to a parent it acknowledged, so the edges are the vertices'
+parent lists and are stored nowhere else.  The single update operation, add,
 splits into a side-effect-free generator (choose parents among the current
-forward extremities, derive the content id) and an effector (union the vertex
-and its edges into the local graph).  An effector may only run once all
-parents are present; operations arriving early wait in a pending buffer and
-are drained as their parents show up.  Effectors for distinct events commute
+forward extremities, derive the content id) and an effector (union the vertex,
+and with it its edges, into the local graph).  An effector may only run once
+all parents are present; operations arriving early wait in a pending buffer
+and are drained as their parents show up.  Effectors for distinct events commute
 and re-applying an event is a no-op, which together make replicas converge to
 identical states once they have applied the same set of operations.
 """
@@ -44,7 +45,7 @@ class EmptyExtremitiesError(MegError):
     """Parent selection was asked to choose from an empty extremity set."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EventPayload:
     """Application content of an event.
 
@@ -60,7 +61,7 @@ class EventPayload:
             raise ValueError("payload kind must be non-empty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Vertex:
     """Immutable event: payload plus the parent ids it acknowledged.
 
@@ -77,7 +78,7 @@ class Vertex:
     seq: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddOperation:
     """The one update operation: append a single vertex."""
 
@@ -87,11 +88,13 @@ class AddOperation:
 class MegState:
     """Rooted event DAG owned by a single logical writer.
 
-    Queries hand out immutable snapshots, so readers never observe a
-    half-applied effector.  The extremities are also kept as one sorted
-    list, the pool `generate_add` samples parents from; it is built on first
-    use, dropped whenever `apply_add` lands a new vertex, and never shared
-    with a `copy()`.
+    The graph is held once, as the map from id to vertex; the edge set E is
+    derived from the parent lists wherever a whole-graph view needs it, and
+    `get_state` still returns the pair (V, E).  Queries hand out immutable
+    snapshots, so readers never observe a half-applied effector.  The
+    extremities are also kept as one sorted list, the pool `generate_add`
+    samples parents from; it is built on first use, dropped whenever
+    `apply_add` lands a new vertex, and never shared with a `copy()`.
     """
 
     def __init__(self, root: Vertex) -> None:
@@ -99,7 +102,6 @@ class MegState:
             raise ValueError("root vertex must have no parents")
         self.root: EventId = root.id
         self.vertices: dict[EventId, Vertex] = {root.id: root}
-        self.edges: set[tuple[EventId, EventId]] = set()
         self._extremities: set[EventId] = {root.id}
         self._sorted_extremities: list[EventId] | None = None
 
@@ -132,8 +134,10 @@ class MegState:
         return self._sorted_extremities
 
     def get_state(self) -> tuple[frozenset[Vertex], frozenset[tuple[EventId, EventId]]]:
-        """Immutable (vertex set, edge set) snapshot."""
-        return frozenset(self.vertices.values()), frozenset(self.edges)
+        """Immutable (vertex set, edge set) snapshot; each edge is (child, parent)."""
+        vertices = self.vertices
+        edges = frozenset((w, p) for w, v in vertices.items() for p in v.parents)
+        return frozenset(vertices.values()), edges
 
     def applied_ids(self) -> set[EventId]:
         """Ids of all applied operations (the root is initial state, not an op)."""
@@ -155,7 +159,7 @@ class MegState:
     # -- effector ----------------------------------------------------------
 
     def apply_add(self, op: AddOperation) -> bool:
-        """Union the vertex and its parent edges into the graph.
+        """Union the vertex, and so its parent edges, into the graph.
 
         Returns True when the vertex is new, False when it was already
         present (idempotent re-delivery).  Raises PreconditionError when a
@@ -173,9 +177,7 @@ class MegState:
         if missing:
             raise PreconditionError(f"missing parents: {[m.hex()[:16] for m in missing]}")
         self.vertices[v.id] = v
-        for p in v.parents:
-            self.edges.add((v.id, p))
-            self._extremities.discard(p)
+        self._extremities.difference_update(v.parents)
         self._extremities.add(v.id)
         self._sorted_extremities = None
         return True
@@ -185,27 +187,25 @@ class MegState:
     def is_rooted_dag(self) -> bool:
         """Explicit traversal check: single root, acyclic, weakly connected.
 
-        Recomputes everything from the vertex and edge sets, on purpose
-        ignoring the incremental extremity bookkeeping, so it can catch
-        corruption of that bookkeeping.
+        Recomputes everything from the vertices and their parent lists, on
+        purpose ignoring the incremental extremity bookkeeping, so it can
+        catch corruption of that bookkeeping.
         """
-        ids = set(self.vertices)
-        if not ids:
+        vertices = self.vertices
+        if not vertices:
             return False
-        for child, parent in self.edges:
-            if child not in ids or parent not in ids:
-                return False
-        outdeg = dict.fromkeys(ids, 0)
-        incoming: dict[EventId, list[EventId]] = {w: [] for w in ids}
-        for child, parent in self.edges:
-            outdeg[child] += 1
-            incoming[parent].append(child)
-        roots = [w for w, deg in outdeg.items() if deg == 0]
+        incoming: dict[EventId, list[EventId]] = {w: [] for w in vertices}
+        for w, v in vertices.items():
+            for p in v.parents:
+                if p not in incoming:
+                    return False
+                incoming[p].append(w)
+        remaining = {w: len(v.parents) for w, v in vertices.items()}
+        roots = [w for w, deg in remaining.items() if deg == 0]
         if len(roots) != 1:
             return False
         # Kahn's algorithm on child->parent edges: all vertices must drain.
-        remaining = dict(outdeg)
-        stack = [w for w, deg in remaining.items() if deg == 0]
+        stack = list(roots)
         seen = 0
         while stack:
             w = stack.pop()
@@ -214,39 +214,37 @@ class MegState:
                 remaining[child] -= 1
                 if remaining[child] == 0:
                     stack.append(child)
-        if seen != len(ids):
+        if seen != len(vertices):
             return False
-        # Weak connectivity over undirected adjacency.
-        adj: dict[EventId, list[EventId]] = {w: [] for w in ids}
-        for child, parent in self.edges:
-            adj[child].append(parent)
-            adj[parent].append(child)
+        # Weak connectivity over undirected adjacency: parents and children.
         start = roots[0]
         visited = {start}
         frontier = [start]
         while frontier:
             w = frontier.pop()
-            for nb in adj[w]:
+            for nb in (*vertices[w].parents, *incoming[w]):
                 if nb not in visited:
                     visited.add(nb)
                     frontier.append(nb)
-        return len(visited) == len(ids)
+        return len(visited) == len(vertices)
 
     def state_digest(self) -> bytes:
         """SHA-256 over sorted vertex id bytes, then sorted (child, parent) id pairs."""
+        vertices = self.vertices
+        ids = sorted(vertices)
         h = hashlib.sha256()
-        for w in sorted(self.vertices):
+        for w in ids:
             h.update(w)
-        for child, parent in sorted(self.edges):
-            h.update(child)
-            h.update(parent)
+        for w in ids:  # pairs sorted by child, then by parent
+            for p in sorted(vertices[w].parents):
+                h.update(w)
+                h.update(p)
         return h.digest()
 
     def copy(self) -> "MegState":
         dup = object.__new__(MegState)
         dup.root = self.root
         dup.vertices = dict(self.vertices)
-        dup.edges = set(self.edges)
         dup._extremities = set(self._extremities)
         dup._sorted_extremities = None
         return dup

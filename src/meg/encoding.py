@@ -16,8 +16,8 @@ ID_BYTES = 32
 SENDER_BYTES = 32
 
 
-def _lp(field: bytes) -> bytes:
-    return len(field).to_bytes(8, "big") + field
+# Length prefix of the seq field, which is always 8 bytes long.
+_SEQ_LEN = (8).to_bytes(8, "big")
 
 
 def encode_vertex_fields(
@@ -30,13 +30,16 @@ def encode_vertex_fields(
     """Serialize vertex content into canonical bytes (hash and signature input)."""
     if seq < 0:
         raise ValueError("seq must be non-negative")
+    kind_b = kind.encode("utf-8")
     parent_field = b"".join(sorted(parents))
-    return (
-        _lp(kind.encode("utf-8"))
-        + _lp(body)
-        + _lp(sender)
-        + _lp(seq.to_bytes(8, "big"))
-        + _lp(parent_field)
+    return b"".join(
+        (
+            len(kind_b).to_bytes(8, "big"), kind_b,
+            len(body).to_bytes(8, "big"), body,
+            len(sender).to_bytes(8, "big"), sender,
+            _SEQ_LEN, seq.to_bytes(8, "big"),
+            len(parent_field).to_bytes(8, "big"), parent_field,
+        )
     )
 
 

@@ -14,10 +14,11 @@ time to settle, and `finish()` grades the run (`run_scenario` is that loop):
 * termination: the run settled (no payload in flight, activity stopped for a
   full grace window inside the horizon).
 * dag_invariants: every delivery changed each replica's graph only as its
-  applied vertices allow (each new, with present parents, exactly its own
-  edges and extremity update), and at the end a full walk finds a rooted DAG
-  with consistent extremity bookkeeping.  From the root, the per-delivery
-  check implies the walk's invariants after every delivery.
+  applied vertices allow (each new, with present parents, the graph grown by
+  exactly these vertices, and the matching extremity update), and at the end
+  a full walk finds a rooted DAG with consistent extremity bookkeeping.  From
+  the root, the per-delivery check implies the walk's invariants after every
+  delivery.
 
 `convergence_tick` is the quiescence tick when the correct replicas' final
 digests agree, else None.  Correct replicas change state only on ticks that
@@ -288,8 +289,8 @@ def load_scenario(path: str | Path) -> ScenarioSpec:
 
 
 def extremities_consistent(state: MegState) -> bool:
-    """Recompute extremities from the edge set and compare with bookkeeping."""
-    with_child = {parent for (_, parent) in state.edges}
+    """Recompute extremities from the parent lists and compare with bookkeeping."""
+    with_child = {p for v in state.vertices.values() for p in v.parents}
     expected = set(state.vertices) - with_child
     return bool(expected) and state.get_extremities() == expected
 
@@ -367,17 +368,19 @@ class ReplicaNode:
     def _ingest(self, op: AddOperation) -> list[EventId]:
         """Deliver through `ingest`, then check what the delivery changed.
 
-        Each applied vertex, in order, must be new, have a non-empty,
-        duplicate-free parent list of vertices present before it, and have
-        added exactly its own edges; the extremities must end as the old set
-        with each vertex's parents removed and the vertex added.  If the graph
-        was a rooted DAG with consistent extremities before the delivery and
-        the check passes, it still is one after, so O(width + parents) per
-        delivery stands in for a whole-graph walk.
+        Each applied vertex, in order, must be new and have a non-empty,
+        duplicate-free parent list of vertices present before it.  The vertex
+        count must grow by exactly the number applied (edges exist only in
+        the parent lists, so this stands in for an edge count), and the
+        extremities must end as the old set with each vertex's parents
+        removed and the vertex added.  If the graph was a rooted DAG with
+        consistent extremities before the delivery and the check passes, it
+        still is one after, so O(width + parents) per delivery stands in for
+        a whole-graph walk.
         """
         state = self.state
         extremities = set(state.extremities_view())
-        edges = len(state.edges)
+        count = len(state.vertices)
         applied = ingest(state, self.buffer, op)
         this_or_later = set(applied)
         ok = len(this_or_later) == len(applied) and not this_or_later & self.applied
@@ -387,17 +390,14 @@ class ReplicaNode:
                 ok
                 and bool(parents)
                 and len(set(parents)) == len(parents)
-                and all(
-                    p in state.vertices and p not in this_or_later and (vid, p) in state.edges
-                    for p in parents
-                )
+                and all(p in state.vertices and p not in this_or_later for p in parents)
             )
             this_or_later.discard(vid)
-            edges += len(parents)
             extremities.difference_update(parents)
             extremities.add(vid)
         self.applied.update(applied)
-        if not (ok and edges == len(state.edges) and extremities == state.extremities_view()):
+        grown = len(state.vertices) == count + len(applied)
+        if not (ok and grown and extremities == state.extremities_view()):
             self.invariant_failures += 1
         return applied
 

@@ -43,7 +43,7 @@ class VerificationFailure(Enum):
     SELF_PARENT = "self_parent"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignedEnvelope:
     """An add operation bound to its claimed creator by a signature."""
 

@@ -1,6 +1,9 @@
 """Graph state, parent selection, buffering, and the canonical encoding."""
 
+import dataclasses
+import gc
 import hashlib
+import tracemalloc
 from itertools import permutations
 from random import Random
 
@@ -47,6 +50,16 @@ def test_event_id_is_sha256_of_field_encoding():
     parents = (b"\x01" * 32, b"\x02" * 32)
     blob = encode_vertex_fields("msg", b"hello", SENDER, 3, parents)
     assert compute_event_id("msg", b"hello", SENDER, 3, parents) == hashlib.sha256(blob).digest()
+
+
+def test_vertex_field_encoding_layout():
+    a, b = b"\x01" * 32, b"\x02" * 32
+
+    def lp(field):
+        return len(field).to_bytes(8, "big") + field
+
+    blob = encode_vertex_fields("msg", b"hello", SENDER, 3, (b, a))
+    assert blob == lp(b"msg") + lp(b"hello") + lp(SENDER) + lp((3).to_bytes(8, "big")) + lp(a + b)
 
 
 def test_event_id_ignores_parent_order():
@@ -106,7 +119,7 @@ def test_apply_add_updates_extremities():
     op = make_child(state, (state.root,))
     assert state.apply_add(op) is True
     assert state.get_extremities() == {op.vertex.id}
-    assert (op.vertex.id, state.root) in state.edges
+    assert (op.vertex.id, state.root) in state.get_state()[1]
 
 
 def test_apply_add_is_idempotent():
@@ -154,13 +167,63 @@ def test_is_rooted_dag_detects_corruption():
     assert state.is_rooted_dag()
     # a cycle: pretend the earlier vertex also points at the later one
     broken = state.copy()
-    broken.edges.add((a.vertex.id, b.vertex.id))
+    broken.vertices[a.vertex.id] = dataclasses.replace(a.vertex, parents=(state.root, b.vertex.id))
     assert not broken.is_rooted_dag()
     # an orphan island: vertex present with no edges at all
     island = state.copy()
     stray = make_child(state, (b"\x0a" * 32,), body=b"i", seq=2)
     island.vertices[stray.vertex.id] = stray.vertex
     assert not island.is_rooted_dag()
+
+
+def reference_digest(vertices, edges):
+    h = hashlib.sha256()
+    for w in sorted(vertices):
+        h.update(w)
+    for child, parent in sorted(edges):
+        h.update(child + parent)
+    return h.digest()
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(**SETTINGS)
+def test_edges_and_digest_follow_the_parent_lists(seed):
+    state = init("soup")
+    buffer = PendingBuffer()
+    for op in make_op_soup(3, 12, seed=seed):
+        ingest(state, buffer, op)
+    edges = {(w, p) for w, v in state.vertices.items() for p in v.parents}
+    assert state.get_state()[1] == edges
+    assert state.state_digest() == reference_digest(state.vertices, edges)
+
+
+def state_bytes_per_vertex(writers, d, rounds):
+    """Bytes a state built in lockstep rounds holds per vertex, by tracemalloc."""
+    rng = Random(1)
+    senders = [hashlib.sha256(b"writer-%d" % i).digest() for i in range(writers)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        state = init("memory")
+        for r in range(rounds):
+            ops = [
+                generate_add(state, EventPayload("msg", rng.randbytes(8)), d, (), rng, sender, r)
+                for sender in senders
+            ]
+            for op in ops:
+                state.apply_add(op)
+        del ops
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    return held / len(state.vertices)
+
+
+def test_state_holds_each_vertex_once():
+    # 6,401 vertices; storing the edges a second time as a set of
+    # (child, parent) tuples costs about 650-770 bytes per vertex.
+    assert state_bytes_per_vertex(32, 3, 200) <= 450
 
 
 def test_state_digest_depends_on_edges_not_insertion_order():
@@ -379,7 +442,7 @@ def test_extremities_are_childless_vertices(seed):
         ingest(state, buffer, op)
         assert state.width() == len(state.get_extremities())
     assert len(state.vertices) == len(ops) + 1
-    with_child = {p for (_, p) in state.edges}
+    with_child = {p for (_, p) in state.get_state()[1]}
     assert state.get_extremities() == set(state.vertices) - with_child
     assert state.is_rooted_dag()
 

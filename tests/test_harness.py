@@ -10,7 +10,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from meg.core import EventPayload, MegState
+from meg.core import AddOperation, EventPayload, MegState, make_vertex
 from meg.harness import (
     AdversarySpec,
     Equivocate,
@@ -241,6 +241,33 @@ def test_dag_invariants_catch_extremity_corruption_healed_later(monkeypatch):
     state = corrupted[0][0]
     assert state.is_rooted_dag() and extremities_consistent(state)  # healed by the end
     assert not verdict.dag_invariants
+
+
+def test_ingest_counts_a_stray_vertex(monkeypatch):
+    writer, reader = make_node(0, n=2), make_node(1, n=2)
+    original = MegState.apply_add
+    strays = []
+
+    def slip_in_stray(self, op):
+        applied = original(self, op)
+        if applied and not strays:
+            stray = make_vertex(EventPayload("msg", b"stray"), op.vertex.sender, 99, (self.root,))
+            original(self, AddOperation(stray))
+            # Hide it from the extremities, so only the size of the graph shows it.
+            self._extremities.discard(stray.id)
+            self._sorted_extremities = None
+            strays.append(stray.id)
+        return applied
+
+    monkeypatch.setattr(MegState, "apply_add", slip_in_stray)
+    env = writer.make_op(EventPayload("msg", b"a"))
+    assert reader.receive_envelope(env) == [env.op.vertex.id]
+    assert strays and strays[0] in reader.state.vertices
+    assert reader.state.get_extremities() == {env.op.vertex.id}
+    assert reader.invariant_failures == 1
+    child = writer.make_op(EventPayload("msg", b"b"), parents=(env.op.vertex.id,))
+    assert reader.receive_envelope(child) == [child.op.vertex.id]
+    assert reader.invariant_failures == 1
 
 
 # -- checker negative controls ---------------------------------------------------------
