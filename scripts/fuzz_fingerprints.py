@@ -11,13 +11,15 @@ Case i is generated from its index alone, so every checkout and every rerun
 sees the same scenarios: n from 2 to 5, all three delivery guarantees, drops,
 duplicates, one healing partition, an equivocating, withholding or orphan
 flooding replica (or two behaviours at once), gossip and dummies.  Each case
-runs through `meg.harness.run_scenario` imported from `--src`, and its line
-records the spec hash, the SHA-256 of the trace, of the width and buffer
-series and of the applied sets, the applied counts, `rejected_ops`,
-`stale_parent_ops`, the convergence and quiescence ticks, the final digests
-and the verdict.  Two checkouts behave the same on these cases when their
-files are byte-identical; `--compare` prints the cases that differ, grouped by
-guarantee, faults and behaviour, and exits 1 if there is any.
+runs through `meg.harness.Simulation` imported from `--src`, stepped to its
+horizon as `run_scenario` does, and its line records the spec hash, the
+SHA-256 of the trace, of the width and buffer series, of the applied sets and
+of every replica's stored envelope signatures (in id order), the applied
+counts, `rejected_ops`, `stale_parent_ops`, the convergence and quiescence
+ticks, the final digests and the verdict.  Two checkouts behave the same on
+these cases when their files are byte-identical; `--compare` prints the cases
+that differ, grouped by guarantee, faults and behaviour, and exits 1 if there
+is any.
 """
 
 from __future__ import annotations
@@ -124,7 +126,14 @@ def group_of(raw: dict) -> dict:
 
 def fingerprint(harness, i: int) -> dict:
     raw = make_case(i)
-    metrics, verdict = harness.run_scenario(harness.parse_scenario(raw))
+    spec = harness.parse_scenario(raw)
+    sim = harness.Simulation(spec)
+    for _ in range(spec.horizon):
+        sim.step()
+    metrics, verdict = sim.finish()
+    signatures = b"|".join(
+        b"".join(env.signature for _, env in sorted(node.store.items())) for node in sim.nodes
+    )
     return {
         "case": i,
         **group_of(raw),
@@ -133,6 +142,7 @@ def fingerprint(harness, i: int) -> dict:
         "widths": _sha(harness.width_series_csv(metrics).encode()),
         "occupancy": _sha(json.dumps(metrics.buffer_occupancy).encode()),
         "applied_sets": _sha(b"|".join(b"".join(sorted(s)) for s in metrics.applied_sets)),
+        "signatures": _sha(signatures),
         "applied_counts": metrics.applied_counts,
         "rejected_ops": metrics.rejected_ops,
         "stale_parent_ops": metrics.stale_parent_ops,

@@ -189,7 +189,10 @@ class MegState:
 
         Recomputes everything from the vertices and their parent lists, on
         purpose ignoring the incremental extremity bookkeeping, so it can
-        catch corruption of that bookkeeping.
+        catch corruption of that bookkeeping.  Kahn's algorithm drains from
+        the one parentless vertex; a vertex drains only after all its
+        parents, so when every vertex drains, each one reaches the root by
+        parent links.  That is acyclic and weakly connected at once.
         """
         vertices = self.vertices
         if not vertices:
@@ -204,7 +207,6 @@ class MegState:
         roots = [w for w, deg in remaining.items() if deg == 0]
         if len(roots) != 1:
             return False
-        # Kahn's algorithm on child->parent edges: all vertices must drain.
         stack = list(roots)
         seen = 0
         while stack:
@@ -214,19 +216,7 @@ class MegState:
                 remaining[child] -= 1
                 if remaining[child] == 0:
                     stack.append(child)
-        if seen != len(vertices):
-            return False
-        # Weak connectivity over undirected adjacency: parents and children.
-        start = roots[0]
-        visited = {start}
-        frontier = [start]
-        while frontier:
-            w = frontier.pop()
-            for nb in (*vertices[w].parents, *incoming[w]):
-                if nb not in visited:
-                    visited.add(nb)
-                    frontier.append(nb)
-        return len(visited) == len(vertices)
+        return seen == len(vertices)
 
     def state_digest(self) -> bytes:
         """SHA-256 over sorted vertex id bytes, then sorted (child, parent) id pairs."""
@@ -336,7 +326,9 @@ class PendingBuffer:
     as the next level, the rest re-wait on a parent they still miss.  So a
     delivery touches only the operations it unblocked, and the index never
     holds more entries than the buffer holds operations.  `ready_ops` is the
-    full scan the index must agree with.  An optional cap bounds memory
+    full scan the index must agree with.  The buffer also counts, per parent
+    id, the buffered operations that list it; `missing_parent_ids` reads
+    those counts instead of the operations.  An optional cap bounds memory
     under hostile input: when full, new arrivals are counted and discarded.
     The eviction choice is pragmatic, nothing in the replication scheme
     depends on it.
@@ -346,6 +338,11 @@ class PendingBuffer:
         self._ops: dict[EventId, AddOperation] = {}
         # Missing parent id -> ids of the buffered ops indexed under it.
         self._waiters: dict[EventId, list[EventId]] = {}
+        # Parent id -> how many times the buffered ops list it.
+        self._refs: dict[EventId, int] = {}
+        # (state, its vertex count, answer) of the last `missing_parent_ids`;
+        # None once the buffer has changed.
+        self._missing: tuple[MegState, int, frozenset[EventId]] | None = None
         self.max_ops = max_ops
         self.dropped = 0
 
@@ -364,15 +361,30 @@ class PendingBuffer:
             self.dropped += 1
             return False
         self._ops[op_id] = op
+        refs = self._refs
+        for p in op.vertex.parents:
+            refs[p] = refs.get(p, 0) + 1
+        self._missing = None
         if waiting_on is None:
             waiting_on = op.vertex.parents[0]
         self._waiters.setdefault(waiting_on, []).append(op_id)
         return True
 
+    def _unref(self, op: AddOperation) -> None:
+        """Drop the parent references of an op that left the buffer."""
+        refs = self._refs
+        for p in op.vertex.parents:
+            if refs[p] == 1:
+                del refs[p]
+            else:
+                refs[p] -= 1
+        self._missing = None
+
     def remove(self, op_id: EventId) -> None:
         op = self._ops.pop(op_id, None)
         if op is None:
             return
+        self._unref(op)
         for p in op.vertex.parents:
             waiters = self._waiters.get(p)
             if waiters and op_id in waiters:
@@ -394,6 +406,7 @@ class PendingBuffer:
                 missing = state.first_missing_parent(op)
                 if missing is None:
                     del self._ops[op_id]
+                    self._unref(op)
                     ready.append(op)
                 else:
                     self._waiters.setdefault(missing, []).append(op_id)
@@ -414,21 +427,24 @@ class PendingBuffer:
             if state.precondition_holds(self._ops[k])
         ]
 
-    def missing_parent_ids(self, state: MegState) -> set[EventId]:
+    def missing_parent_ids(self, state: MegState) -> frozenset[EventId]:
         """Parents of buffered ops that neither the state nor the buffer holds.
 
         These are the ids a backfill request must name for the buffer to
-        drain.  Every call scans the whole buffer, so its cost grows with
-        what a flood of orphans leaves buffered; bounding the buffer itself
-        is ROADMAP item 2.
+        drain.  The answer is the referenced parent ids less the buffered and
+        the applied ids, three set operations over the parent counts kept by
+        `add`, `remove` and `wake`, so it costs O(distinct parents) in C.  It
+        is kept until the buffer changes or the state grows, and then handed
+        out again as the same frozenset.  The state only ever grows, so its
+        vertex count tells whether it changed.  The buffer itself is still
+        unbounded under a flood of orphans; bounding it is ROADMAP item 2.
         """
-        vertices, ops = state.vertices, self._ops
-        return {
-            p
-            for op in ops.values()
-            for p in op.vertex.parents
-            if p not in vertices and p not in ops
-        }
+        cached = self._missing
+        if cached is not None and cached[0] is state and cached[1] == len(state.vertices):
+            return cached[2]
+        missing = frozenset(self._refs).difference(self._ops).difference(state.vertices)
+        self._missing = (state, len(state.vertices), missing)
+        return missing
 
 
 def ingest(

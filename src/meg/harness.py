@@ -412,6 +412,10 @@ class ReplicaNode:
         verification: ids are content hashes, so it could add nothing.  A
         forged envelope that reuses a held id is therefore dropped without
         counting in `rejected_ops`.
+
+        Gossip is answered with a request for the advertised ids the replica
+        lacks and the parents its buffer misses; when it lacks none of the
+        advertised ids, the buffer's kept frozenset is sent as it is.
         """
         state, buffer = self.state, self.buffer
         if isinstance(msg, OpMessage):
@@ -431,7 +435,8 @@ class ReplicaNode:
         else:
             if isinstance(msg, GossipMessage):
                 unknown = {w for w in msg.extremities if not state.lookup(w) and w not in buffer}
-                net.request_backfill(self.idx, sender, unknown | buffer.missing_parent_ids(state))
+                missing = buffer.missing_parent_ids(state)
+                net.request_backfill(self.idx, sender, unknown | missing if unknown else missing)
             elif isinstance(msg, BackfillRequest):
                 net.respond_backfill(self.idx, sender, self.serve_backfill(msg.missing))
             return False
@@ -455,7 +460,7 @@ class ReplicaNode:
         when its missing parent arrives.
         """
         store = self.store
-        held = frozenset(m for m in missing if m in store)
+        held = frozenset(store.keys() & missing)
         cached = self._served.get((held, limit))
         if cached is not None:
             return cached

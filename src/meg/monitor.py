@@ -9,7 +9,11 @@ accepted vertices are assumed to have distinct ids (hash collision resistance).
 
 The signature scheme is pluggable behind `SigningKey`; the default is a keyed
 hash (HMAC-SHA256) stand-in where the verification key equals the signing
-secret.  Any deterministic scheme over the canonical encoding works.
+secret.  Any deterministic scheme over the canonical encoding works.  Both
+`SigningKey` and `MembershipDirectory` hash each key's HMAC pads once, when
+they are built (RFC 2104, as `hmac` itself does without OpenSSL), so a
+signature or a check costs two copies of a SHA-256 state and the hashing of
+the data, and the signature bytes equal `hmac.new(key, data, sha256)`.
 """
 
 from __future__ import annotations
@@ -29,6 +33,10 @@ from .encoding import (
 )
 
 REPLICA_ID_BYTES = 32
+
+_SHA256_BLOCK = 64
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 class VerificationFailure(Enum):
@@ -52,11 +60,33 @@ class SignedEnvelope:
     signature: bytes
 
 
+_MacKey = tuple["hashlib._Hash", "hashlib._Hash"]
+
+
+def _mac_key(key: bytes) -> _MacKey:
+    """The SHA-256 states after the inner and the outer HMAC pad of `key`."""
+    if len(key) > _SHA256_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_SHA256_BLOCK, b"\0")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
+def _mac(mac_key: _MacKey, data: bytes) -> bytes:
+    """HMAC-SHA256 of `data` under the key `mac_key` was made from."""
+    inner, outer = mac_key
+    h = inner.copy()
+    h.update(data)
+    o = outer.copy()
+    o.update(h.digest())
+    return o.digest()
+
+
 class SigningKey:
     """Keyed-hash signer.  The replica id is a fingerprint of the key."""
 
     def __init__(self, secret: bytes) -> None:
         self._secret = secret
+        self._mac_key = _mac_key(secret)
         self.replica_id: ReplicaId = hashlib.sha256(b"meg:fingerprint:" + secret).digest()
 
     @classmethod
@@ -69,11 +99,7 @@ class SigningKey:
         return self._secret
 
     def sign(self, data: bytes) -> bytes:
-        return hmac.new(self._secret, data, hashlib.sha256).digest()
-
-
-def _signature_valid(key: bytes, data: bytes, signature: bytes) -> bool:
-    return hmac.compare_digest(hmac.new(key, data, hashlib.sha256).digest(), signature)
+        return _mac(self._mac_key, data)
 
 
 class MembershipDirectory:
@@ -85,6 +111,7 @@ class MembershipDirectory:
         if len(keys) <= f:
             raise ValueError(f"need n > f, got n={len(keys)} f={f}")
         self._keys = dict(keys)
+        self._mac_keys = {rid: _mac_key(key) for rid, key in self._keys.items()}
         self.f = f
 
     @property
@@ -96,6 +123,10 @@ class MembershipDirectory:
 
     def verification_key(self, replica_id: ReplicaId) -> bytes | None:
         return self._keys.get(replica_id)
+
+    def mac_key(self, replica_id: ReplicaId) -> _MacKey | None:
+        """The replica's verification key with its HMAC pads hashed, for `_mac`."""
+        return self._mac_keys.get(replica_id)
 
     def replica_ids(self) -> list[ReplicaId]:
         return sorted(self._keys)
@@ -137,8 +168,8 @@ def verify_envelope(
     comes from the idempotent effector downstream.
     """
     v = env.op.vertex
-    key = directory.verification_key(env.sender)
-    if key is None:
+    mac_key = directory.mac_key(env.sender)
+    if mac_key is None:
         return VerificationFailure.UNKNOWN_SENDER
     if not v.parents:
         return VerificationFailure.EMPTY_PARENTS
@@ -151,7 +182,7 @@ def verify_envelope(
     if v.sender != env.sender:
         return VerificationFailure.BAD_SIGNATURE
     data = canonical_vertex_bytes(v)
-    if not _signature_valid(key, data, env.signature):
+    if not hmac.compare_digest(_mac(mac_key, data), env.signature):
         return VerificationFailure.BAD_SIGNATURE
     if compute_event_id(v.payload.kind, v.payload.body, v.sender, v.seq, v.parents) != v.id:
         return VerificationFailure.BAD_EVENT_ID

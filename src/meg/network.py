@@ -5,7 +5,10 @@ random delay; `step` hands back everything due at the current tick, ordered
 by (due tick, enqueue sequence number), so identical configurations and seeds
 replay the identical event trace.  The queue is a heap of plain
 `(due, seq, item)` tuples; `seq` is unique, so the heap orders entries by
-integer comparison alone and never compares the items.
+integer comparison alone and never compares the items.  Messages, queue
+items and trace events are named tuples, which cost less to build than
+frozen dataclasses; they are told apart by type, never by tuple equality
+(a `GossipMessage` and a `BackfillRequest` of the same ids compare equal).
 
 Three delivery guarantees are simulated for operation messages:
 
@@ -22,9 +25,11 @@ Three delivery guarantees are simulated for operation messages:
   recipient left out of one send does not wait for it.  A held operation is
   indexed by the first condition it still waits on (its sender's FIFO turn or
   a parent not yet handed over) and by its own id, so each delivery wakes
-  only the operations it unblocked or made duplicates.  A copy dropped as a
-  duplicate still uses up its send index, so a re-sent envelope does not
-  leave its sender's FIFO turn waiting for an index that never arrives.
+  only the operations it unblocked or made duplicates.  An arriving
+  operation that waits on nothing is handed over at once, without being
+  held.  A copy dropped as a duplicate still uses up its send index, so a
+  re-sent envelope does not leave its sender's FIFO turn waiting for an
+  index that never arrives.
   An id a recipient was left out of counts as handed over there once its
   replica reports applying it another way (`mark_applied`).
 
@@ -42,7 +47,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import EventId
 from .monitor import SignedEnvelope
@@ -89,29 +94,24 @@ class NetworkConfig:
                 raise ValueError(f"partition interval invalid: [{part.start}, {part.end})")
 
 
-@dataclass(frozen=True)
-class OpMessage:
+class OpMessage(NamedTuple):
     env: SignedEnvelope
     send_index: int
 
 
-@dataclass(frozen=True)
-class GossipMessage:
+class GossipMessage(NamedTuple):
     extremities: frozenset[EventId]
 
 
-@dataclass(frozen=True)
-class BackfillRequest:
+class BackfillRequest(NamedTuple):
     missing: frozenset[EventId]
 
 
-@dataclass(frozen=True)
-class BackfillResponse:
+class BackfillResponse(NamedTuple):
     envelopes: tuple[SignedEnvelope, ...]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(NamedTuple):
     tick: int
     kind: str  # SEND | DELIVER | DROP | BACKFILL_REQ | BACKFILL_RESP | GOSSIP
     sender: str
@@ -139,8 +139,7 @@ def _msg_hex(msg: object) -> str:
     return "-"
 
 
-@dataclass
-class _Scheduled:
+class _Scheduled(NamedTuple):
     seq: int
     sender: int
     receiver: int
@@ -344,12 +343,22 @@ class Network:
             self._deliver(item, out)
             return
         # Causal order: hold back until parents are available at the receiver
-        # and all earlier sends from this sender to it went through.
+        # and all earlier sends from this sender to it went through.  Every
+        # `_ready` heap is empty while the queue is processed (`step` drains
+        # them first, and each handler drains what it woke), so holding the
+        # item and draining would pop it at once: a deliverable item is handed
+        # over directly, and any other one waits on its first unmet condition.
         r = item.receiver
+        unmet = self._unmet(r, item)
+        if unmet is None:
+            self._deliver(item, out)
+            self._wake(r, vid)
+            self._drain_holdback(r, out)
+            return
         self._held[r][item.seq] = item
-        self._waiting[r].setdefault(vid, []).append(item.seq)
-        heapq.heappush(self._ready[r], (item.sender, msg.send_index, item.seq))
-        self._drain_holdback(r, out)
+        waiting = self._waiting[r]
+        waiting.setdefault(vid, []).append(item.seq)
+        waiting.setdefault(unmet, []).append(item.seq)
 
     def _unmet(self, receiver: int, item: _Scheduled) -> object | None:
         """The first condition a held item still waits on, None if deliverable."""

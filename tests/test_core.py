@@ -176,6 +176,59 @@ def test_is_rooted_dag_detects_corruption():
     assert not island.is_rooted_dag()
 
 
+def is_rooted_dag_with_walk(state):
+    """`MegState.is_rooted_dag` with its old weak-connectivity walk, kept as its reference."""
+    vertices = state.vertices
+    if not vertices:
+        return False
+    incoming = {w: [] for w in vertices}
+    for w, v in vertices.items():
+        for p in v.parents:
+            if p not in incoming:
+                return False
+            incoming[p].append(w)
+    remaining = {w: len(v.parents) for w, v in vertices.items()}
+    roots = [w for w, deg in remaining.items() if deg == 0]
+    if len(roots) != 1:
+        return False
+    stack, seen = list(roots), 0
+    while stack:
+        w = stack.pop()
+        seen += 1
+        for child in incoming[w]:
+            remaining[child] -= 1
+            if remaining[child] == 0:
+                stack.append(child)
+    if seen != len(vertices):
+        return False
+    visited, frontier = {roots[0]}, [roots[0]]
+    while frontier:
+        w = frontier.pop()
+        for nb in (*vertices[w].parents, *incoming[w]):
+            if nb not in visited:
+                visited.add(nb)
+                frontier.append(nb)
+    return len(visited) == len(vertices)
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
+@settings(**SETTINGS)
+def test_is_rooted_dag_matches_the_walk_on_corrupted_states(seed, data):
+    # Replace vertices with copies whose parents are other vertices, the
+    # vertex itself, an unknown id, or none at all.
+    state, buffer = init("soup"), PendingBuffer()
+    for op in make_op_soup(3, 10, seed=seed):
+        ingest(state, buffer, op)
+    ids = sorted(state.vertices)
+    parent = st.sampled_from([*ids, b"\x0e" * 32])
+    for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+        w = data.draw(st.sampled_from(ids))
+        parents = tuple(data.draw(st.lists(parent, max_size=3, unique=True)))
+        state.vertices[w] = dataclasses.replace(state.vertices[w], parents=parents)
+        assert state.is_rooted_dag() == is_rooted_dag_with_walk(state)
+    assert state.is_rooted_dag() == is_rooted_dag_with_walk(state)
+
+
 def reference_digest(vertices, edges):
     h = hashlib.sha256()
     for w in sorted(vertices):
@@ -365,13 +418,40 @@ def missing_parent_ids_loop(buffer, state):
 @given(seed=st.integers(min_value=0, max_value=10_000), data=st.data())
 @settings(**SETTINGS)
 def test_missing_parent_ids_matches_the_loop(seed, data):
+    # Ops arrive through `ingest`, leave through `remove`, or land in the
+    # state behind the buffer's back through `apply_add`.
     ops = make_op_soup(3, 12, seed=seed)
     stray = make_child(init("soup"), (b"\x0c" * 32, b"\x0d" * 32), body=b"orphan")
-    schedule = data.draw(st.lists(st.sampled_from([*ops, stray]), max_size=2 * len(ops)))
+    actions = st.tuples(st.sampled_from(("ingest", "remove", "apply")), st.sampled_from([*ops, stray]))
     state, buffer = init("soup"), PendingBuffer()
-    for op in schedule:
-        ingest(state, buffer, op)
-        assert buffer.missing_parent_ids(state) == missing_parent_ids_loop(buffer, state)
+    for action, op in data.draw(st.lists(actions, max_size=3 * len(ops))):
+        if action == "ingest":
+            ingest(state, buffer, op)
+        elif action == "remove":
+            buffer.remove(op.vertex.id)
+        elif state.precondition_holds(op):
+            state.apply_add(op)
+        missing = buffer.missing_parent_ids(state)
+        assert missing == missing_parent_ids_loop(buffer, state)
+        assert buffer.missing_parent_ids(state) is missing
+
+
+def test_missing_parent_ids_is_kept_until_buffer_or_state_changes():
+    state, buffer = init(), PendingBuffer()
+    a = make_child(state, (state.root,), body=b"a")
+    b = make_child(state, (a.vertex.id, b"\x0b" * 32), body=b"b", seq=1)
+    ingest(state, buffer, b)
+    first = buffer.missing_parent_ids(state)
+    assert first == {a.vertex.id, b"\x0b" * 32}
+    assert buffer.missing_parent_ids(state) is first
+    state.apply_add(a)
+    assert buffer.missing_parent_ids(state) == {b"\x0b" * 32}
+    # Another state object with as many vertices is another state.
+    other = init()
+    other.apply_add(make_child(other, (other.root,), body=b"c"))
+    assert buffer.missing_parent_ids(other) == first
+    buffer.remove(b.vertex.id)
+    assert buffer.missing_parent_ids(state) == frozenset()
 
 
 def full_scan_ingest(state, buffer, op):
