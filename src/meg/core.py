@@ -432,11 +432,11 @@ class PendingBuffer:
 
         These are the ids a backfill request must name for the buffer to
         drain.  The answer is the referenced parent ids less the buffered and
-        the applied ids, three set operations over the parent counts kept by
+        the applied ids, two set differences over the parent counts kept by
         `add`, `remove` and `wake`, so it costs O(distinct parents) in C.  It
-        is kept until the buffer changes or the state grows, and then handed
-        out again as the same frozenset.  The state only ever grows, so its
-        vertex count tells whether it changed.  The buffer itself is still
+        is kept, and handed out again as the same frozenset, until the buffer
+        changes or the state grows.  The state only ever grows, so its vertex
+        count tells whether it changed.  The buffer itself is still
         unbounded under a flood of orphans; bounding it is ROADMAP item 2.
         """
         cached = self._missing
