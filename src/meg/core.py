@@ -326,9 +326,7 @@ class PendingBuffer:
     as the next level, the rest re-wait on a parent they still miss.  So a
     delivery touches only the operations it unblocked, and the index never
     holds more entries than the buffer holds operations.  `ready_ops` is the
-    full scan the index must agree with.  The buffer also counts, per parent
-    id, the buffered operations that list it; `missing_parent_ids` reads
-    those counts instead of the operations.  An optional cap bounds memory
+    full scan the index must agree with.  An optional cap bounds memory
     under hostile input: when full, new arrivals are counted and discarded.
     The eviction choice is pragmatic, nothing in the replication scheme
     depends on it.
@@ -338,8 +336,6 @@ class PendingBuffer:
         self._ops: dict[EventId, AddOperation] = {}
         # Missing parent id -> ids of the buffered ops indexed under it.
         self._waiters: dict[EventId, list[EventId]] = {}
-        # Parent id -> how many times the buffered ops list it.
-        self._refs: dict[EventId, int] = {}
         # (state, its vertex count, answer) of the last `missing_parent_ids`;
         # None once the buffer has changed.
         self._missing: tuple[MegState, int, frozenset[EventId]] | None = None
@@ -361,30 +357,17 @@ class PendingBuffer:
             self.dropped += 1
             return False
         self._ops[op_id] = op
-        refs = self._refs
-        for p in op.vertex.parents:
-            refs[p] = refs.get(p, 0) + 1
         self._missing = None
         if waiting_on is None:
             waiting_on = op.vertex.parents[0]
         self._waiters.setdefault(waiting_on, []).append(op_id)
         return True
 
-    def _unref(self, op: AddOperation) -> None:
-        """Drop the parent references of an op that left the buffer."""
-        refs = self._refs
-        for p in op.vertex.parents:
-            if refs[p] == 1:
-                del refs[p]
-            else:
-                refs[p] -= 1
-        self._missing = None
-
     def remove(self, op_id: EventId) -> None:
         op = self._ops.pop(op_id, None)
         if op is None:
             return
-        self._unref(op)
+        self._missing = None
         for p in op.vertex.parents:
             waiters = self._waiters.get(p)
             if waiters and op_id in waiters:
@@ -406,7 +389,7 @@ class PendingBuffer:
                 missing = state.first_missing_parent(op)
                 if missing is None:
                     del self._ops[op_id]
-                    self._unref(op)
+                    self._missing = None
                     ready.append(op)
                 else:
                     self._waiters.setdefault(missing, []).append(op_id)
@@ -431,19 +414,25 @@ class PendingBuffer:
         """Parents of buffered ops that neither the state nor the buffer holds.
 
         These are the ids a backfill request must name for the buffer to
-        drain.  The answer is the referenced parent ids less the buffered and
-        the applied ids, two set differences over the parent counts kept by
-        `add`, `remove` and `wake`, so it costs O(distinct parents) in C.  It
-        is kept, and handed out again as the same frozenset, until the buffer
-        changes or the state grows.  The state only ever grows, so its vertex
-        count tells whether it changed.  The buffer itself is still
-        unbounded under a flood of orphans; bounding it is ROADMAP item 2.
+        drain.  Computing them scans the whole buffer, so the answer is kept,
+        and handed out again as the same frozenset, until the buffer changes
+        or the state gains a vertex.  It depends only on which ids the state
+        holds, and a state never loses one (replacing a vertex in place keeps
+        its id), so the vertex count tells whether the state changed.  The
+        buffer itself is still unbounded under a flood of orphans; bounding
+        it is ROADMAP item 2.
         """
+        vertices, ops = state.vertices, self._ops
         cached = self._missing
-        if cached is not None and cached[0] is state and cached[1] == len(state.vertices):
+        if cached is not None and cached[0] is state and cached[1] == len(vertices):
             return cached[2]
-        missing = frozenset(self._refs).difference(self._ops).difference(state.vertices)
-        self._missing = (state, len(state.vertices), missing)
+        missing = frozenset(
+            p
+            for op in ops.values()
+            for p in op.vertex.parents
+            if p not in vertices and p not in ops
+        )
+        self._missing = (state, len(vertices), missing)
         return missing
 
 

@@ -10,10 +10,9 @@ accepted vertices are assumed to have distinct ids (hash collision resistance).
 The signature scheme is pluggable behind `SigningKey`; the default is a keyed
 hash (HMAC-SHA256) stand-in where the verification key equals the signing
 secret.  Any deterministic scheme over the canonical encoding works.  Both
-`SigningKey` and `MembershipDirectory` hash each key's HMAC pads once, when
-they are built (RFC 2104, as `hmac` itself does without OpenSSL), so a
-signature or a check costs two copies of a SHA-256 state and the hashing of
-the data, and the signature bytes equal `hmac.new(key, data, sha256)`.
+`SigningKey` and `MembershipDirectory` build one `hmac.HMAC` per key, when
+they are built, and each signature or check hashes the data into a copy of
+it, so the key is not re-padded per message.
 """
 
 from __future__ import annotations
@@ -33,10 +32,6 @@ from .encoding import (
 )
 
 REPLICA_ID_BYTES = 32
-
-_SHA256_BLOCK = 64
-_IPAD = bytes(x ^ 0x36 for x in range(256))
-_OPAD = bytes(x ^ 0x5C for x in range(256))
 
 
 class VerificationFailure(Enum):
@@ -60,25 +55,11 @@ class SignedEnvelope:
     signature: bytes
 
 
-_MacKey = tuple["hashlib._Hash", "hashlib._Hash"]
-
-
-def _mac_key(key: bytes) -> _MacKey:
-    """The SHA-256 states after the inner and the outer HMAC pad of `key`."""
-    if len(key) > _SHA256_BLOCK:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_SHA256_BLOCK, b"\0")
-    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
-
-
-def _mac(mac_key: _MacKey, data: bytes) -> bytes:
-    """HMAC-SHA256 of `data` under the key `mac_key` was made from."""
-    inner, outer = mac_key
-    h = inner.copy()
+def _mac(keyed: hmac.HMAC, data: bytes) -> bytes:
+    """HMAC-SHA256 of `data`, from a copy of the keyed `hmac.new(key, digestmod=sha256)`."""
+    h = keyed.copy()
     h.update(data)
-    o = outer.copy()
-    o.update(h.digest())
-    return o.digest()
+    return h.digest()
 
 
 class SigningKey:
@@ -86,7 +67,7 @@ class SigningKey:
 
     def __init__(self, secret: bytes) -> None:
         self._secret = secret
-        self._mac_key = _mac_key(secret)
+        self._keyed = hmac.new(secret, digestmod=hashlib.sha256)
         self.replica_id: ReplicaId = hashlib.sha256(b"meg:fingerprint:" + secret).digest()
 
     @classmethod
@@ -99,7 +80,7 @@ class SigningKey:
         return self._secret
 
     def sign(self, data: bytes) -> bytes:
-        return _mac(self._mac_key, data)
+        return _mac(self._keyed, data)
 
 
 class MembershipDirectory:
@@ -111,7 +92,7 @@ class MembershipDirectory:
         if len(keys) <= f:
             raise ValueError(f"need n > f, got n={len(keys)} f={f}")
         self._keys = dict(keys)
-        self._mac_keys = {rid: _mac_key(key) for rid, key in self._keys.items()}
+        self._keyed = {rid: hmac.new(key, digestmod=hashlib.sha256) for rid, key in self._keys.items()}
         self.f = f
 
     @property
@@ -124,9 +105,9 @@ class MembershipDirectory:
     def verification_key(self, replica_id: ReplicaId) -> bytes | None:
         return self._keys.get(replica_id)
 
-    def mac_key(self, replica_id: ReplicaId) -> _MacKey | None:
-        """The replica's verification key with its HMAC pads hashed, for `_mac`."""
-        return self._mac_keys.get(replica_id)
+    def keyed_mac(self, replica_id: ReplicaId) -> hmac.HMAC | None:
+        """The replica's verification key as a keyed HMAC, for `_mac`."""
+        return self._keyed.get(replica_id)
 
     def replica_ids(self) -> list[ReplicaId]:
         return sorted(self._keys)
@@ -168,8 +149,8 @@ def verify_envelope(
     comes from the idempotent effector downstream.
     """
     v = env.op.vertex
-    mac_key = directory.mac_key(env.sender)
-    if mac_key is None:
+    keyed = directory.keyed_mac(env.sender)
+    if keyed is None:
         return VerificationFailure.UNKNOWN_SENDER
     if not v.parents:
         return VerificationFailure.EMPTY_PARENTS
@@ -182,7 +163,7 @@ def verify_envelope(
     if v.sender != env.sender:
         return VerificationFailure.BAD_SIGNATURE
     data = canonical_vertex_bytes(v)
-    if not hmac.compare_digest(_mac(mac_key, data), env.signature):
+    if not hmac.compare_digest(_mac(keyed, data), env.signature):
         return VerificationFailure.BAD_SIGNATURE
     if compute_event_id(v.payload.kind, v.payload.body, v.sender, v.seq, v.parents) != v.id:
         return VerificationFailure.BAD_EVENT_ID

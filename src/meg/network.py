@@ -25,11 +25,9 @@ Three delivery guarantees are simulated for operation messages:
   recipient left out of one send does not wait for it.  A held operation is
   indexed by the first condition it still waits on (its sender's FIFO turn or
   a parent not yet handed over) and by its own id, so each delivery wakes
-  only the operations it unblocked or made duplicates.  An arriving
-  operation that waits on nothing is handed over at once, without being
-  held.  A copy dropped as a duplicate still uses up its send index, so a
-  re-sent envelope does not leave its sender's FIFO turn waiting for an
-  index that never arrives.
+  only the operations it unblocked or made duplicates.  A copy dropped as a
+  duplicate still uses up its send index, so a re-sent envelope does not
+  leave its sender's FIFO turn waiting for an index that never arrives.
   An id a recipient was left out of counts as handed over there once its
   replica reports applying it another way (`mark_applied`).
 
@@ -343,22 +341,12 @@ class Network:
             self._deliver(item, out)
             return
         # Causal order: hold back until parents are available at the receiver
-        # and all earlier sends from this sender to it went through.  Every
-        # `_ready` heap is empty while the queue is processed (`step` drains
-        # them first, and each handler drains what it woke), so holding the
-        # item and draining would pop it at once: a deliverable item is handed
-        # over directly, and any other one waits on its first unmet condition.
+        # and all earlier sends from this sender to it went through.
         r = item.receiver
-        unmet = self._unmet(r, item)
-        if unmet is None:
-            self._deliver(item, out)
-            self._wake(r, vid)
-            self._drain_holdback(r, out)
-            return
         self._held[r][item.seq] = item
-        waiting = self._waiting[r]
-        waiting.setdefault(vid, []).append(item.seq)
-        waiting.setdefault(unmet, []).append(item.seq)
+        self._waiting[r].setdefault(vid, []).append(item.seq)
+        heapq.heappush(self._ready[r], (item.sender, msg.send_index, item.seq))
+        self._drain_holdback(r, out)
 
     def _unmet(self, receiver: int, item: _Scheduled) -> object | None:
         """The first condition a held item still waits on, None if deliverable."""

@@ -454,6 +454,22 @@ def test_missing_parent_ids_is_kept_until_buffer_or_state_changes():
     assert buffer.missing_parent_ids(state) == frozenset()
 
 
+def test_missing_parent_ids_changes_when_wake_releases_a_parent():
+    # c waits on b, b on a.  Once a is in the state, the answer is empty;
+    # `wake` then takes b out of the buffer, so c misses b.
+    state, buffer = init(), PendingBuffer()
+    a = make_child(state, (state.root,), body=b"a")
+    b = make_child(state, (a.vertex.id,), body=b"b", seq=1)
+    c = make_child(state, (b.vertex.id,), body=b"c", seq=2)
+    buffer.add(b)
+    buffer.add(c)
+    assert buffer.missing_parent_ids(state) == {a.vertex.id}
+    state.apply_add(a)
+    assert buffer.missing_parent_ids(state) == frozenset()
+    assert buffer.wake(state, [a.vertex.id]) == [b]
+    assert buffer.missing_parent_ids(state) == {b.vertex.id}
+
+
 def full_scan_ingest(state, buffer, op):
     """The drain as a full rescan of the buffer after every level."""
     if not state.precondition_holds(op):

@@ -13,8 +13,6 @@ from meg.monitor import (
     SignedEnvelope,
     SigningKey,
     VerificationFailure,
-    _mac,
-    _mac_key,
     canonical_vertex_bytes,
     envelope_from_wire,
     envelope_to_wire,
@@ -68,23 +66,13 @@ def test_directory_replica_ids_sorted():
     assert DIRECTORY.replica_ids() == sorted([KEY.replica_id, OTHER_KEY.replica_id])
 
 
-def test_mac_equals_hmac_sha256():
-    # Keys up to 200 bytes cover the 64-byte block edge and the keys hashed
-    # first; messages up to 1000 bytes cover the padding edges at 55 and 64.
-    rng = Random(7)
-    data = rng.randbytes(1000)
-    cases = [(k, m) for k in range(201) for m in (0, 1, 55, 56, 63, 64, 65, 119, 1000)]
-    cases += [(k, m) for k in (0, 32, 64, 65, 200) for m in range(1001)]
-    for key_len, data_len in cases:
-        key = rng.randbytes(key_len)
-        expected = hmac.new(key, data[:data_len], hashlib.sha256).digest()
-        assert _mac(_mac_key(key), data[:data_len]) == expected
-
-
 def test_signatures_are_hmac_sha256_of_the_canonical_bytes():
     env = fresh_env()
     data = canonical_vertex_bytes(env.op.vertex)
     assert env.signature == hmac.new(KEY.verification_key, data, hashlib.sha256).digest()
+    # Signing and checking again give the same answer: the keyed HMAC is copied, not fed.
+    assert KEY.sign(data) == env.signature
+    assert verify_envelope(env, DIRECTORY) is None
     assert verify_envelope(env, DIRECTORY) is None
 
 

@@ -1,6 +1,5 @@
 """Transport behavior per guarantee: ordering, dedup, partitions, determinism."""
 
-import heapq
 from random import Random
 
 import pytest
@@ -321,93 +320,6 @@ def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate,
         for pair in {(r, s) for r, s, _ in ops}:
             turns = [m.send_index for r, s, m in ops if (r, s) == pair]
             assert turns == sorted(turns)
-
-
-class HoldThenDrainNetwork(Network):
-    """`Network` whose causal path always holds an op and then drains, kept as the reference."""
-
-    def _handle_op(self, item, out):
-        msg = item.msg
-        vid = msg.env.op.vertex.id
-        if self._separated(item.sender, item.receiver, self.tick):
-            self._push(
-                self._next_open_tick(item.sender, item.receiver, self.tick),
-                item.sender,
-                item.receiver,
-                msg,
-            )
-            return
-        if vid in self._delivered_ops[item.receiver]:
-            self._log("DROP", item.sender, item.receiver, vid.hex()[:16])
-            if self._consume_turn(item.receiver, item.sender, msg.send_index):
-                self._drain_holdback(item.receiver, out)
-            return
-        r = item.receiver
-        self._held[r][item.seq] = item
-        self._waiting[r].setdefault(vid, []).append(item.seq)
-        heapq.heappush(self._ready[r], (item.sender, msg.send_index, item.seq))
-        self._drain_holdback(r, out)
-
-
-def handed_over(deliveries):
-    return [(r, s, type(m).__name__, m.env.op.vertex.id, m.send_index) for r, s, m in deliveries]
-
-
-@given(
-    n=st.integers(min_value=2, max_value=4),
-    seed=st.integers(min_value=0, max_value=10_000),
-    hi=st.integers(min_value=1, max_value=15),
-    duplicate=st.sampled_from([0.0, 0.3]),
-    cut=st.tuples(st.integers(0, 20), st.integers(1, 30), st.integers(0, 3)),
-    data=st.data(),
-)
-@settings(max_examples=60, deadline=None)
-def test_causal_direct_handover_matches_hold_then_drain(n, seed, hi, duplicate, cut, data):
-    # Both transports see the same sends (some restricted, some re-sent),
-    # steps and `mark_applied` reports, with duplicates and one partition.
-    start, length, side = cut
-    config = NetworkConfig(
-        delay=(1, hi),
-        duplicate=duplicate,
-        partitions=(Partition(start, start + length, frozenset({side % n})),),
-        seed=seed,
-    )
-    nets = [
-        cls(n, DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, config, initial_ids=(ROOT,))
-        for cls in (Network, HoldThenDrainNetwork)
-    ]
-    state, rng = init("net"), Random(seed)
-    sent: list[list] = [[] for _ in range(n)]
-
-    def step_both():
-        got, want = (handed_over(net.step()) for net in nets)
-        assert got == want
-
-    for step in range(data.draw(st.integers(min_value=1, max_value=25))):
-        i = data.draw(st.integers(min_value=0, max_value=n - 1))
-        if sent[i] and data.draw(st.booleans()):
-            env = data.draw(st.sampled_from(sent[i]))
-        else:
-            payload = EventPayload("msg", bytes([step]))
-            op = generate_add(state, payload, 2, (), rng, KEYS[i].replica_id, len(sent[i]))
-            state.apply_add(op)
-            env = sign_envelope(op, KEYS[i])
-            sent[i].append(env)
-        targets = None
-        if data.draw(st.booleans()):
-            targets = data.draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
-        for net in nets:
-            net.broadcast(i, env, targets)
-        if data.draw(st.booleans()):
-            r = data.draw(st.integers(min_value=0, max_value=n - 1))
-            ids = [e.op.vertex.id for envs in sent for e in envs]
-            for net in nets:
-                net.mark_applied(r, ids)
-        if data.draw(st.booleans()):
-            step_both()
-    for _ in range(200):
-        step_both()
-    assert [ev.line() for ev in nets[0].trace] == [ev.line() for ev in nets[1].trace]
 
 
 # -- best effort -----------------------------------------------------------------------
