@@ -9,13 +9,14 @@ Runs `bench/run.py` (unchanged) for every workload it defines, end to end
 (`--trace 0`) and per layer (`--trace 1`), at the benchmark's default seed
 and run length, and keeps both lines each run prints: the record line
 (commit, Python version, nproc, parameters, per-repetition times) and the
-result line (the metrics).  It then times the Reliable ladder, the shape of Reliable repair
-that no benchmark workload covers: n=8, f=0, d=4, delay 1..10, 8 updates per
-replica per round, 10 and 20 rounds (640 and 1280 ops), seed 1.  Each ladder
-point is timed `LADDER_REPEATS` times without instrumentation; one more run
-counts `verify_envelope` calls and `DELIVER` trace events.  Last, apart
-from every timed run, it records the size of the DAG state: the tracemalloc
-peak of one `run_lockstep_rounds(32, 3, 1000, 1)`, per vertex of its 32,001.
+result line (the metrics).  It then times the Reliable ladder, fault-free
+Reliable delivery at sizes no benchmark workload covers: n=8, f=0, d=4,
+delay 1..10, 8 updates per replica per round, 10 and 20 rounds (640 and 1280
+ops), seed 1.  Each ladder point is timed `LADDER_REPEATS` times without
+instrumentation; one more run counts `verify_envelope` calls and the
+`DELIVER`, `BACKFILL_REQ` and `BACKFILL_RESP` trace events.  Last, apart from
+every timed run, it records the size of the DAG state: the tracemalloc peak
+of one `run_lockstep_rounds(32, 3, 1000, 1)`, per vertex of its 32,001.
 The package is imported from this checkout's `src/`, as in
 `fuzz_fingerprints.py`.
 """
@@ -30,6 +31,7 @@ import statistics
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 from unittest import mock
@@ -109,7 +111,8 @@ def ladder(harness) -> list[dict]:
         with mock.patch.object(harness, "verify_envelope", wraps=harness.verify_envelope) as verify:
             metrics, verdict = harness.run_scenario(spec)
         calls = verify.call_count
-        deliveries = sum(1 for ev in metrics.trace if ev.kind == "DELIVER")
+        kinds = Counter(ev.kind for ev in metrics.trace)
+        deliveries = kinds["DELIVER"]
         point = {
             "ops": spec.n * spec.rounds * spec.updates_per_round,
             "spec": ladder_spec(rounds),
@@ -118,6 +121,8 @@ def ladder(harness) -> list[dict]:
             "verify_envelope_calls": calls,
             "deliveries": deliveries,
             "verify_per_delivery": calls / deliveries,
+            "backfill_requests": kinds["BACKFILL_REQ"],
+            "backfill_responses": kinds["BACKFILL_RESP"],
             "convergence_tick": metrics.convergence_tick,
             "all_ok": verdict.all_ok(),
         }

@@ -19,7 +19,9 @@ counts, `rejected_ops`, `stale_parent_ops`, the convergence and quiescence
 ticks, the final digests and the verdict.  Two checkouts behave the same on
 these cases when their files are byte-identical; `--compare` prints the cases
 that differ, grouped by guarantee, faults and behaviour, and exits 1 if there
-is any.
+is any.  It then sums up the verdicts from A to B: for each flag, the cases
+that went true to false and false to true, and the change in convergence
+tick over the cases that converged on both sides.
 """
 
 from __future__ import annotations
@@ -201,7 +203,34 @@ def compare(a_path: Path, b_path: Path) -> int:
         if counts:
             print(f"by {label}: " + ", ".join(f"{k} {v}" for k, v in sorted(counts.items())))
     print(f"{len(differing)} of {len(set(a) | set(b))} cases differ")
+    verdict_summary([(a[i], b[i]) for i in sorted(set(a) & set(b))])
     return 1 if differing else 0
+
+
+def verdict_summary(pairs: list[tuple[dict, dict]]) -> None:
+    """Print the verdict flags that flipped and the convergence-tick delta, A to B."""
+    for flag in pairs[0][0]["verdict"] if pairs else ():
+        for was, now in ((True, False), (False, True)):
+            cases = [
+                ra["case"]
+                for ra, rb in pairs
+                if (ra["verdict"][flag], rb["verdict"][flag]) == (was, now)
+            ]
+            listed = ", ".join(map(str, cases)) if cases else "none"
+            print(f"{flag} {str(was).lower()}->{str(now).lower()}: {len(cases)} ({listed})")
+    deltas = [
+        rb["convergence_tick"] - ra["convergence_tick"]
+        for ra, rb in pairs
+        if ra["convergence_tick"] is not None and rb["convergence_tick"] is not None
+    ]
+    if deltas:
+        print(
+            f"convergence_tick delta over {len(deltas)} cases converged on both sides: "
+            f"mean {sum(deltas) / len(deltas):+.3f}, min {min(deltas):+d}, max {max(deltas):+d}, "
+            f"{sum(d != 0 for d in deltas)} moved"
+        )
+    else:
+        print("convergence_tick delta: no case converged on both sides")
 
 
 def main(argv=None) -> int:

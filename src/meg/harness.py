@@ -2,9 +2,10 @@
 
 A `Simulation` wires n replicas to one simulated transport.  Each `step()`
 runs one tick: client appends for the first `rounds` ticks, byzantine
-behavior, dummies, gossip, then the transport's deliveries, each handled by
-the receiving `ReplicaNode.route`.  After `horizon` steps the system has had
-time to settle, and `finish()` grades the run (`run_scenario` is that loop):
+behavior, dummies, gossip, backfill requests that came due, then the
+transport's deliveries, each handled by the receiving `ReplicaNode.route`.
+After `horizon` steps the system has had time to settle, and `finish()`
+grades the run (`run_scenario` is that loop):
 
 * strong_convergence: replicas that applied the same operation set hold
   bit-identical state digests.
@@ -31,6 +32,7 @@ analysis in `width`, which models exactly that synchronized round structure.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -319,6 +321,8 @@ class ReplicaNode:
         self.applied: set[EventId] = set()
         # (requested ids in the store, limit) -> response, for applied ids only.
         self._served: dict[tuple[frozenset[EventId], int], tuple[SignedEnvelope, ...]] = {}
+        # (due tick, op id, sender) of buffered arrivals not yet asked about.
+        self._deadlines: list[tuple[int, EventId, int]] = []
         self.parent_rng = Random(f"{seed}:parents:{idx}")
         self.payload_rng = Random(f"{seed}:payload:{idx}")
         self.seq = 0
@@ -413,6 +417,13 @@ class ReplicaNode:
         forged envelope that reuses a held id is therefore dropped without
         counting in `rejected_ops`.
 
+        An operation that arrives before its parents is buffered.  Under
+        BestEffort a dropped parent never arrives, so the replica asks the
+        sender for the parents it lacks at once.  Under the reliable
+        guarantees a parent sent by a correct replica arrives within the
+        delay window `delay[1]`, so the replica waits that long and asks only
+        if the operation is still buffered then (`request_overdue`).
+
         Gossip is answered with a request for the advertised ids the replica
         lacks and the parents its buffer misses; when it lacks none of the
         advertised ids, the buffer's kept frozenset is sent as it is.
@@ -422,8 +433,11 @@ class ReplicaNode:
             applied = self.receive_envelope(msg.env)
             vertex = msg.env.op.vertex
             if not self.byzantine and vertex.id in buffer:
-                missing = {p for p in vertex.parents if not state.lookup(p)}
-                net.request_backfill(self.idx, sender, missing)
+                if net.guarantee is DeliveryGuarantee.BEST_EFFORT:
+                    net.request_backfill(self.idx, sender, self._lacking(vertex.parents))
+                else:
+                    due = net.tick + net.config.delay[1]
+                    heapq.heappush(self._deadlines, (due, vertex.id, sender))
         elif self.byzantine:
             return False
         elif isinstance(msg, BackfillResponse):
@@ -442,6 +456,21 @@ class ReplicaNode:
             return False
         net.mark_applied(self.idx, applied)
         return bool(applied) and not self.byzantine
+
+    def _lacking(self, parents: tuple[EventId, ...]) -> set[EventId]:
+        return {p for p in parents if not self.state.lookup(p)}
+
+    def request_overdue(self, net: Network) -> None:
+        """Ask once for the parents of arrivals still buffered past their window.
+
+        Nothing is re-armed: gossip is the retry path.
+        """
+        deadlines = self._deadlines
+        while deadlines and deadlines[0][0] <= net.tick:
+            _, vid, sender = heapq.heappop(deadlines)
+            if vid in self.buffer:
+                parents = self.store[vid].op.vertex.parents
+                net.request_backfill(self.idx, sender, self._lacking(parents))
 
     def serve_backfill(
         self, missing: frozenset[EventId], limit: int = BACKFILL_BATCH
@@ -675,6 +704,8 @@ class Simulation:
         if spec.gossip_period > 0 and t > 0 and t % spec.gossip_period == 0:
             for i in self.correct:
                 net.gossip_extremities(i, nodes[i].state.get_extremities())
+        for i in self.correct:
+            nodes[i].request_overdue(net)
         for receiver, sender, msg in net.step():
             activity = nodes[receiver].route(net, sender, msg) or activity
         for i, node in enumerate(nodes):

@@ -35,7 +35,14 @@ from meg.harness import (
 )
 from meg import harness
 from meg.monitor import MembershipDirectory, SigningKey
-from meg.network import BackfillResponse, DeliveryGuarantee, Network, NetworkConfig, Partition
+from meg.network import (
+    BackfillResponse,
+    DeliveryGuarantee,
+    Network,
+    NetworkConfig,
+    OpMessage,
+    Partition,
+)
 from meg.width import fixed_point
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scripts" / "scenarios"
@@ -518,6 +525,43 @@ def test_orphan_flood_does_not_break_liveness():
     assert metrics.buffered_correct_origin[:3] == [0, 0, 0]
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_causal_orphan_flood_terminates():
+    # The orphans wait in the causal holdback forever, so the run never settles.
+    spec = adversary_spec(
+        [{"kind": "orphan_flood", "rate": 5}],
+        guarantee="CausalOrderReliable",
+        rounds=40,
+        updates_per_round=1,
+        gossip_period=20,
+        seed=1,
+    )
+    _, verdict = run_scenario(spec)
+    assert verdict.all_ok(), verdict
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_dummy_storm_settles():
+    # Every correct replica emits a dummy on every tick while its width is
+    # above the threshold, and the concurrent dummies keep the width up.
+    spec = spec_with(
+        n=5,
+        guarantee="CausalOrderReliable",
+        delay=[1, 30],
+        duplicate=0.3,
+        rounds=4,
+        d=3,
+        dummy_threshold=4,
+        dummy_d=2,
+        gossip_period=25,
+        horizon=400,
+        grace=20,
+        seed=80452,
+    )
+    _, verdict = run_scenario(spec)
+    assert verdict.all_ok(), verdict
+
+
 def test_withhold_without_gossip_breaks_delivery():
     spec = adversary_spec(
         [{"kind": "withhold", "skip": [2]}], rounds=2, horizon=300, grace=40
@@ -640,7 +684,7 @@ def test_reliable_repair_trace_is_pinned():
     assert verdict.all_ok()
     assert metrics.convergence_tick == 64
     assert hashlib.sha256(trace_tsv(metrics).encode()).hexdigest() == (
-        "638b65a32a86fa50ac97ce2d2a5242e3ccb877c31316f3367aec0f14d28b6c71"
+        "9d030441e2d50a6dc78c675b67720ec75684b6db3ecbafdcbcfa2ddd5d39cdf8"
     )
     assert hashlib.sha256(b"".join(metrics.final_digests)).hexdigest() == (
         "4f2ce3270a4f9e16823bb5c7b8990c4d0b18fe87e130d270e15931d0f403c105"
@@ -649,14 +693,77 @@ def test_reliable_repair_trace_is_pinned():
 
 def test_reliable_repair_verifies_about_once_per_delivery(monkeypatch):
     # Backfill responses repeat ancestors the requester already holds; only
-    # envelopes it does not hold may be verified again.
-    spec = spec_with(n=8, d=4, delay=[1, 10], rounds=2, updates_per_round=4, seed=1)
+    # envelopes it does not hold may be verified again.  Replica 2 never gets
+    # the withholder's operations, so repair cannot be avoided.
+    spec = spec_with(
+        n=8,
+        f=1,
+        adversary={"byzantine": [7], "behaviors": [{"kind": "withhold", "skip": [2]}]},
+        d=4,
+        delay=[1, 10],
+        rounds=2,
+        updates_per_round=4,
+        gossip_period=15,
+        horizon=300,
+        grace=40,
+        seed=1,
+    )
     verified = count_verifications(monkeypatch)
     metrics, verdict = run_scenario(spec)
     assert verdict.all_ok()
     assert any(ev.kind == "BACKFILL_RESP" for ev in metrics.trace)
     deliveries = sum(1 for ev in metrics.trace if ev.kind == "DELIVER")
     assert verified[0] <= 1.1 * deliveries
+
+
+def test_fault_free_reliable_run_needs_no_backfill(monkeypatch):
+    # Every parent arrives within the delay window, so no request is due.
+    spec = spec_with(n=8, d=4, delay=[1, 10], rounds=2, updates_per_round=4, seed=1)
+    verified = count_verifications(monkeypatch)
+    metrics, verdict = run_scenario(spec)
+    assert verdict.all_ok()
+    kinds = {ev.kind for ev in metrics.trace}
+    assert "BACKFILL_REQ" not in kinds and "BACKFILL_RESP" not in kinds
+    assert verified[0] == sum(1 for ev in metrics.trace if ev.kind == "DELIVER")
+
+
+def out_of_order_arrival(monkeypatch, guarantee):
+    """A reader that got b before its parent a; returns the pieces and the requests sent."""
+    writer, reader = make_node(0, n=2), make_node(1, n=2)
+    root = writer.state.root
+    env_a = writer.make_op(EventPayload("msg", b"a"), parents=(root,))
+    env_b = writer.make_op(EventPayload("msg", b"b"), parents=(env_a.op.vertex.id,))
+    net = Network(2, guarantee, NetworkConfig(delay=(1, 5)), initial_ids=(root,))
+    requests = []
+    monkeypatch.setattr(
+        net, "request_backfill", lambda me, peer, missing: requests.append((me, peer, set(missing)))
+    )
+    assert not reader.route(net, 0, OpMessage(env_b, 1))
+    return reader, net, env_a, requests
+
+
+@pytest.mark.parametrize("parent_arrives", [False, True])
+def test_reliable_request_waits_for_the_delay_window(monkeypatch, parent_arrives):
+    reader, net, env_a, requests = out_of_order_arrival(monkeypatch, DeliveryGuarantee.RELIABLE)
+    due = net.tick + net.config.delay[1]
+    while net.tick < due:
+        reader.request_overdue(net)
+        assert requests == []
+        if parent_arrives and net.tick == due - 1:
+            assert reader.route(net, 0, OpMessage(env_a, 0))
+        net.step()
+    for _ in range(3):  # asked once at the deadline, never re-armed
+        reader.request_overdue(net)
+        net.step()
+    if parent_arrives:
+        assert requests == [] and len(reader.buffer) == 0
+    else:
+        assert requests == [(1, 0, {env_a.op.vertex.id})]
+
+
+def test_best_effort_request_goes_out_at_once(monkeypatch):
+    reader, net, env_a, requests = out_of_order_arrival(monkeypatch, DeliveryGuarantee.BEST_EFFORT)
+    assert requests == [(1, 0, {env_a.op.vertex.id})]
 
 
 # -- stepping a simulation by hand -----------------------------------------------------------
