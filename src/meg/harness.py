@@ -420,9 +420,9 @@ class ReplicaNode:
         An operation that arrives before its parents is buffered.  Under
         BestEffort a dropped parent never arrives, so the replica asks the
         sender for the parents it lacks at once.  Under the reliable
-        guarantees a parent sent by a correct replica arrives within the
-        delay window `delay[1]`, so the replica waits that long and asks only
-        if the operation is still buffered then (`request_overdue`).
+        guarantees a correct sender's parent arrives within `delay[1]` ticks
+        unless a partition holds it, so the replica asks only if the
+        operation is still buffered then (`request_overdue`).
 
         Gossip is answered with a request for the advertised ids the replica
         lacks and the parents its buffer misses; when it lacks none of the
