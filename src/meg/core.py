@@ -317,64 +317,65 @@ def generate_add(
     return AddOperation(make_vertex(payload, sender, seq, parents))
 
 
-class PendingBuffer:
-    """Operations whose parents have not all arrived yet.
+class WaitingRoom:
+    """Items in `held` by id, each id filed under keys the item waits on.
 
-    Each operation is stored once and indexed under one parent it still
-    misses.  `ingest` applies a level of operations, then `wake`s the
-    waiters of the ids that level applied: those now ready leave the buffer
-    as the next level, the rest re-wait on a parent they still miss.  So a
-    delivery touches only the operations it unblocked, and the index never
-    holds more entries than the buffer holds operations.  `ready_ops` is the
-    full scan the index must agree with.  An optional cap bounds memory
-    under hostile input: when full, new arrivals are counted and discarded.
-    The eviction choice is pragmatic, nothing in the replication scheme
-    depends on it.
+    `waiters(key)` unfiles the key and yields its ids still held, each
+    checked as iteration reaches it.  Releasing an item (deleting it from
+    `held`) leaves its filings behind, to be skipped when their keys wake.
+    The pending buffer and the transport's causal holdback are both rooms.
     """
 
-    def __init__(self, max_ops: int | None = None) -> None:
-        self._ops: dict[EventId, AddOperation] = {}
-        # Missing parent id -> ids of the buffered ops indexed under it.
-        self._waiters: dict[EventId, list[EventId]] = {}
+    def __init__(self) -> None:
+        self.held: dict = {}
+        # Key -> ids filed under it, released ones included.
+        self._filed: dict[object, list] = {}
+
+    def __len__(self) -> int:
+        return len(self.held)
+
+    def __contains__(self, item_id: object) -> bool:
+        return item_id in self.held
+
+    def file(self, item_id: object, key: object) -> None:
+        self._filed.setdefault(key, []).append(item_id)
+
+    def waiters(self, key: object) -> Iterable:
+        ids = self._filed.pop(key, None)
+        if ids is None:
+            return ()
+        held = self.held
+        return (i for i in ids if i in held)
+
+
+class PendingBuffer(WaitingRoom):
+    """Operations whose parents have not all arrived yet, held by event id.
+
+    Each operation is filed under one parent it still misses.  `ingest`
+    applies a level of operations, then `wake`s the waiters of the ids that
+    level applied: those now ready leave the buffer as the next level, the
+    rest are filed under a parent they still miss.  So a delivery touches
+    only the operations it unblocked.  `ready_ops` is the full scan the index
+    must agree with.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
         # (state, its vertex count, answer) of the last `missing_parent_ids`;
         # None once the buffer has changed.
         self._missing: tuple[MegState, int, frozenset[EventId]] | None = None
-        self.max_ops = max_ops
-        self.dropped = 0
 
-    def __len__(self) -> int:
-        return len(self._ops)
-
-    def __contains__(self, op_id: EventId) -> bool:
-        return op_id in self._ops
-
-    def add(self, op: AddOperation, waiting_on: EventId | None = None) -> bool:
+    def add(self, op: AddOperation, waiting_on: EventId | None = None) -> None:
         """Buffer `op` under `waiting_on`, a parent it misses (default: its first)."""
         op_id = op.vertex.id
-        if op_id in self._ops:
-            return True
-        if self.max_ops is not None and len(self._ops) >= self.max_ops:
-            self.dropped += 1
-            return False
-        self._ops[op_id] = op
-        self._missing = None
-        if waiting_on is None:
-            waiting_on = op.vertex.parents[0]
-        self._waiters.setdefault(waiting_on, []).append(op_id)
-        return True
+        if op_id not in self.held:
+            self.held[op_id] = op
+            self._missing = None
+            self.file(op_id, op.vertex.parents[0] if waiting_on is None else waiting_on)
 
     def remove(self, op_id: EventId) -> None:
-        op = self._ops.pop(op_id, None)
-        if op is None:
-            return
-        self._missing = None
-        for p in op.vertex.parents:
-            waiters = self._waiters.get(p)
-            if waiters and op_id in waiters:
-                waiters.remove(op_id)
-                if not waiters:
-                    del self._waiters[p]
-                return
+        if self.held.pop(op_id, None) is not None:
+            self._missing = None
 
     def wake(self, state: MegState, applied: Iterable[EventId]) -> list[AddOperation]:
         """Ops waiting on `applied` whose precondition now holds, ascending by id.
@@ -382,33 +383,30 @@ class PendingBuffer:
         They leave the buffer; a woken op that still misses a parent waits
         on that parent instead.
         """
+        held = self.held
         ready: list[AddOperation] = []
         for vid in applied:
-            for op_id in self._waiters.pop(vid, ()):
-                op = self._ops[op_id]
+            for op_id in self.waiters(vid):
+                op = held[op_id]
                 missing = state.first_missing_parent(op)
                 if missing is None:
-                    del self._ops[op_id]
+                    del held[op_id]
                     self._missing = None
                     ready.append(op)
                 else:
-                    self._waiters.setdefault(missing, []).append(op_id)
+                    self.file(op_id, missing)
         ready.sort(key=lambda op: op.vertex.id)
         return ready
 
     def operations(self) -> list[AddOperation]:
-        return [self._ops[k] for k in sorted(self._ops)]
+        return [self.held[k] for k in sorted(self.held)]
 
     def ready_ops(self, state: MegState) -> list[AddOperation]:
         """Buffered ops whose precondition now holds, ascending by event id.
 
         A full scan; after every `ingest` it must come back empty.
         """
-        return [
-            self._ops[k]
-            for k in sorted(self._ops)
-            if state.precondition_holds(self._ops[k])
-        ]
+        return [op for k, op in sorted(self.held.items()) if state.precondition_holds(op)]
 
     def missing_parent_ids(self, state: MegState) -> frozenset[EventId]:
         """Parents of buffered ops that neither the state nor the buffer holds.
@@ -422,7 +420,7 @@ class PendingBuffer:
         buffer itself is still unbounded under a flood of orphans; bounding
         it is ROADMAP item 2.
         """
-        vertices, ops = state.vertices, self._ops
+        vertices, ops = state.vertices, self.held
         cached = self._missing
         if cached is not None and cached[0] is state and cached[1] == len(vertices):
             return cached[2]
@@ -449,7 +447,8 @@ def ingest(
     level applied and are now ready, applied in ascending event id order for
     determinism.  Returns the ids applied by this call; a re-delivered
     duplicate applies nothing and wakes nothing.  `check(state)`, if given,
-    runs after every applied operation.
+    runs after every applied operation.  Every apply to `state` must go
+    through `ingest` with this buffer: then no op it applies is buffered.
     """
     applied: list[EventId] = []
     missing = state.first_missing_parent(op)
@@ -460,7 +459,6 @@ def ingest(
     while level:
         start = len(applied)
         for nxt in level:
-            buffer.remove(nxt.vertex.id)
             if state.apply_add(nxt):
                 applied.append(nxt.vertex.id)
                 if check is not None:

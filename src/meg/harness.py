@@ -228,53 +228,56 @@ def _parse_behavior(raw: dict) -> Behavior:
 
 
 def parse_scenario(raw: dict) -> ScenarioSpec:
-    """Validate a scenario dict; keys must be exactly the documented set."""
-    got = set(raw)
-    want = set(SCENARIO_KEYS)
-    if got != want:
-        missing = sorted(want - got)
-        extra = sorted(got - want)
-        raise ScenarioError(f"scenario keys mismatch: missing={missing} unexpected={extra}")
+    """Validate a scenario dict: exactly the documented keys, each of the right shape."""
     try:
-        guarantee = DeliveryGuarantee(raw["guarantee"])
-    except ValueError as exc:
-        raise ScenarioError(f"unknown guarantee {raw['guarantee']!r}") from exc
-    delay = raw["delay"]
-    if not (isinstance(delay, (list, tuple)) and len(delay) == 2):
-        raise ScenarioError("delay must be a [lo, hi] pair")
-    partitions = []
-    for item in raw["partitions"]:
-        if not (isinstance(item, (list, tuple)) and len(item) == 3):
-            raise ScenarioError("each partition must be [start, end, side_a]")
-        partitions.append(
-            Partition(start=int(item[0]), end=int(item[1]), side_a=frozenset(int(i) for i in item[2]))
+        got = set(raw)
+        want = set(SCENARIO_KEYS)
+        if got != want:
+            missing = sorted(want - got)
+            extra = sorted(got - want)
+            raise ScenarioError(f"scenario keys mismatch: missing={missing} unexpected={extra}")
+        try:
+            guarantee = DeliveryGuarantee(raw["guarantee"])
+        except ValueError as exc:
+            raise ScenarioError(f"unknown guarantee {raw['guarantee']!r}") from exc
+        delay = raw["delay"]
+        if not (isinstance(delay, (list, tuple)) and len(delay) == 2):
+            raise ScenarioError("delay must be a [lo, hi] pair")
+        partitions = []
+        for item in raw["partitions"]:
+            if not (isinstance(item, (list, tuple)) and len(item) == 3):
+                raise ScenarioError("each partition must be [start, end, side_a]")
+            partitions.append(
+                Partition(start=int(item[0]), end=int(item[1]), side_a=frozenset(int(i) for i in item[2]))
+            )
+        adversary = None
+        if raw["adversary"] is not None:
+            adv = raw["adversary"]
+            adversary = AdversarySpec(
+                byzantine=frozenset(int(i) for i in adv["byzantine"]),
+                behaviors=tuple(_parse_behavior(b) for b in adv.get("behaviors", [])),
+            )
+        return ScenarioSpec(
+            n=int(raw["n"]),
+            f=int(raw["f"]),
+            guarantee=guarantee,
+            delay=(int(delay[0]), int(delay[1])),
+            drop=float(raw["drop"]),
+            duplicate=float(raw["duplicate"]),
+            partitions=tuple(partitions),
+            adversary=adversary,
+            rounds=int(raw["rounds"]),
+            updates_per_round=int(raw["updates_per_round"]),
+            d=int(raw["d"]),
+            dummy_threshold=int(raw["dummy_threshold"]),
+            dummy_d=int(raw["dummy_d"]),
+            gossip_period=int(raw["gossip_period"]),
+            horizon=int(raw["horizon"]),
+            grace=int(raw["grace"]),
+            seed=int(raw["seed"]),
         )
-    adversary = None
-    if raw["adversary"] is not None:
-        adv = raw["adversary"]
-        adversary = AdversarySpec(
-            byzantine=frozenset(int(i) for i in adv["byzantine"]),
-            behaviors=tuple(_parse_behavior(b) for b in adv.get("behaviors", [])),
-        )
-    return ScenarioSpec(
-        n=int(raw["n"]),
-        f=int(raw["f"]),
-        guarantee=guarantee,
-        delay=(int(delay[0]), int(delay[1])),
-        drop=float(raw["drop"]),
-        duplicate=float(raw["duplicate"]),
-        partitions=tuple(partitions),
-        adversary=adversary,
-        rounds=int(raw["rounds"]),
-        updates_per_round=int(raw["updates_per_round"]),
-        d=int(raw["d"]),
-        dummy_threshold=int(raw["dummy_threshold"]),
-        dummy_d=int(raw["dummy_d"]),
-        gossip_period=int(raw["gossip_period"]),
-        horizon=int(raw["horizon"]),
-        grace=int(raw["grace"]),
-        seed=int(raw["seed"]),
-    )
+    except (TypeError, KeyError, AttributeError) as exc:
+        raise ScenarioError(f"malformed scenario ({type(exc).__name__}: {exc})") from exc
 
 
 def load_scenario(path: str | Path) -> ScenarioSpec:

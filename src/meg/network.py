@@ -22,9 +22,10 @@ Three delivery guarantees are simulated for operation messages:
   sender to the same recipient.  Parent links plus FIFO per (sender,
   recipient) cover the happened-before relation that matters for the DAG; no
   extra vector bookkeeping is kept.  Sends are numbered per recipient, so a
-  recipient left out of one send does not wait for it.  A held operation is
-  indexed by the first condition it still waits on (its sender's FIFO turn or
-  a parent not yet handed over) and by its own id, so each delivery wakes
+  recipient left out of one send does not wait for it.  Each recipient's
+  held operations sit in a `WaitingRoom`, as the pending buffer's do, filed
+  under the first condition each still waits on (its sender's FIFO turn or a
+  parent not yet handed over) and under its own id, so each delivery wakes
   only the operations it unblocked or made duplicates.  A copy dropped as a
   duplicate still uses up its send index, so a re-sent envelope does not
   leave its sender's FIFO turn waiting for an index that never arrives.
@@ -47,7 +48,7 @@ from enum import Enum
 from random import Random
 from typing import Iterable, NamedTuple
 
-from .core import EventId
+from .core import EventId, WaitingRoom
 from .monitor import SignedEnvelope
 
 
@@ -179,14 +180,12 @@ class Network:
         # and the later indexes already used up out of turn.
         self._fifo_next = [[0] * n for _ in range(n)]
         self._fifo_skipped: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(n)]
-        # Per receiver, the causal holdback: held items by seq; a heap of
-        # (sender, send_index, seq) that may be deliverable or duplicates,
-        # re-checked when popped; and the seqs waiting on each condition, an
-        # event id (a parent, or the item's own id) or a (sender, send_index)
-        # FIFO turn.  Entries of items already gone are skipped.
-        self._held: list[dict[int, _Scheduled]] = [{} for _ in range(n)]
+        # Per receiver, the causal holdback: a waiting room of items by seq,
+        # filed under an event id (a parent, or the item's own id) or a
+        # (sender, send_index) FIFO turn; and a heap of (sender, send_index,
+        # seq) that may be deliverable or duplicates, re-checked when popped.
+        self._holdback = [WaitingRoom() for _ in range(n)]
         self._ready: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        self._waiting: list[dict[object, list[int]]] = [{} for _ in range(n)]
 
     # -- helpers -----------------------------------------------------------
 
@@ -343,8 +342,8 @@ class Network:
         # Causal order: hold back until parents are available at the receiver
         # and all earlier sends from this sender to it went through.
         r = item.receiver
-        self._held[r][item.seq] = item
-        self._waiting[r].setdefault(vid, []).append(item.seq)
+        self._holdback[r].held[item.seq] = item
+        self._holdback[r].file(item.seq, vid)
         heapq.heappush(self._ready[r], (item.sender, msg.send_index, item.seq))
         self._drain_holdback(r, out)
 
@@ -360,13 +359,10 @@ class Network:
         return None
 
     def _wake(self, receiver: int, key: object) -> None:
-        seqs = self._waiting[receiver].pop(key, None)
-        if seqs:
-            held = self._held[receiver]
-            for seq in seqs:
-                item = held.get(seq)
-                if item is not None:
-                    heapq.heappush(self._ready[receiver], (item.sender, item.msg.send_index, seq))
+        room = self._holdback[receiver]
+        for seq in room.waiters(key):
+            item = room.held[seq]
+            heapq.heappush(self._ready[receiver], (item.sender, item.msg.send_index, seq))
 
     def _drain_holdback(self, receiver: int, out: list[tuple[int, int, object]]) -> None:
         """Hand over held items, least (sender, send_index, seq) first.
@@ -375,7 +371,8 @@ class Network:
         heap, so popping it in key order hands items over in the order of
         repeatedly taking the least such item.
         """
-        held, ready = self._held[receiver], self._ready[receiver]
+        room, ready = self._holdback[receiver], self._ready[receiver]
+        held = room.held
         while ready:
             sender, send_index, seq = heapq.heappop(ready)
             item = held.get(seq)
@@ -390,7 +387,7 @@ class Network:
                 continue
             unmet = self._unmet(receiver, item)
             if unmet is not None:
-                self._waiting[receiver].setdefault(unmet, []).append(seq)
+                room.file(seq, unmet)
                 continue
             del held[seq]
             self._deliver(item, out)
@@ -428,7 +425,7 @@ class Network:
     # -- introspection -----------------------------------------------------
 
     def queue_empty(self) -> bool:
-        return not self._queue and not any(self._held)
+        return not self._queue and not any(self._holdback)
 
     def pending_payload(self) -> bool:
         """True if an operation (or non-empty backfill) is still in flight.
@@ -441,4 +438,4 @@ class Network:
                 return True
             if isinstance(item.msg, BackfillResponse) and item.msg.envelopes:
                 return True
-        return any(self._held)
+        return any(self._holdback)

@@ -162,6 +162,14 @@ def test_sim_invalid_scenario_exits_two(tmp_path, capsys):
     assert "guarantee" in err
 
 
+def test_sim_malformed_scenario_exits_two(tmp_path, capsys):
+    scenario = tmp_path / "five.json"
+    scenario.write_text("5")
+    code, _, err = run(capsys, "sim", "--scenario", str(scenario))
+    assert code == 2
+    assert "malformed scenario" in err
+
+
 # -- argument errors ---------------------------------------------------------------
 
 

@@ -113,6 +113,16 @@ def test_parse_rejects_bad_values():
             f=1,
             adversary={"byzantine": [0], "behaviors": [{"kind": "mystery"}]},
         )
+    # Values of the wrong type or shape, which used to escape as TypeError
+    # or KeyError.
+    with pytest.raises(ScenarioError):
+        parse_scenario(5)
+    with pytest.raises(ScenarioError):
+        spec_with(f=1, adversary={"byzantine": 3})
+    with pytest.raises(ScenarioError):
+        spec_with(partitions=7)
+    with pytest.raises(ScenarioError):
+        spec_with(f=1, adversary={"byzantine": [0], "behaviors": [{"kind": "withhold"}]})
 
 
 def test_parse_adversary_behaviors():
