@@ -16,14 +16,18 @@ ops), seed 1.  Each ladder point is timed `LADDER_REPEATS` times without
 instrumentation; one more run counts `verify_envelope` calls and the
 `DELIVER`, `BACKFILL_REQ` and `BACKFILL_RESP` trace events.  Last, apart from
 every timed run, it records the size of the DAG state: the tracemalloc peak
-of one `run_lockstep_rounds(32, 3, 1000, 1)`, per vertex of its 32,001.
-The package is imported from this checkout's `src/`, as in
+of one `run_lockstep_rounds(32, 3, 1000, 1)`, per vertex of its 32,001,
+and the cost of the width kernels, each the median of `KERNEL_REPEATS`
+uninstrumented calls: µs per op of that same lockstep run, ns per ball of
+`monte_carlo_trajectory(30, 5, 10, 40, 500, 1)`, and ms per
+`pmf_removed(150, 8, 40)`.  The package is imported from this checkout's `src/`, as in
 `fuzz_fingerprints.py`.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import platform
@@ -46,6 +50,10 @@ LADDER_ROUNDS = (10, 20)
 LADDER_REPEATS = 3
 # run_lockstep_rounds(n, d, rounds, seed) whose peak memory sizes the state.
 STATE_SIZE_RUN = (32, 3, 1000, 1)
+KERNEL_REPEATS = 3
+# monte_carlo_trajectory(u0, d, k, rounds, trials, seed) and pmf_removed(u, d, k).
+KERNEL_MONTE_CARLO = (30, 5, 10, 40, 500, 1)
+KERNEL_PMF = (150, 8, 40)
 
 
 def ladder_spec(rounds: int) -> dict:
@@ -150,6 +158,41 @@ def state_size(harness) -> dict:
     return size
 
 
+def median_seconds(fn, *args) -> tuple[float, list[float]]:
+    walls = []
+    for _ in range(KERNEL_REPEATS):
+        start = perf_counter()
+        fn(*args)
+        walls.append(perf_counter() - start)
+    return statistics.median(walls), walls
+
+
+def width_kernels(harness) -> dict:
+    width = importlib.import_module("meg.width")
+    n, d, rounds, seed = STATE_SIZE_RUN
+    lockstep, lockstep_runs = median_seconds(harness.run_lockstep_rounds, n, d, rounds, seed)
+    u0, mc_d, k, mc_rounds, trials, _ = KERNEL_MONTE_CARLO
+    # From round 1 on the width is at least k > d, so every drawing takes d balls.
+    balls = trials * mc_rounds * k * min(mc_d, u0)
+    monte_carlo, monte_carlo_runs = median_seconds(width.monte_carlo_trajectory, *KERNEL_MONTE_CARLO)
+    pmf, pmf_runs = median_seconds(width.pmf_removed, *KERNEL_PMF)
+    kernels = {
+        "repeats": KERNEL_REPEATS,
+        "run_lockstep_rounds": list(STATE_SIZE_RUN),
+        "lockstep_us_per_op": lockstep / (n * rounds) * 1e6,
+        "lockstep_s_runs": lockstep_runs,
+        "monte_carlo_trajectory": list(KERNEL_MONTE_CARLO),
+        "monte_carlo_balls": balls,
+        "monte_carlo_ns_per_ball": monte_carlo / balls * 1e9,
+        "monte_carlo_s_runs": monte_carlo_runs,
+        "pmf_removed": list(KERNEL_PMF),
+        "pmf_removed_ms": pmf * 1e3,
+        "pmf_removed_s_runs": pmf_runs,
+    }
+    print(f"width kernels: {json.dumps(kernels)}", flush=True)
+    return kernels
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="file name part: BENCH_<label>.json")
@@ -168,6 +211,7 @@ def main(argv=None) -> int:
     harness = import_harness(SRC)
     record["reliable_ladder"] = ladder(harness)
     record["state_size"] = state_size(harness)
+    record["width_kernels"] = width_kernels(harness)
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -171,13 +171,15 @@ class MegState:
             return False
         if not v.parents:
             raise PreconditionError("add operation must reference at least one parent")
-        if len(set(v.parents)) != len(v.parents):
+        parents, vertices = v.parents, self.vertices
+        if len(set(parents)) != len(parents):
             raise PreconditionError("duplicate parent ids")
-        missing = [p for p in v.parents if p not in self.vertices]
-        if missing:
-            raise PreconditionError(f"missing parents: {[m.hex()[:16] for m in missing]}")
-        self.vertices[v.id] = v
-        self._extremities.difference_update(v.parents)
+        for p in parents:
+            if p not in vertices:
+                missing = [m.hex()[:16] for m in parents if m not in vertices]
+                raise PreconditionError(f"missing parents: {missing}")
+        vertices[v.id] = v
+        self._extremities.difference_update(parents)
         self._extremities.add(v.id)
         self._sorted_extremities = None
         return True
@@ -246,7 +248,8 @@ def make_vertex(
     """Vertex whose id is the content hash of exactly these fields."""
     parents = tuple(parents)
     vid = compute_event_id(payload.kind, payload.body, sender, seq, parents)
-    return Vertex(payload=payload, id=vid, parents=parents, sender=sender, seq=seq)
+    # Positional: a frozen dataclass matches keyword arguments at a cost.
+    return Vertex(payload, vid, parents, sender, seq)
 
 
 def init(room: str = DEFAULT_ROOM) -> MegState:
@@ -284,10 +287,10 @@ def _select_sorted(
         raise ValueError("parent cap d must be at least 2")
     if not ext:
         raise EmptyExtremitiesError("cannot select parents from empty extremity set")
-    pool = ext
-    if req:
-        taken = set(req)
-        pool = [w for w in ext if w not in taken]
+    if not req:
+        return ext[:] if len(ext) <= d else rng.sample(ext, d)
+    taken = set(req)
+    pool = [w for w in ext if w not in taken]
     if len(req) + len(pool) <= d:
         return req + pool
     fill = max(d, len(req)) - len(req)
@@ -309,11 +312,14 @@ def generate_add(
     required, rng)` would pick, drawn from the state's sorted extremity list
     so that generating many events against one state version sorts once.
     """
-    required = list(required)
-    for w in required:
-        if not state.lookup(w):
-            raise UnknownVertexError(f"required parent {w.hex()[:16]} is unknown")
-    parents = _select_sorted(state.sorted_extremities(), sorted(set(required)), d, rng)
+    req: list[EventId] = []
+    if required:
+        required = list(required)
+        for w in required:
+            if not state.lookup(w):
+                raise UnknownVertexError(f"required parent {w.hex()[:16]} is unknown")
+        req = sorted(set(required))
+    parents = _select_sorted(state.sorted_extremities(), req, d, rng)
     return AddOperation(make_vertex(payload, sender, seq, parents))
 
 

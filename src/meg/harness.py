@@ -193,6 +193,8 @@ class ScenarioSpec:
             raise ScenarioError("dummy_threshold and gossip_period must be non-negative")
         if self.dummy_threshold > 0 and self.dummy_d < 2:
             raise ScenarioError("dummy_d must be at least 2 when dummies are enabled")
+        if not (0 <= self.drop <= 1 and 0 <= self.duplicate <= 1):
+            raise ScenarioError("drop and duplicate must be probabilities in [0, 1]")
         if self.guarantee is not DeliveryGuarantee.BEST_EFFORT and self.drop > 0:
             raise ScenarioError(f"{self.guarantee.value} forces drop probability 0")
         for part in self.partitions:
@@ -212,23 +214,46 @@ class ScenarioSpec:
             raise ScenarioError("f > 0 requires an adversary naming the faulty replicas")
 
 
+def _int(value: object, name: str) -> int:
+    """`value` itself if it is an int; a bool, float or string is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(values: list, name: str) -> tuple[int, ...]:
+    return tuple(_int(v, name) for v in values)
+
+
+def _probability(value: object, name: str) -> float:
+    """`value` as a float if it is an int or a float; a bool or string is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_behavior(raw: dict) -> Behavior:
     kind = raw.get("kind")
     if kind == "equivocate":
         return Equivocate(
-            subset_a=tuple(raw["subset_a"]),
-            subset_b=tuple(raw["subset_b"]),
-            at_round=int(raw.get("at_round", 0)),
+            subset_a=_ints(raw["subset_a"], "subset_a"),
+            subset_b=_ints(raw["subset_b"], "subset_b"),
+            at_round=_int(raw.get("at_round", 0), "at_round"),
         )
     if kind == "withhold":
-        return Withhold(skip=tuple(raw["skip"]))
+        return Withhold(skip=_ints(raw["skip"], "skip"))
     if kind == "orphan_flood":
-        return OrphanFlood(rate=int(raw["rate"]))
+        return OrphanFlood(rate=_int(raw["rate"], "rate"))
     raise ScenarioError(f"unknown adversary behavior kind: {kind!r}")
 
 
 def parse_scenario(raw: dict) -> ScenarioSpec:
-    """Validate a scenario dict: exactly the documented keys, each of the right shape."""
+    """Validate a scenario dict: exactly the documented keys, each of the right shape.
+
+    Counts, indices and ticks must be JSON integers, and `drop` and
+    `duplicate` JSON numbers; nothing is coerced, so `3.9`, `true` or `"1"`
+    where an integer belongs is a `ScenarioError`.
+    """
     try:
         got = set(raw)
         want = set(SCENARIO_KEYS)
@@ -248,33 +273,37 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
             if not (isinstance(item, (list, tuple)) and len(item) == 3):
                 raise ScenarioError("each partition must be [start, end, side_a]")
             partitions.append(
-                Partition(start=int(item[0]), end=int(item[1]), side_a=frozenset(int(i) for i in item[2]))
+                Partition(
+                    start=_int(item[0], "partition start"),
+                    end=_int(item[1], "partition end"),
+                    side_a=frozenset(_ints(item[2], "partition side")),
+                )
             )
         adversary = None
         if raw["adversary"] is not None:
             adv = raw["adversary"]
             adversary = AdversarySpec(
-                byzantine=frozenset(int(i) for i in adv["byzantine"]),
+                byzantine=frozenset(_ints(adv["byzantine"], "byzantine")),
                 behaviors=tuple(_parse_behavior(b) for b in adv.get("behaviors", [])),
             )
         return ScenarioSpec(
-            n=int(raw["n"]),
-            f=int(raw["f"]),
+            n=_int(raw["n"], "n"),
+            f=_int(raw["f"], "f"),
             guarantee=guarantee,
-            delay=(int(delay[0]), int(delay[1])),
-            drop=float(raw["drop"]),
-            duplicate=float(raw["duplicate"]),
+            delay=_ints(delay, "delay"),
+            drop=_probability(raw["drop"], "drop"),
+            duplicate=_probability(raw["duplicate"], "duplicate"),
             partitions=tuple(partitions),
             adversary=adversary,
-            rounds=int(raw["rounds"]),
-            updates_per_round=int(raw["updates_per_round"]),
-            d=int(raw["d"]),
-            dummy_threshold=int(raw["dummy_threshold"]),
-            dummy_d=int(raw["dummy_d"]),
-            gossip_period=int(raw["gossip_period"]),
-            horizon=int(raw["horizon"]),
-            grace=int(raw["grace"]),
-            seed=int(raw["seed"]),
+            rounds=_int(raw["rounds"], "rounds"),
+            updates_per_round=_int(raw["updates_per_round"], "updates_per_round"),
+            d=_int(raw["d"], "d"),
+            dummy_threshold=_int(raw["dummy_threshold"], "dummy_threshold"),
+            dummy_d=_int(raw["dummy_d"], "dummy_d"),
+            gossip_period=_int(raw["gossip_period"], "gossip_period"),
+            horizon=_int(raw["horizon"], "horizon"),
+            grace=_int(raw["grace"], "grace"),
+            seed=_int(raw["seed"], "seed"),
         )
     except (TypeError, KeyError, AttributeError) as exc:
         raise ScenarioError(f"malformed scenario ({type(exc).__name__}: {exc})") from exc
@@ -788,10 +817,16 @@ def run_lockstep_rounds(
     applied everywhere before the next round.  With `dummy_threshold` set the
     workload is idle and replicas emit dummies only while the width exceeds
     the threshold.  Returns the extremity count per round, index 0 being the
-    starting width.
+    starting width.  The parent cap, `d` or with dummies `dummy_d`, must be
+    at least 2, and `u0` must not be negative.
     """
     if n < 1 or rounds < 0:
         raise ValueError("need n >= 1 and rounds >= 0")
+    if u0 is not None and u0 < 0:
+        raise ValueError(f"u0 must be non-negative, got {u0}")
+    cap = d if dummy_threshold is None else dummy_d
+    if cap < 2:
+        raise ValueError(f"parent cap must be at least 2, got {cap}")
     state = init(room)
     senders = [SigningKey.from_seed(f"{seed}:lockstep:{i}").replica_id for i in range(n)]
     rngs = [Random(f"{seed}:lockstep-rng:{i}") for i in range(n)]
@@ -811,10 +846,8 @@ def run_lockstep_rounds(
                 if current_width <= dummy_threshold:
                     continue
                 payload = EventPayload("dummy", b"")
-                cap = dummy_d
             else:
                 payload = EventPayload("msg", rngs[i].randbytes(8))
-                cap = d
             ops.append(
                 generate_add(state, payload, cap, (), rngs[i], senders[i], seqs[i])
             )

@@ -210,18 +210,26 @@ def pmf_removed(u: int, d: int, k: int, exact: bool = False) -> Pmf:
     with base case P(R_1 = d) = 1.  Support lies in [d, min(u, k d)].  The
     recursion runs on integer numerators over C(u, d)^(k-1), and each
     probability is one division at the end: a Fraction when `exact`, else
-    the correctly rounded float of the same ratio.
+    the correctly rounded float of the same ratio.  The kernel row of a
+    removed count i, its nonzero (i + l, C(u-i, l) C(i, d-l)) pairs, is built
+    once per call, the first time a drawing reaches i.  Every reachable i is
+    at least d, so exactly the l up to min(d, u - i) give nonzero weights.
     """
     _check_domain(u, d, k)
+    comb = math.comb
+    rows: dict[int, list[tuple[int, int]]] = {}
     cur: dict[int, int] = {d: 1}
     for _ in range(k - 1):
         nxt: dict[int, int] = {}
         for prev_j, prev_n in cur.items():
-            for l in range(0, d + 1):
-                weight = _comb0(u - prev_j, l) * _comb0(prev_j, d - l)
-                if weight:
-                    j = prev_j + l
-                    nxt[j] = nxt.get(j, 0) + weight * prev_n
+            row = rows.get(prev_j)
+            if row is None:
+                row = rows[prev_j] = [
+                    (prev_j + l, comb(u - prev_j, l) * comb(prev_j, d - l))
+                    for l in range(min(d, u - prev_j) + 1)
+                ]
+            for j, weight in row:
+                nxt[j] = nxt.get(j, 0) + weight * prev_n
         cur = nxt
     scale = math.comb(u, d) ** (k - 1)
     probs: dict[int, Number] = {
@@ -352,23 +360,25 @@ def simulate_urn_round(u: int, d: int, k: int, rng: Random) -> int:
     """Sample R for one round: k sequential drawings of min(d, u) balls.
 
     Tracks only the red count.  Each drawing takes its balls one at a time
-    without replacement: after i balls, hits of them red, the next ball is red
-    with probability (reds - hits) / (u - i), decided by one `rng.random()`.
-    The reds a drawing removes thus follow the hypergeometric law, up to the
-    2^-53 resolution of a float uniform.
+    without replacement, so the balls left to draw from run down the
+    denominators u, u - 1, ..., u - min(d, u) + 1.  With m balls left, of
+    them `reds` red, the next ball is red with probability reds / m, decided
+    by one `rng.random()`; a red draw lowers `reds` at once.  The reds a
+    drawing removes thus follow the hypergeometric law, up to the 2^-53
+    resolution of a float uniform.
     """
     if u < 1 or d < 1 or k < 1:
         raise ValueError("need u, d, k >= 1")
     random = rng.random
-    take = min(d, u)
-    reds = u
+    # Whole numbers held as floats: the product and the comparison are those
+    # of int operands, exactly, but stay on the interpreter's float fast path.
+    denominators = [float(m) for m in range(u, u - min(d, u), -1)]
+    reds = float(u)
     for _ in range(k):
-        hits = 0
-        for i in range(take):
-            if random() * (u - i) < reds - hits:
-                hits += 1
-        reds -= hits
-    return u - reds
+        for m in denominators:
+            if random() * m < reds:
+                reds -= 1.0
+    return u - int(reds)
 
 
 @dataclass(frozen=True)

@@ -125,6 +125,64 @@ def test_parse_rejects_bad_values():
         spec_with(f=1, adversary={"byzantine": [0], "behaviors": [{"kind": "withhold"}]})
 
 
+def test_parse_rejects_a_float_count():
+    with pytest.raises(ScenarioError, match="n must be an integer"):
+        spec_with(n=3.9)
+
+
+def test_parse_rejects_a_bool_count():
+    with pytest.raises(ScenarioError, match="rounds must be an integer"):
+        spec_with(rounds=True)
+
+
+def test_parse_rejects_a_string_delay_bound():
+    with pytest.raises(ScenarioError, match="delay must be an integer"):
+        spec_with(delay=["1", 5])
+
+
+def test_parse_rejects_a_non_numeric_string_count():
+    with pytest.raises(ScenarioError, match="n must be an integer"):
+        spec_with(n="x")
+
+
+ADVERSARY_WITH = {
+    "byzantine": [2],
+    "behaviors": [{"kind": "equivocate", "subset_a": [0], "subset_b": [1], "at_round": 0}],
+}
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"drop": False},
+        {"duplicate": "0.3"},
+        {"duplicate": 1.5},
+        {"duplicate": -0.1},
+        {"duplicate": float("nan")},
+        {"partitions": [[0, 10.0, [0]]]},
+        {"partitions": [[0, 10, [True]]]},
+        {"f": 1, "adversary": {**ADVERSARY_WITH, "byzantine": ["2"]}},
+        {"f": 1, "adversary": {**ADVERSARY_WITH, "behaviors": [{"kind": "orphan_flood", "rate": 2.5}]}},
+        {"f": 1, "adversary": {**ADVERSARY_WITH, "behaviors": [{"kind": "withhold", "skip": [1.0]}]}},
+        {
+            "f": 1,
+            "adversary": {
+                **ADVERSARY_WITH,
+                "behaviors": [{"kind": "equivocate", "subset_a": [0], "subset_b": [1], "at_round": "0"}],
+            },
+        },
+    ],
+)
+def test_parse_type_checks_nested_fields(overrides):
+    with pytest.raises(ScenarioError, match="must be"):
+        spec_with(**overrides)
+
+
+def test_parse_takes_an_integer_probability():
+    assert spec_with(duplicate=0).duplicate == 0.0
+    assert spec_with(f=1, adversary=ADVERSARY_WITH).adversary.byzantine == frozenset({2})
+
+
 def test_parse_adversary_behaviors():
     spec = spec_with(
         n=4,
@@ -849,10 +907,38 @@ def test_lockstep_widths_start_at_u0():
     assert widths == [40]
 
 
+def test_lockstep_rejects_a_negative_start_width():
+    with pytest.raises(ValueError, match="u0"):
+        run_lockstep_rounds(3, 2, rounds=3, seed=1, u0=-4)
+
+
+def test_lockstep_rejects_a_parent_cap_below_two():
+    with pytest.raises(ValueError, match="parent cap"):
+        run_lockstep_rounds(3, 1, rounds=0, seed=1)
+    with pytest.raises(ValueError, match="parent cap"):
+        run_lockstep_rounds(3, 2, rounds=0, seed=1, u0=5, dummy_threshold=2, dummy_d=1)
+    # With dummies on, the cap is dummy_d, and d is not used.
+    assert run_lockstep_rounds(3, 1, rounds=0, seed=1, u0=5, dummy_threshold=2) == [5]
+
+
 def test_lockstep_deterministic():
     a = run_lockstep_rounds(4, 2, rounds=10, seed=3)
     b = run_lockstep_rounds(4, 2, rounds=10, seed=3)
     assert a == b
+
+
+def test_lockstep_widths_are_pinned():
+    def sha256_of_repr(value) -> str:
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    assert (
+        sha256_of_repr(run_lockstep_rounds(32, 3, 200, 1))
+        == "1d081e6a035efff6fd2888474e6c973a9da67f4c2dc5e2d5d90bf5dea8c619b1"
+    )
+    assert (
+        sha256_of_repr(run_lockstep_rounds(32, 3, 80, 1, u0=1280))
+        == "3360fadf21c2b37b1047221384c759a636aae02b6f14d573f0c18394b007521e"
+    )
 
 
 def test_lockstep_dummy_depletion_plateaus():

@@ -332,6 +332,59 @@ def test_pmf_float_output_is_pinned():
     )
 
 
+def sha256_of_repr(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_simulate_urn_round_sequence_is_pinned():
+    # One rng through 96 rounds, 42 of them with u <= d; the trailing draw
+    # also pins how many uniforms the sequence consumed.
+    rng = Random("urn-pin")
+    cases = [
+        (u, d, k) for u in (1, 2, 3, 5, 6, 9, 40, 150) for d in (2, 3, 5, 8) for k in (1, 3, 10)
+    ]
+    removed = [simulate_urn_round(u, d, k, rng) for u, d, k in cases]
+    assert (
+        sha256_of_repr((removed, rng.random()))
+        == "9db65057ab85da42caa510c17d5f80db49addcc091a3625efd140aa771644c96"
+    )
+
+
+def urn_round_in_int_arithmetic(u, d, k, rng):
+    """The sampler with ints and a hit count, as first written: the reference."""
+    take = min(d, u)
+    reds = u
+    for _ in range(k):
+        hits = 0
+        for i in range(take):
+            if rng.random() * (u - i) < reds - hits:
+                hits += 1
+        reds -= hits
+    return u - reds
+
+
+@given(
+    u=st.integers(min_value=1, max_value=10**6),
+    d=st.integers(min_value=1, max_value=12),
+    k=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=999),
+)
+@settings(**SETTINGS)
+def test_simulate_urn_round_matches_the_int_reference(u, d, k, seed):
+    ours, ref = Random(seed), Random(seed)
+    for _ in range(3):
+        assert simulate_urn_round(u, d, k, ours) == urn_round_in_int_arithmetic(u, d, k, ref)
+    assert ours.random() == ref.random()
+
+
+def test_monte_carlo_rows_are_pinned():
+    rows = monte_carlo_trajectory(30, 5, 10, 40, 100, 1)
+    assert (
+        sha256_of_repr([(r.round, r.mean_width, r.lo, r.hi) for r in rows])
+        == "0bc1d03117547cc665f8668ddaa06b64740a90efdf589bbfc989b04a6eaa9f69"
+    )
+
+
 @pytest.mark.parametrize("u, d, k", [(10, 5, 3), (7, 3, 4), (6, 2, 3)])
 def test_simulate_urn_round_follows_the_exact_pmf(u, d, k):
     trials = 20_000
