@@ -20,8 +20,8 @@ of one `run_lockstep_rounds(32, 3, 1000, 1)`, per vertex of its 32,001,
 and the cost of the width kernels, each the median of `KERNEL_REPEATS`
 uninstrumented calls: µs per op of that same lockstep run, ns per ball of
 `monte_carlo_trajectory(30, 5, 10, 40, 500, 1)`, and ms per
-`pmf_removed(150, 8, 40)`.  The package is imported from this checkout's `src/`, as in
-`fuzz_fingerprints.py`.
+`pmf_removed(150, 8, 40)`.  The package is imported from this checkout's
+`src/`, as in `fuzz_fingerprints.py`.
 """
 
 from __future__ import annotations

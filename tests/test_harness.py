@@ -145,7 +145,7 @@ def test_parse_rejects_a_non_numeric_string_count():
         spec_with(n="x")
 
 
-ADVERSARY_WITH = {
+EQUIVOCATOR = {
     "byzantine": [2],
     "behaviors": [{"kind": "equivocate", "subset_a": [0], "subset_b": [1], "at_round": 0}],
 }
@@ -161,13 +161,13 @@ ADVERSARY_WITH = {
         {"duplicate": float("nan")},
         {"partitions": [[0, 10.0, [0]]]},
         {"partitions": [[0, 10, [True]]]},
-        {"f": 1, "adversary": {**ADVERSARY_WITH, "byzantine": ["2"]}},
-        {"f": 1, "adversary": {**ADVERSARY_WITH, "behaviors": [{"kind": "orphan_flood", "rate": 2.5}]}},
-        {"f": 1, "adversary": {**ADVERSARY_WITH, "behaviors": [{"kind": "withhold", "skip": [1.0]}]}},
+        {"f": 1, "adversary": {**EQUIVOCATOR, "byzantine": ["2"]}},
+        {"f": 1, "adversary": {**EQUIVOCATOR, "behaviors": [{"kind": "orphan_flood", "rate": 2.5}]}},
+        {"f": 1, "adversary": {**EQUIVOCATOR, "behaviors": [{"kind": "withhold", "skip": [1.0]}]}},
         {
             "f": 1,
             "adversary": {
-                **ADVERSARY_WITH,
+                **EQUIVOCATOR,
                 "behaviors": [{"kind": "equivocate", "subset_a": [0], "subset_b": [1], "at_round": "0"}],
             },
         },
@@ -180,7 +180,7 @@ def test_parse_type_checks_nested_fields(overrides):
 
 def test_parse_takes_an_integer_probability():
     assert spec_with(duplicate=0).duplicate == 0.0
-    assert spec_with(f=1, adversary=ADVERSARY_WITH).adversary.byzantine == frozenset({2})
+    assert spec_with(f=1, adversary=EQUIVOCATOR).adversary.byzantine == frozenset({2})
 
 
 def test_parse_adversary_behaviors():

@@ -351,7 +351,7 @@ def test_simulate_urn_round_sequence_is_pinned():
 
 
 def urn_round_in_int_arithmetic(u, d, k, rng):
-    """The sampler with ints and a hit count, as first written: the reference."""
+    """The sampler in int arithmetic, counting hits per drawing: the reference."""
     take = min(d, u)
     reds = u
     for _ in range(k):
