@@ -4,103 +4,12 @@ The package splits into: the graph CRDT itself (`core`), the admission checks
 and signature envelope (`monitor`), a deterministic message transport
 (`network`), scenario execution and grading (`harness`), schedule replay
 helpers (`replay`), and the urn-model analysis of extremity width (`width`).
+Each name is imported from its module, as in `from meg.harness import
+run_scenario`; `import meg` loads every module.
 """
 
-from .core import (
-    AddOperation,
-    EmptyExtremitiesError,
-    EventId,
-    EventPayload,
-    MegState,
-    MegError,
-    PendingBuffer,
-    PreconditionError,
-    ReplicaId,
-    UnknownVertexError,
-    Vertex,
-    generate_add,
-    ingest,
-    init,
-    select_parents,
-)
-from .harness import (
-    Metrics,
-    ScenarioError,
-    ScenarioSpec,
-    Verdict,
-    load_scenario,
-    parse_scenario,
-    run_lockstep_rounds,
-    run_scenario,
-)
-from .monitor import (
-    MembershipDirectory,
-    SignedEnvelope,
-    SigningKey,
-    VerificationFailure,
-    sign_envelope,
-    verify_envelope,
-)
-from .network import DeliveryGuarantee, Network, NetworkConfig, Partition
-from .width import (
-    brute_force_pmf,
-    expected_removed,
-    fixed_point,
-    mean_trajectory,
-    monte_carlo_trajectory,
-    pmf_removed,
-    rounds_until_convergence,
-    simulate_urn_round,
-    transition_probability,
-    variance_removed,
-    variance_removed_recursive,
-)
+from . import core, encoding, harness, monitor, network, replay, width
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AddOperation",
-    "DeliveryGuarantee",
-    "EmptyExtremitiesError",
-    "EventId",
-    "EventPayload",
-    "MegError",
-    "MegState",
-    "MembershipDirectory",
-    "Metrics",
-    "Network",
-    "NetworkConfig",
-    "Partition",
-    "PendingBuffer",
-    "PreconditionError",
-    "ReplicaId",
-    "ScenarioError",
-    "ScenarioSpec",
-    "SignedEnvelope",
-    "SigningKey",
-    "UnknownVertexError",
-    "Verdict",
-    "VerificationFailure",
-    "Vertex",
-    "brute_force_pmf",
-    "expected_removed",
-    "fixed_point",
-    "generate_add",
-    "ingest",
-    "init",
-    "load_scenario",
-    "mean_trajectory",
-    "monte_carlo_trajectory",
-    "parse_scenario",
-    "pmf_removed",
-    "rounds_until_convergence",
-    "run_lockstep_rounds",
-    "run_scenario",
-    "select_parents",
-    "sign_envelope",
-    "simulate_urn_round",
-    "transition_probability",
-    "variance_removed",
-    "variance_removed_recursive",
-    "verify_envelope",
-]
+__all__ = ["core", "encoding", "harness", "monitor", "network", "replay", "width"]

@@ -35,7 +35,7 @@ from .harness import (
     width_series_csv,
 )
 from .network import DeliveryGuarantee
-from .replay import make_op_soup, replay_schedule, replay_with_invariants
+from .replay import make_op_soup, replay_schedule
 from .width import (
     brute_force_pmf,
     expected_removed,
@@ -222,7 +222,7 @@ def _verify_lemmas() -> list[Check]:
 
     schedule = list(ops)
     rng.shuffle(schedule)
-    replay_with_invariants(schedule, check=invariant)
+    replay_schedule(schedule, check=invariant)
     checks.append(("rooted DAG after every applied op", not failures))
 
     double = list(ops) + list(ops)

@@ -49,8 +49,9 @@ class EmptyExtremitiesError(MegError):
 class EventPayload:
     """Application content of an event.
 
-    The body size bound (64 KiB by default) is enforced where untrusted input
-    enters the system, not here, so that oversized test inputs can be built.
+    The body size bound of 64 KiB (`MAX_PAYLOAD_BYTES`) is enforced where
+    untrusted input enters the system, not here, so that oversized test
+    inputs can be built.
     """
 
     kind: str
@@ -262,64 +263,40 @@ def init(room: str = DEFAULT_ROOM) -> MegState:
     return MegState(make_vertex(payload, ROOT_SENDER, 0, ()))
 
 
-def select_parents(
-    extremities: Iterable[EventId],
-    d: int,
-    required: Iterable[EventId],
-    rng: Random,
-) -> list[EventId]:
+def select_parents(extremities: Iterable[EventId], d: int, rng: Random) -> list[EventId]:
     """Choose parent ids for a new event.
 
-    All required ids are always included.  If required plus extremities fit
-    within the cap d, everything is taken; otherwise the required ids are
-    topped up with a uniformly random subset of the remaining extremities to
-    max(d, len(required)) parents.  Sampling runs over a sorted pool so the
-    result is a pure function of the rng state.
+    If the extremities fit within the cap d, all of them are taken;
+    otherwise a uniformly random subset of d of them.  Sampling runs over a
+    sorted pool so the result is a pure function of the rng state.
     """
-    return _select_sorted(sorted(set(extremities)), sorted(set(required)), d, rng)
+    return _select_sorted(sorted(set(extremities)), d, rng)
 
 
-def _select_sorted(
-    ext: list[EventId], req: list[EventId], d: int, rng: Random
-) -> list[EventId]:
-    """`select_parents` on the sorted extremity ids and the sorted required ids."""
+def _select_sorted(ext: list[EventId], d: int, rng: Random) -> list[EventId]:
+    """`select_parents` on the sorted extremity ids."""
     if d < 2:
         raise ValueError("parent cap d must be at least 2")
     if not ext:
         raise EmptyExtremitiesError("cannot select parents from empty extremity set")
-    if not req:
-        return ext[:] if len(ext) <= d else rng.sample(ext, d)
-    taken = set(req)
-    pool = [w for w in ext if w not in taken]
-    if len(req) + len(pool) <= d:
-        return req + pool
-    fill = max(d, len(req)) - len(req)
-    return req + (rng.sample(pool, fill) if fill else [])
+    return ext[:] if len(ext) <= d else rng.sample(ext, d)
 
 
 def generate_add(
     state: MegState,
     payload: EventPayload,
     d: int,
-    required: Iterable[EventId],
     rng: Random,
     sender: ReplicaId,
     seq: int,
 ) -> AddOperation:
     """Generator half of add: pick parents, derive the id, leave state untouched.
 
-    The parents are those `select_parents(state.get_extremities(), d,
-    required, rng)` would pick, drawn from the state's sorted extremity list
-    so that generating many events against one state version sorts once.
+    The parents are those `select_parents(state.get_extremities(), d, rng)`
+    would pick, drawn from the state's sorted extremity list so that
+    generating many events against one state version sorts once.
     """
-    req: list[EventId] = []
-    if required:
-        required = list(required)
-        for w in required:
-            if not state.lookup(w):
-                raise UnknownVertexError(f"required parent {w.hex()[:16]} is unknown")
-        req = sorted(set(required))
-    parents = _select_sorted(state.sorted_extremities(), req, d, rng)
+    parents = _select_sorted(state.sorted_extremities(), d, rng)
     return AddOperation(make_vertex(payload, sender, seq, parents))
 
 

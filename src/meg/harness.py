@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from random import Random
 
@@ -69,7 +69,6 @@ from .network import (
 )
 
 BACKFILL_BATCH = 100
-DUMMY_THRESHOLD = 10
 DUMMY_D = 10
 
 
@@ -137,27 +136,6 @@ class AdversarySpec:
 
 # -- scenario ------------------------------------------------------------------
 
-SCENARIO_KEYS = (
-    "n",
-    "f",
-    "guarantee",
-    "delay",
-    "drop",
-    "duplicate",
-    "partitions",
-    "adversary",
-    "rounds",
-    "updates_per_round",
-    "d",
-    "dummy_threshold",
-    "dummy_d",
-    "gossip_period",
-    "horizon",
-    "grace",
-    "seed",
-)
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     n: int
@@ -193,8 +171,10 @@ class ScenarioSpec:
             raise ScenarioError("dummy_threshold and gossip_period must be non-negative")
         if self.dummy_threshold > 0 and self.dummy_d < 2:
             raise ScenarioError("dummy_d must be at least 2 when dummies are enabled")
-        if not (0 <= self.drop <= 1 and 0 <= self.duplicate <= 1):
-            raise ScenarioError("drop and duplicate must be probabilities in [0, 1]")
+        try:
+            self.network_config()
+        except ValueError as exc:
+            raise ScenarioError(str(exc)) from exc
         if self.guarantee is not DeliveryGuarantee.BEST_EFFORT and self.drop > 0:
             raise ScenarioError(f"{self.guarantee.value} forces drop probability 0")
         for part in self.partitions:
@@ -212,6 +192,19 @@ class ScenarioSpec:
                 raise ScenarioError("byzantine replica index out of range")
         elif self.f != 0:
             raise ScenarioError("f > 0 requires an adversary naming the faulty replicas")
+
+    def network_config(self) -> NetworkConfig:
+        """The transport parameters; `NetworkConfig` checks the delay, drop and partition values."""
+        return NetworkConfig(
+            delay=self.delay,
+            drop=self.drop,
+            duplicate=self.duplicate,
+            partitions=self.partitions,
+            seed=self.seed,
+        )
+
+
+SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioSpec))
 
 
 def _int(value: object, name: str) -> int:
@@ -351,8 +344,8 @@ class ReplicaNode:
         self.buffer = PendingBuffer()
         self.store: dict[EventId, SignedEnvelope] = {}
         self.applied: set[EventId] = set()
-        # (requested ids in the store, limit) -> response, for applied ids only.
-        self._served: dict[tuple[frozenset[EventId], int], tuple[SignedEnvelope, ...]] = {}
+        # Requested ids in the store -> response, for applied ids only.
+        self._served: dict[frozenset[EventId], tuple[SignedEnvelope, ...]] = {}
         # (due tick, op id, sender) of buffered arrivals not yet asked about.
         self._deadlines: list[tuple[int, EventId, int]] = []
         self.parent_rng = Random(f"{seed}:parents:{idx}")
@@ -371,7 +364,7 @@ class ReplicaNode:
         """Sign the next operation: on `parents`, else on extremities picked with cap `d`."""
         if parents is None:
             op = generate_add(
-                self.state, payload, d or self.d, (), self.parent_rng, self.key.replica_id, self.seq
+                self.state, payload, d or self.d, self.parent_rng, self.key.replica_id, self.seq
             )
         else:
             op = AddOperation(make_vertex(payload, self.key.replica_id, self.seq, parents))
@@ -504,25 +497,23 @@ class ReplicaNode:
                 parents = self.store[vid].op.vertex.parents
                 net.request_backfill(self.idx, sender, self._lacking(parents))
 
-    def serve_backfill(
-        self, missing: frozenset[EventId], limit: int = BACKFILL_BATCH
-    ) -> tuple[SignedEnvelope, ...]:
+    def serve_backfill(self, missing: frozenset[EventId]) -> tuple[SignedEnvelope, ...]:
         """Ancestor closure of the requested ids from the local envelope store.
 
         Breadth-first from the requested ids so the requested events and near
-        ancestors come first; capped at `limit` envelopes per response, the
-        requester retries for the rest on its next trigger.
+        ancestors come first; capped at `BACKFILL_BATCH` envelopes per
+        response, the requester retries for the rest on its next trigger.
 
         The walk depends only on the requested ids the store holds, so the
-        response is cached under those ids and `limit` once all of them are
-        applied.  An applied vertex's ancestors are applied too, and every
-        applied vertex but the root is stored before it is applied, so that
-        walk can never change.  A buffered id is not cached: its walk grows
+        response is cached under those ids once all of them are applied.  An
+        applied vertex's ancestors are applied too, and every applied vertex
+        but the root is stored before it is applied, so that walk can never
+        change.  A buffered id is not cached: its walk grows
         when its missing parent arrives.
         """
-        store = self.store
+        store, limit = self.store, BACKFILL_BATCH
         held = frozenset(store.keys() & missing)
-        cached = self._served.get((held, limit))
+        cached = self._served.get(held)
         if cached is not None:
             return cached
         out: list[SignedEnvelope] = []
@@ -544,15 +535,11 @@ class ReplicaNode:
             frontier = sorted(set(nxt) - seen)
         response = tuple(out)
         if held <= self.applied:
-            self._served[(held, limit)] = response
+            self._served[held] = response
         return response
 
 
-def maybe_emit_dummy(
-    node: ReplicaNode,
-    threshold: int = DUMMY_THRESHOLD,
-    dummy_d: int = DUMMY_D,
-) -> SignedEnvelope | None:
+def maybe_emit_dummy(node: ReplicaNode, threshold: int, dummy_d: int) -> SignedEnvelope | None:
     """Emit an empty add to soak up extremities, if there are more than `threshold`.
 
     The dummy references up to `dummy_d` parents, so idle replicas pull the
@@ -686,16 +673,7 @@ class Simulation:
             for i in range(spec.n)
         ]
         self.net = Network(
-            spec.n,
-            spec.guarantee,
-            NetworkConfig(
-                delay=spec.delay,
-                drop=spec.drop,
-                duplicate=spec.duplicate,
-                partitions=spec.partitions,
-                seed=spec.seed,
-            ),
-            initial_ids=(self.nodes[0].state.root,),
+            spec.n, spec.guarantee, spec.network_config(), initial_ids=(self.nodes[0].state.root,)
         )
         self.orphan_rng = Random(f"{spec.seed}:orphans")
         self.correct_broadcast: set[EventId] = set()
@@ -808,7 +786,6 @@ def run_lockstep_rounds(
     u0: int | None = None,
     dummy_threshold: int | None = None,
     dummy_d: int = DUMMY_D,
-    room: str = "lockstep",
 ) -> list[int]:
     """Synchronized rounds: everyone appends concurrently, then full sync.
 
@@ -827,7 +804,7 @@ def run_lockstep_rounds(
     cap = d if dummy_threshold is None else dummy_d
     if cap < 2:
         raise ValueError(f"parent cap must be at least 2, got {cap}")
-    state = init(room)
+    state = init("lockstep")
     senders = [SigningKey.from_seed(f"{seed}:lockstep:{i}").replica_id for i in range(n)]
     rngs = [Random(f"{seed}:lockstep-rng:{i}") for i in range(n)]
     seqs = [0] * n
@@ -848,9 +825,7 @@ def run_lockstep_rounds(
                 payload = EventPayload("dummy", b"")
             else:
                 payload = EventPayload("msg", rngs[i].randbytes(8))
-            ops.append(
-                generate_add(state, payload, cap, (), rngs[i], senders[i], seqs[i])
-            )
+            ops.append(generate_add(state, payload, cap, rngs[i], senders[i], seqs[i]))
             seqs[i] += 1
         for op in ops:
             state.apply_add(op)

@@ -133,11 +133,11 @@ def sign_envelope(op: AddOperation, key: SigningKey) -> SignedEnvelope:
 
 
 def verify_envelope(
-    env: SignedEnvelope,
-    directory: MembershipDirectory,
-    max_payload: int = MAX_PAYLOAD_BYTES,
+    env: SignedEnvelope, directory: MembershipDirectory
 ) -> VerificationFailure | None:
     """Run all acceptance checks; None means accepted.
+
+    A payload body over `MAX_PAYLOAD_BYTES` (64 KiB) is OVERSIZED_PAYLOAD.
 
     The signature check runs before the id check, so content tampered after
     signing surfaces as BAD_SIGNATURE while a forged id on intact, correctly
@@ -158,7 +158,7 @@ def verify_envelope(
         return VerificationFailure.DUPLICATE_PARENTS
     if v.id in v.parents:
         return VerificationFailure.SELF_PARENT
-    if len(v.payload.body) > max_payload:
+    if len(v.payload.body) > MAX_PAYLOAD_BYTES:
         return VerificationFailure.OVERSIZED_PAYLOAD
     if v.sender != env.sender:
         return VerificationFailure.BAD_SIGNATURE

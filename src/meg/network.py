@@ -87,7 +87,7 @@ class NetworkConfig:
         if lo < 1 or hi < lo:
             raise ValueError(f"delay bounds must satisfy 1 <= lo <= hi, got {self.delay}")
         if not (0.0 <= self.drop <= 1.0) or not (0.0 <= self.duplicate <= 1.0):
-            raise ValueError("drop and duplicate probabilities must lie in [0, 1]")
+            raise ValueError("drop and duplicate must be probabilities in [0, 1]")
         for part in self.partitions:
             if part.start < 0 or part.end <= part.start:
                 raise ValueError(f"partition interval invalid: [{part.start}, {part.end})")

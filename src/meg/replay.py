@@ -22,19 +22,15 @@ from .core import (
     init,
 )
 
+SOUP_ROOM = "soup"
+
 
 def soup_sender(i: int) -> bytes:
     return hashlib.sha256(f"soup-sender-{i}".encode()).digest()
 
 
-def make_op_soup(
-    n_replicas: int,
-    n_ops: int,
-    seed: int,
-    d: int = 2,
-    room: str = "soup",
-) -> list[AddOperation]:
-    """Build `n_ops` operations with concurrent batches; replay with the same room.
+def make_op_soup(n_replicas: int, n_ops: int, seed: int) -> list[AddOperation]:
+    """Build `n_ops` operations with concurrent batches, each with at most 2 parents.
 
     Each batch picks a random subset of replicas that all generate against the
     current snapshot before any of the batch is applied, so ops within a batch
@@ -43,7 +39,7 @@ def make_op_soup(
     """
     if n_replicas < 1 or n_ops < 0:
         raise ValueError("need n_replicas >= 1 and n_ops >= 0")
-    state = init(room)
+    state = init(SOUP_ROOM)
     rng = Random(f"{seed}:soup")
     senders = [soup_sender(i) for i in range(n_replicas)]
     seqs = [0] * n_replicas
@@ -55,7 +51,7 @@ def make_op_soup(
             if len(ops) + len(batch) >= n_ops:
                 break
             payload = EventPayload("msg", rng.randbytes(4))
-            batch.append(generate_add(state, payload, d, (), rng, senders[i], seqs[i]))
+            batch.append(generate_add(state, payload, 2, rng, senders[i], seqs[i]))
             seqs[i] += 1
         for op in batch:
             state.apply_add(op)
@@ -63,22 +59,16 @@ def make_op_soup(
     return ops
 
 
-def replay_schedule(ops: list[AddOperation], room: str = "soup") -> bytes:
-    """Ingest ops in the given order; returns the final state digest.
-
-    Raises if the schedule leaves anything undelivered, which for a complete
-    permutation of a soup would mean the buffering logic lost an op.
-    """
-    return replay_with_invariants(ops, room)
-
-
-def replay_with_invariants(
-    ops: list[AddOperation],
-    room: str = "soup",
-    check: Callable[[MegState], None] | None = None,
+def replay_schedule(
+    ops: list[AddOperation], check: Callable[[MegState], None] | None = None
 ) -> bytes:
-    """Like replay_schedule but calls `check(state)` after every applied op."""
-    state = init(room)
+    """Ingest ops in the given order into a fresh soup state; returns its digest.
+
+    `check(state)`, if given, runs after every applied op.  Raises if the
+    schedule leaves anything undelivered, which for a complete permutation of
+    a soup would mean the buffering logic lost an op.
+    """
+    state = init(SOUP_ROOM)
     buffer = PendingBuffer()
     for op in ops:
         ingest(state, buffer, op, check)

@@ -13,7 +13,7 @@ from random import Random
 
 from meg.core import init
 from meg.harness import parse_scenario, run_lockstep_rounds, run_scenario
-from meg.replay import make_op_soup, replay_schedule, replay_with_invariants
+from meg.replay import make_op_soup, replay_schedule
 from meg.width import (
     brute_force_pmf,
     expected_removed,
@@ -258,13 +258,13 @@ def test_criterion_08_dag_invariants_and_commutativity():
     for seed in (101, 202):
         ops = make_op_soup(3, 5, seed=seed)
         for perm in itertools.permutations(ops):
-            replay_with_invariants(list(perm), check=invariant)
+            replay_schedule(list(perm), check=invariant)
     ops = make_op_soup(5, 30, seed=303)
     rng = Random("acceptance:shuffles")
     for _ in range(1000):
         schedule = list(ops)
         rng.shuffle(schedule)
-        replay_with_invariants(schedule, check=invariant)
+        replay_schedule(schedule, check=invariant)
     if problems:
         failures.append(f"{len(problems)} invariant violations ({problems[0]})")
 

@@ -17,7 +17,6 @@ from meg.core import (
     MegState,
     PendingBuffer,
     PreconditionError,
-    UnknownVertexError,
     Vertex,
     WaitingRoom,
     AddOperation,
@@ -32,7 +31,7 @@ from meg.encoding import (
     encode_envelope_bytes,
     encode_vertex_fields,
 )
-from meg.replay import make_op_soup, replay_schedule, replay_with_invariants, soup_sender
+from meg.replay import make_op_soup, replay_schedule, soup_sender
 
 SETTINGS = {"max_examples": 50, "deadline": None}
 
@@ -261,7 +260,7 @@ def state_bytes_per_vertex(writers, d, rounds):
         state = init("memory")
         for r in range(rounds):
             ops = [
-                generate_add(state, EventPayload("msg", rng.randbytes(8)), d, (), rng, sender, r)
+                generate_add(state, EventPayload("msg", rng.randbytes(8)), d, rng, sender, r)
                 for sender in senders
             ]
             for op in ops:
@@ -293,23 +292,14 @@ def test_state_digest_depends_on_edges_not_insertion_order():
 def test_select_parents_validation():
     rng = Random(0)
     with pytest.raises(ValueError):
-        select_parents(frozenset({b"\x01" * 32}), 1, (), rng)
+        select_parents(frozenset({b"\x01" * 32}), 1, rng)
     with pytest.raises(EmptyExtremitiesError):
-        select_parents(frozenset(), 2, (), rng)
+        select_parents(frozenset(), 2, rng)
 
 
 def test_select_parents_takes_all_when_few():
     ext = frozenset({b"\x01" * 32, b"\x02" * 32})
-    assert set(select_parents(ext, 5, (), Random(0))) == ext
-
-
-def test_select_parents_required_come_first():
-    ext = frozenset(bytes([i]) * 32 for i in range(8))
-    req = (b"\x05" * 32, b"\x02" * 32)
-    picked = select_parents(ext, 4, req, Random(1))
-    assert picked[: len(req)] == sorted(req)
-    assert len(picked) == 4
-    assert len(set(picked)) == 4
+    assert set(select_parents(ext, 5, Random(0))) == ext
 
 
 def test_select_parents_uniform_frequency():
@@ -318,20 +308,14 @@ def test_select_parents_uniform_frequency():
     target = b"\x07" * 32
     rng = Random(12345)
     trials = 100_000
-    hits = sum(1 for _ in range(trials) if target in select_parents(ext, 5, (), rng))
+    hits = sum(1 for _ in range(trials) if target in select_parents(ext, 5, rng))
     assert abs(hits / trials - 0.5) < 0.01
-
-
-def test_generate_add_unknown_required():
-    state = init()
-    with pytest.raises(UnknownVertexError):
-        generate_add(state, EventPayload("m", b""), 2, (b"\x0b" * 32,), Random(0), SENDER, 0)
 
 
 def test_generate_add_builds_valid_op():
     state = init()
     for seq in range(4):
-        op = generate_add(state, EventPayload("m", bytes([seq])), 2, (), Random(seq), SENDER, seq)
+        op = generate_add(state, EventPayload("m", bytes([seq])), 2, Random(seq), SENDER, seq)
         assert set(op.vertex.parents) <= state.get_extremities()
         assert op.vertex.id == compute_event_id(
             "m", bytes([seq]), SENDER, seq, op.vertex.parents
@@ -505,7 +489,7 @@ def test_ingest_wakes_exactly_what_a_full_scan_finds(seed, data):
     assert len(buffer) == 0
     seen = []
     delivered = [op for action, op in schedule if action == "ingest"]
-    replay_with_invariants(delivered, check=lambda s: seen.append(next(reversed(s.vertices))))
+    replay_schedule(delivered, check=lambda s: seen.append(next(reversed(s.vertices))))
     # A removal can only push applies later than a plain replay of the arrivals.
     assert sorted(order) == sorted(seen)
     if len(delivered) == len(schedule):
@@ -580,11 +564,11 @@ def test_extremities_are_childless_vertices(seed):
     assert state.is_rooted_dag()
 
 
-def test_replay_with_invariants_checks_once_per_applied_op():
+def test_replay_schedule_checks_once_per_applied_op():
     ops = make_op_soup(4, 20, seed=11)
     schedule = list(reversed(ops))  # most ops arrive before a parent and drain in cascades
     sizes = []
-    replay_with_invariants(schedule, check=lambda state: sizes.append(len(state.applied_ids())))
+    replay_schedule(schedule, check=lambda state: sizes.append(len(state.applied_ids())))
     assert sizes == list(range(1, len(ops) + 1))
 
 
@@ -599,11 +583,8 @@ def assert_picks_match_select_parents(state):
     payload = EventPayload("msg", b"pick")
     ext = state.get_extremities()
     for s in range(4):
-        op = generate_add(state, payload, 2, (), Random(s), SENDER, 0)
-        assert list(op.vertex.parents) == select_parents(ext, 2, (), Random(s))
-    required = [state.root]
-    op = generate_add(state, payload, 3, required, Random(0), SENDER, 0)
-    assert list(op.vertex.parents) == select_parents(ext, 3, required, Random(0))
+        op = generate_add(state, payload, 2, Random(s), SENDER, 0)
+        assert list(op.vertex.parents) == select_parents(ext, 2, Random(s))
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -627,4 +608,4 @@ def test_generate_add_picks_follow_every_state_version(seed):
 
 def test_generate_add_rejects_cap_below_two():
     with pytest.raises(ValueError):
-        generate_add(init(), EventPayload("msg", b""), 1, (), Random(0), SENDER, 0)
+        generate_add(init(), EventPayload("msg", b""), 1, Random(0), SENDER, 0)

@@ -178,6 +178,21 @@ def test_parse_type_checks_nested_fields(overrides):
         spec_with(**overrides)
 
 
+@pytest.mark.parametrize(
+    ("overrides", "match"),
+    [
+        ({"delay": [0, 5]}, "delay bounds"),
+        ({"delay": [5, 2]}, "delay bounds"),
+        ({"partitions": [[-3, 5, [0]]]}, "partition interval"),
+        ({"partitions": [[5, 5, [0]]]}, "partition interval"),
+    ],
+    ids=["delay-from-zero", "delay-reversed", "partition-before-zero", "partition-empty"],
+)
+def test_parse_rejects_what_the_transport_refuses(overrides, match):
+    with pytest.raises(ScenarioError, match=match):
+        spec_with(**overrides)
+
+
 def test_parse_takes_an_integer_probability():
     assert spec_with(duplicate=0).duplicate == 0.0
     assert spec_with(f=1, adversary=EQUIVOCATOR).adversary.byzantine == frozenset({2})
@@ -433,7 +448,7 @@ def test_equivocate_builds_two_concurrent_ops():
     assert extremities_consistent(node.state)
 
 
-def test_serve_backfill_returns_ancestor_closure():
+def test_serve_backfill_returns_ancestor_closure(monkeypatch):
     node = make_node(d=2)
     envs = []
     for i in range(5):
@@ -444,12 +459,15 @@ def test_serve_backfill_returns_ancestor_closure():
     served = node.serve_backfill(frozenset({tip}))
     served_ids = {e.op.vertex.id for e in served}
     assert served_ids == {e.op.vertex.id for e in envs}  # whole chain, root excluded
-    assert len(node.serve_backfill(frozenset({tip}), limit=2)) == 2
     assert node.serve_backfill(frozenset({b"\x77" * 32})) == ()
+    # The answer for the tip is cached, so the capped walk starts one below it.
+    monkeypatch.setattr(harness, "BACKFILL_BATCH", 2)
+    assert len(node.serve_backfill(frozenset({envs[-2].op.vertex.id}))) == 2
 
 
-def backfill_walk(node, missing, limit=harness.BACKFILL_BATCH):
+def backfill_walk(node, missing):
     """`serve_backfill` without its cache, kept as its reference."""
+    limit = harness.BACKFILL_BATCH
     out, seen = [], set()
     frontier = sorted(missing)
     while frontier and len(out) < limit:
@@ -469,7 +487,7 @@ def backfill_walk(node, missing, limit=harness.BACKFILL_BATCH):
     return tuple(out)
 
 
-def test_serve_backfill_answer_grows_once_a_buffered_id_applies():
+def test_serve_backfill_answer_grows_once_a_buffered_id_applies(monkeypatch):
     writer, server = make_node(0, n=2), make_node(1, n=2)
     env_p = writer.make_op(EventPayload("msg", b"p"), parents=(writer.state.root,))
     env_x = writer.make_op(EventPayload("msg", b"x"), parents=(env_p.op.vertex.id,))
@@ -479,7 +497,11 @@ def test_serve_backfill_answer_grows_once_a_buffered_id_applies():
     assert server.receive_envelope(env_p) == [env_p.op.vertex.id, env_x.op.vertex.id]
     assert server.serve_backfill(x) == (env_x, env_p)
     assert server.serve_backfill(x | {b"\x77" * 32}) == (env_x, env_p)
-    assert server.serve_backfill(x, limit=1) == (env_x,)
+    monkeypatch.setattr(harness, "BACKFILL_BATCH", 1)
+    capped = make_node(1, n=2)  # a fresh node: the server's answer is cached
+    assert capped.receive_envelope(env_p) == [env_p.op.vertex.id]
+    assert capped.receive_envelope(env_x) == [env_x.op.vertex.id]
+    assert capped.serve_backfill(x) == (env_x,)
 
 
 @pytest.mark.parametrize("seed", [3, 11, 29])
@@ -487,9 +509,9 @@ def test_serve_backfill_matches_the_uncached_walk(monkeypatch, seed):
     serve = ReplicaNode.serve_backfill
     requests = []
 
-    def checked(node, missing, limit=harness.BACKFILL_BATCH):
-        got = serve(node, missing, limit)
-        assert got == backfill_walk(node, missing, limit)
+    def checked(node, missing):
+        got = serve(node, missing)
+        assert got == backfill_walk(node, missing)
         requests.append((node.idx, frozenset(m for m in missing if m in node.store)))
         return got
 

@@ -34,7 +34,7 @@ DIRECTORY = MembershipDirectory(
 
 def fresh_env(body=b"payload", key=KEY):
     state = init()
-    op = generate_add(state, EventPayload("msg", body), 2, (), Random(0), key.replica_id, 0)
+    op = generate_add(state, EventPayload("msg", body), 2, Random(0), key.replica_id, 0)
     return sign_envelope(op, key)
 
 
@@ -111,8 +111,8 @@ def test_self_parent_rejected():
 def test_oversized_payload_rejected():
     env = fresh_env(body=b"z" * (64 * 1024 + 1))
     assert verify_envelope(env, DIRECTORY) is VerificationFailure.OVERSIZED_PAYLOAD
-    # the cap is a parameter: a laxer monitor admits the same envelope
-    assert verify_envelope(env, DIRECTORY, max_payload=128 * 1024) is None
+    # a body of exactly 64 KiB is still accepted
+    assert verify_envelope(fresh_env(body=b"z" * (64 * 1024)), DIRECTORY) is None
 
 
 def test_tampered_body_fails_signature():

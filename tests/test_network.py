@@ -35,7 +35,7 @@ class Chain:
 
     def env(self, body: bytes = b""):
         op = generate_add(
-            self.state, EventPayload("msg", body), 2, (), self.rng, self.key.replica_id, self.seq
+            self.state, EventPayload("msg", body), 2, self.rng, self.key.replica_id, self.seq
         )
         self.seq += 1
         self.state.apply_add(op)
@@ -159,7 +159,7 @@ def test_causal_holdback_waits_for_parents():
     other = Chain(1)
     other.state.apply_add(op_a)
     op_b = generate_add(
-        other.state, EventPayload("msg", b"b"), 2, (), other.rng, other.key.replica_id, 0
+        other.state, EventPayload("msg", b"b"), 2, other.rng, other.key.replica_id, 0
     )
     env_b = sign_envelope(op_b, other.key)
     assert op_a.vertex.id in op_b.vertex.parents
@@ -196,7 +196,7 @@ def test_causal_fifo_counts_sends_per_recipient():
     )
     key = KEYS[0]
     op_1, op_2 = (
-        generate_add(init("net"), EventPayload("msg", body), 2, (), Random(0), key.replica_id, seq)
+        generate_add(init("net"), EventPayload("msg", body), 2, Random(0), key.replica_id, seq)
         for seq, body in enumerate((b"one", b"two"))
     )
     net.broadcast(0, sign_envelope(op_1, key), targets=(1,))
@@ -245,7 +245,7 @@ def test_causal_held_copy_dropped_when_its_id_goes_through():
     key = KEYS[0]
     x, y = (
         sign_envelope(
-            generate_add(init("net"), EventPayload("msg", body), 2, (), Random(0), key.replica_id, seq),
+            generate_add(init("net"), EventPayload("msg", body), 2, Random(0), key.replica_id, seq),
             key,
         )
         for seq, body in enumerate((b"x", b"y"))
@@ -303,7 +303,7 @@ def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate,
             net.broadcast(i, data.draw(st.sampled_from(sent[i])))
         else:
             payload = EventPayload("msg", bytes([step]))
-            op = generate_add(state, payload, 2, (), rng, KEYS[i].replica_id, len(sent[i]))
+            op = generate_add(state, payload, 2, rng, KEYS[i].replica_id, len(sent[i]))
             state.apply_add(op)
             env = sign_envelope(op, KEYS[i])
             sent[i].append(env)

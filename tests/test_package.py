@@ -1,10 +1,16 @@
 """Properties of the package as a whole."""
 
 import ast
+import importlib.util
+import inspect
 import sys
 from pathlib import Path
+from types import ModuleType
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "meg"
+import meg
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "meg"
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -23,3 +29,26 @@ def test_runtime_imports_only_the_standard_library():
                 if name.split(".")[0] not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_bench_span_targets_resolve():
+    # The benchmark wraps meg's functions by module and name from outside the
+    # package, so a rename or a moved function breaks it.
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for name, module, attr, _ in spans.TARGETS:
+        owner = sys.modules[module]
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            assert method in vars(getattr(owner, cls_name)), name
+        else:
+            assert callable(getattr(owner, attr)), name
+    # The bench registers each node by the first argument after self.
+    params = list(inspect.signature(meg.harness.ReplicaNode.__init__).parameters)
+    assert params[:2] == ["self", "idx"]
+    assert meg.harness is sys.modules["meg.harness"]
+    assert meg.width is sys.modules["meg.width"]
+    for name in meg.__all__:
+        module = getattr(meg, name)
+        assert isinstance(module, ModuleType) and sys.modules[f"meg.{name}"] is module
