@@ -20,8 +20,15 @@ of one `run_lockstep_rounds(32, 3, 1000, 1)`, per vertex of its 32,001,
 and the cost of the width kernels, each the median of `KERNEL_REPEATS`
 uninstrumented calls: µs per op of that same lockstep run, ns per ball of
 `monte_carlo_trajectory(30, 5, 10, 40, 500, 1)`, and ms per
-`pmf_removed(150, 8, 40)`.  The package is imported from this checkout's
-`src/`, as in `fuzz_fingerprints.py`.
+`pmf_removed(150, 8, 40)`.  Then it runs the n = 32 scale ladder, where the
+width grows into the hundreds: CausalOrderReliable, n=32, f=0, d=4, delay
+1..10, 2 updates per replica per round, 20 and 80 rounds (40,960 and 163,840
+applies), horizon 12·rounds + 100, seed 1.  Each point runs once, in a fresh
+child process so that the points do not share a peak-RSS high-water mark,
+and records µs per apply, the final median replica width and peak RSS; the
+ladder records the slope of log wall time over log applies between the two
+points.  The package is imported from this checkout's `src/`, as in
+`fuzz_fingerprints.py`.
 """
 
 from __future__ import annotations
@@ -29,8 +36,11 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import math
+import multiprocessing
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -54,6 +64,7 @@ KERNEL_REPEATS = 3
 # monte_carlo_trajectory(u0, d, k, rounds, trials, seed) and pmf_removed(u, d, k).
 KERNEL_MONTE_CARLO = (30, 5, 10, 40, 500, 1)
 KERNEL_PMF = (150, 8, 40)
+SCALE_ROUNDS = (20, 80)
 
 
 def ladder_spec(rounds: int) -> dict:
@@ -75,6 +86,17 @@ def ladder_spec(rounds: int) -> dict:
         "horizon": 200,
         "grace": 30,
         "seed": 1,
+    }
+
+
+def scale_spec(rounds: int) -> dict:
+    """The Reliable ladder's spec at n=32 under causal order, 2 updates per round."""
+    return {
+        **ladder_spec(rounds),
+        "n": 32,
+        "guarantee": "CausalOrderReliable",
+        "updates_per_round": 2,
+        "horizon": 12 * rounds + 100,
     }
 
 
@@ -193,6 +215,43 @@ def width_kernels(harness) -> dict:
     return kernels
 
 
+def scale_point(rounds: int) -> dict:
+    """One scale-ladder run; called in a child process of its own."""
+    harness = import_harness(SRC)
+    spec = harness.parse_scenario(scale_spec(rounds))
+    start = perf_counter()
+    metrics, verdict = harness.run_scenario(spec)
+    wall = perf_counter() - start
+    applies = sum(metrics.applied_counts)
+    return {
+        "rounds": rounds,
+        "spec": scale_spec(rounds),
+        "applies": applies,
+        "wall_s": wall,
+        "us_per_apply": wall / applies * 1e6,
+        "final_median_width": statistics.median(w[-1] for w in metrics.width),
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "convergence_tick": metrics.convergence_tick,
+        "all_ok": verdict.all_ok(),
+    }
+
+
+def scale_ladder() -> dict:
+    spawn = multiprocessing.get_context("spawn")
+    points = []
+    for rounds in SCALE_ROUNDS:
+        with spawn.Pool(1) as pool:
+            point = pool.apply(scale_point, (rounds,))
+        print(f"scale ladder: {json.dumps({k: v for k, v in point.items() if k != 'spec'})}", flush=True)
+        points.append(point)
+    lo, hi = points[0], points[-1]
+    slope = math.log(hi["wall_s"] / lo["wall_s"]) / math.log(hi["applies"] / lo["applies"])
+    growth = hi["us_per_apply"] / lo["us_per_apply"] - 1
+    print(f"scale ladder: slope {slope:.3f}, µs per apply {growth:+.1%}", flush=True)
+    return {"points": points, "slope": slope, "us_per_apply_growth": growth}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="file name part: BENCH_<label>.json")
@@ -212,6 +271,7 @@ def main(argv=None) -> int:
     record["reliable_ladder"] = ladder(harness)
     record["state_size"] = state_size(harness)
     record["width_kernels"] = width_kernels(harness)
+    record["scale_ladder"] = scale_ladder()
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

@@ -6,20 +6,18 @@ Subcommands:
   the width series CSV and the message trace TSV, print the verdict.  Exit 0
   when all verdict flags hold, 1 otherwise.
 * `meg width expect|pmf|rounds|montecarlo ...` — urn-model analytics as CSV on
-  stdout (and into the output directory when one is configured).
+  stdout (and into the `--out` directory when one is given).
 * `meg verify [--suite urn|lemmas|sec|all]` — built-in cross-checks.
 
-The environment variable MEG_OUT_DIR overrides --out everywhere.  All output
-is deterministic for fixed arguments and seeds; numbers are printed with 10
-significant digits; every artifact produced from randomness carries its seed
-in the file name.
+All output is deterministic for fixed arguments and seeds; numbers are
+printed with 10 significant digits; every artifact produced from randomness
+carries its seed in the file name.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -65,12 +63,7 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _out_dir(args: argparse.Namespace) -> Path | None:
-    env = os.environ.get("MEG_OUT_DIR")
-    if env:
-        return Path(env)
-    if getattr(args, "out", None) is not None:
-        return Path(args.out)
-    return None
+    return None if args.out is None else Path(args.out)
 
 
 def _emit_csv(lines: list[str], out_dir: Path | None, filename: str) -> None:

@@ -140,12 +140,6 @@ class MegState:
         edges = frozenset((w, p) for w, v in vertices.items() for p in v.parents)
         return frozenset(vertices.values()), edges
 
-    def applied_ids(self) -> set[EventId]:
-        """Ids of all applied operations (the root is initial state, not an op)."""
-        out = set(self.vertices)
-        out.discard(self.root)
-        return out
-
     def precondition_holds(self, op: AddOperation) -> bool:
         """Delivery precondition: every parent is already in the state."""
         return self.first_missing_parent(op) is None

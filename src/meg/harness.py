@@ -177,19 +177,33 @@ class ScenarioSpec:
             raise ScenarioError(str(exc)) from exc
         if self.guarantee is not DeliveryGuarantee.BEST_EFFORT and self.drop > 0:
             raise ScenarioError(f"{self.guarantee.value} forces drop probability 0")
+        # Every replica index the spec names, checked against [0, n) in one place.
+        named = [i for part in self.partitions for i in part.side_a]
+        if self.adversary is not None:
+            named += self.adversary.byzantine
+            for b in self.adversary.behaviors:
+                if isinstance(b, Equivocate):
+                    named += b.subset_a + b.subset_b
+                    if not 0 <= b.at_round < self.horizon:
+                        raise ScenarioError(f"at_round must be in [0, {self.horizon}), got {b.at_round}")
+                elif isinstance(b, Withhold):
+                    named += b.skip
+                elif b.rate < 0:
+                    raise ScenarioError(f"rate must be at least 0, got {b.rate}")
+        out_of_range = sorted({i for i in named if not 0 <= i < self.n})
+        if out_of_range:
+            raise ScenarioError(f"replica indices {out_of_range} out of range [0, {self.n})")
         for part in self.partitions:
             if part.end > self.horizon:
                 raise ScenarioError(
                     f"partition [{part.start}, {part.end}) must heal within horizon {self.horizon}"
                 )
-            if not part.side_a or part.side_a >= set(range(self.n)):
+            if not part.side_a or len(part.side_a) == self.n:
                 raise ScenarioError("partition side must be a non-empty proper subset")
         if self.adversary is not None:
             byz = self.adversary.byzantine
             if len(byz) != self.f:
                 raise ScenarioError(f"adversary names {len(byz)} replicas but f={self.f}")
-            if any(i < 0 or i >= self.n for i in byz):
-                raise ScenarioError("byzantine replica index out of range")
         elif self.f != 0:
             raise ScenarioError("f > 0 requires an adversary naming the faulty replicas")
 
@@ -522,8 +536,6 @@ class ReplicaNode:
         while frontier and len(out) < limit:
             nxt: list[EventId] = []
             for mid in frontier:
-                if mid in seen:
-                    continue
                 seen.add(mid)
                 env = store[mid]
                 out.append(env)
@@ -785,7 +797,6 @@ def run_lockstep_rounds(
     seed: int,
     u0: int | None = None,
     dummy_threshold: int | None = None,
-    dummy_d: int = DUMMY_D,
 ) -> list[int]:
     """Synchronized rounds: everyone appends concurrently, then full sync.
 
@@ -794,14 +805,15 @@ def run_lockstep_rounds(
     applied everywhere before the next round.  With `dummy_threshold` set the
     workload is idle and replicas emit dummies only while the width exceeds
     the threshold.  Returns the extremity count per round, index 0 being the
-    starting width.  The parent cap, `d` or with dummies `dummy_d`, must be
-    at least 2, and `u0` must not be negative.
+    starting width.  Operations take up to `d` parents and dummies up to
+    `DUMMY_D`; the cap in use must be at least 2, and `u0` must not be
+    negative.
     """
     if n < 1 or rounds < 0:
         raise ValueError("need n >= 1 and rounds >= 0")
     if u0 is not None and u0 < 0:
         raise ValueError(f"u0 must be non-negative, got {u0}")
-    cap = d if dummy_threshold is None else dummy_d
+    cap = d if dummy_threshold is None else DUMMY_D
     if cap < 2:
         raise ValueError(f"parent cap must be at least 2, got {cap}")
     state = init("lockstep")

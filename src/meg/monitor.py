@@ -23,15 +23,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .core import MAX_PAYLOAD_BYTES, AddOperation, EventPayload, ReplicaId, Vertex, make_vertex
-from .encoding import (
-    compute_event_id,
-    decode_envelope_bytes,
-    encode_envelope_bytes,
-    encode_vertex_fields,
-)
-
-REPLICA_ID_BYTES = 32
+from .core import MAX_PAYLOAD_BYTES, AddOperation, ReplicaId, Vertex
+from .encoding import compute_event_id, encode_vertex_fields
 
 
 class VerificationFailure(Enum):
@@ -91,26 +84,11 @@ class MembershipDirectory:
             raise ValueError("faulty bound f must be non-negative")
         if len(keys) <= f:
             raise ValueError(f"need n > f, got n={len(keys)} f={f}")
-        self._keys = dict(keys)
-        self._keyed = {rid: hmac.new(key, digestmod=hashlib.sha256) for rid, key in self._keys.items()}
-        self.f = f
-
-    @property
-    def n(self) -> int:
-        return len(self._keys)
-
-    def __contains__(self, replica_id: ReplicaId) -> bool:
-        return replica_id in self._keys
-
-    def verification_key(self, replica_id: ReplicaId) -> bytes | None:
-        return self._keys.get(replica_id)
+        self._keyed = {rid: hmac.new(key, digestmod=hashlib.sha256) for rid, key in keys.items()}
 
     def keyed_mac(self, replica_id: ReplicaId) -> hmac.HMAC | None:
         """The replica's verification key as a keyed HMAC, for `_mac`."""
         return self._keyed.get(replica_id)
-
-    def replica_ids(self) -> list[ReplicaId]:
-        return sorted(self._keys)
 
 
 def canonical_vertex_bytes(vertex: Vertex) -> bytes:
@@ -168,16 +146,3 @@ def verify_envelope(
     if compute_event_id(v.payload.kind, v.payload.body, v.sender, v.seq, v.parents) != v.id:
         return VerificationFailure.BAD_EVENT_ID
     return None
-
-
-def envelope_to_wire(env: SignedEnvelope) -> bytes:
-    return encode_envelope_bytes(
-        canonical_vertex_bytes(env.op.vertex), env.sender, env.signature
-    )
-
-
-def envelope_from_wire(data: bytes) -> SignedEnvelope:
-    """Reverse of `envelope_to_wire`.  Parent order is normalized to sorted."""
-    kind, body, sender, seq, parents, env_sender, signature = decode_envelope_bytes(data)
-    vertex = make_vertex(EventPayload(kind=kind, body=body), sender, seq, parents)
-    return SignedEnvelope(op=AddOperation(vertex), sender=env_sender, signature=signature)

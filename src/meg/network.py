@@ -129,8 +129,6 @@ _AUX_KINDS = {
 
 
 def _msg_hex(msg: object) -> str:
-    if isinstance(msg, OpMessage):
-        return msg.env.op.vertex.id.hex()[:16]
     if isinstance(msg, BackfillRequest) and msg.missing:
         return min(msg.missing).hex()[:16]
     if isinstance(msg, BackfillResponse) and msg.envelopes:

@@ -32,13 +32,6 @@ BRUTE_FORCE_LIMIT = 10**6
 _SCAN_CAP = 10**7
 
 
-def _comb0(n: int, k: int) -> int:
-    """Binomial coefficient with the convention C(n, k) = 0 for n < k or k < 0."""
-    if k < 0 or n < 0 or n < k:
-        return 0
-    return math.comb(n, k)
-
-
 def _check_domain(u: int, d: int, k: int | None = None) -> None:
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
@@ -185,7 +178,7 @@ def hypergeom(m: int, b: int, w: int, exact: bool = False) -> tuple[Pmf, Number,
     denom = math.comb(b + w, m)
     probs: dict[int, Number] = {}
     for j in range(max(0, m - w), min(b, m) + 1):
-        q = Fraction(_comb0(b, j) * _comb0(w, m - j), denom)
+        q = Fraction(math.comb(b, j) * math.comb(w, m - j), denom)
         probs[j] = q if exact else float(q)
     share = Fraction(b, b + w)
     mean = m * share

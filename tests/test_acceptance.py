@@ -385,9 +385,7 @@ def test_criterion_11_dummy_depletion_plateau():
     failures = []
     cap = fixed_point(10, 3)
     for seed in (1, 2, 5):
-        widths = run_lockstep_rounds(
-            3, 2, rounds=30, seed=seed, u0=40, dummy_threshold=10, dummy_d=10
-        )
+        widths = run_lockstep_rounds(3, 2, rounds=30, seed=seed, u0=40, dummy_threshold=10)
         if widths[0] != 40:
             failures.append(f"seed {seed}: starting width {widths[0]} != 40")
         plateau = widths[-1]

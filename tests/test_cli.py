@@ -93,19 +93,6 @@ def test_width_writes_artifact(tmp_path, capsys):
     assert "wrote" in err
 
 
-def test_out_dir_env_var_wins(tmp_path, capsys, monkeypatch):
-    env_dir = tmp_path / "from-env"
-    flag_dir = tmp_path / "from-flag"
-    monkeypatch.setenv("MEG_OUT_DIR", str(env_dir))
-    code, _, _ = run(
-        capsys,
-        "width", "pmf", "--u", "4", "--d", "2", "--k", "2", "--out", str(flag_dir),
-    )
-    assert code == 0
-    assert (env_dir / "pmf-u4-d2-k2.csv").exists()
-    assert not flag_dir.exists()
-
-
 # -- sim ---------------------------------------------------------------------------
 
 
@@ -160,6 +147,15 @@ def test_sim_invalid_scenario_exits_two(tmp_path, capsys):
     code, _, err = run(capsys, "sim", "--scenario", str(scenario))
     assert code == 2
     assert "guarantee" in err
+
+
+def test_sim_out_of_range_replica_exits_two(tmp_path, capsys):
+    equivocate = {"kind": "equivocate", "subset_a": [7], "subset_b": [1], "at_round": 0}
+    adversary = {"byzantine": [2], "behaviors": [equivocate]}
+    scenario = write_scenario(tmp_path, name="stray.json", f=1, adversary=adversary)
+    code, _, err = run(capsys, "sim", "--scenario", str(scenario), "--out", str(tmp_path))
+    assert code == 2
+    assert "out of range" in err
 
 
 def test_sim_malformed_scenario_exits_two(tmp_path, capsys):

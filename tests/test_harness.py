@@ -193,6 +193,46 @@ def test_parse_rejects_what_the_transport_refuses(overrides, match):
         spec_with(**overrides)
 
 
+def equivocation_with(partitions=None, **behavior) -> dict:
+    """`equivocation.json` (n=4, horizon 800) with its partitions or its one behavior replaced."""
+    raw = json.loads((SCENARIOS / "equivocation.json").read_text())
+    if partitions is not None:
+        raw["partitions"] = partitions
+    if behavior:
+        raw["adversary"]["behaviors"] = [behavior]
+    return raw
+
+
+@pytest.mark.parametrize(
+    ("raw", "match"),
+    [
+        (equivocation_with(partitions=[[0, 500, [-1]]]), "out of range"),
+        (equivocation_with(partitions=[[0, 500, [0, 1, 2, 3, 9]]]), "out of range"),
+        (equivocation_with(kind="equivocate", subset_a=[7], subset_b=[2]), "out of range"),
+        (equivocation_with(kind="equivocate", subset_a=[-1], subset_b=[2]), "out of range"),
+        (equivocation_with(kind="equivocate", subset_a=[0], subset_b=[4]), "out of range"),
+        (equivocation_with(kind="withhold", skip=[9]), "out of range"),
+        (equivocation_with(kind="equivocate", subset_a=[0], subset_b=[2], at_round=-1), "at_round"),
+        (equivocation_with(kind="equivocate", subset_a=[0], subset_b=[2], at_round=800), "at_round"),
+        (equivocation_with(kind="orphan_flood", rate=-1), "rate"),
+    ],
+    ids=[
+        "side-negative",
+        "side-beyond-n",
+        "subset_a-beyond-n",
+        "subset_a-negative",
+        "subset_b-beyond-n",
+        "skip-beyond-n",
+        "at_round-negative",
+        "at_round-at-horizon",
+        "rate-negative",
+    ],
+)
+def test_parse_range_checks_indices_ticks_and_rates(raw, match):
+    with pytest.raises(ScenarioError, match=match):
+        parse_scenario(raw)
+
+
 def test_parse_takes_an_integer_probability():
     assert spec_with(duplicate=0).duplicate == 0.0
     assert spec_with(f=1, adversary=EQUIVOCATOR).adversary.byzantine == frozenset({2})
@@ -443,7 +483,7 @@ def test_equivocate_builds_two_concurrent_ops():
     va, vb = env_a.op.vertex, env_b.op.vertex
     assert va.id != vb.id
     assert va.parents == vb.parents  # same snapshot
-    assert {va.id, vb.id} <= set(node.state.applied_ids())
+    assert {va.id, vb.id} <= node.state.vertices.keys()
     assert node.state.get_extremities() == {va.id, vb.id}
     assert extremities_consistent(node.state)
 
@@ -628,6 +668,68 @@ def test_causal_orphan_flood_terminates():
     )
     _, verdict = run_scenario(spec)
     assert verdict.all_ok(), verdict
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_reliable_orphan_flood_is_released():
+    # Every verdict holds, yet each correct replica ends with all 200 orphans
+    # (rate 5 x 40 rounds) buffered, and every deferred request goes to the
+    # flooder, which never answers.
+    spec = adversary_spec(
+        [{"kind": "orphan_flood", "rate": 5}],
+        delay=[1, 10],
+        rounds=40,
+        updates_per_round=1,
+        d=4,
+        gossip_period=20,
+        horizon=300,
+        grace=30,
+        seed=1,
+    )
+    metrics, verdict = run_scenario(spec)
+    assert verdict.all_ok(), verdict
+    assert [metrics.buffer_occupancy[i][-1] for i in metrics.correct_indices] == [0, 0, 0]
+
+
+# Fuzz cases 394 and 808 of `scripts/fuzz_fingerprints.py`, which converged at
+# ticks 136 and 28 before missing parents were asked for only `delay[1]` ticks
+# after their child arrived, and once; a partition holds the parent past that.
+LATE_REPAIR_CASES = [
+    (
+        {
+            "n": 4, "f": 1, "guarantee": "Reliable", "delay": [1, 30], "drop": 0.0,
+            "duplicate": 0.3, "partitions": [[19, 66, [0, 2]]],
+            "adversary": {"byzantine": [1], "behaviors": [{"kind": "withhold", "skip": [0]}]},
+            "rounds": 6, "updates_per_round": 1, "d": 2, "dummy_threshold": 3, "dummy_d": 4,
+            "gossip_period": 0, "horizon": 300, "grace": 40, "seed": 362161,
+        },
+        136,
+    ),
+    (
+        {
+            "n": 5, "f": 1, "guarantee": "Reliable", "delay": [1, 1], "drop": 0.0,
+            "duplicate": 0.3, "partitions": [[9, 52, [3]]],
+            "adversary": {
+                "byzantine": [4],
+                "behaviors": [
+                    {"kind": "equivocate", "subset_a": [0], "subset_b": [1, 3, 2], "at_round": 1}
+                ],
+            },
+            "rounds": 5, "updates_per_round": 3, "d": 3, "dummy_threshold": 5, "dummy_d": 5,
+            "gossip_period": 10, "horizon": 300, "grace": 20, "seed": 346449,
+        },
+        28,
+    ),
+]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5")
+@pytest.mark.parametrize(("raw", "tick"), LATE_REPAIR_CASES, ids=["case-394", "case-808"])
+def test_partition_held_parent_is_repaired_in_time(raw, tick):
+    metrics, verdict = run_scenario(parse_scenario(raw))
+    assert verdict.all_ok(), verdict
+    converged = metrics.convergence_tick
+    assert converged is not None and converged <= tick
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
@@ -937,9 +1039,7 @@ def test_lockstep_rejects_a_negative_start_width():
 def test_lockstep_rejects_a_parent_cap_below_two():
     with pytest.raises(ValueError, match="parent cap"):
         run_lockstep_rounds(3, 1, rounds=0, seed=1)
-    with pytest.raises(ValueError, match="parent cap"):
-        run_lockstep_rounds(3, 2, rounds=0, seed=1, u0=5, dummy_threshold=2, dummy_d=1)
-    # With dummies on, the cap is dummy_d, and d is not used.
+    # With dummies on, the cap is DUMMY_D, and d is not used.
     assert run_lockstep_rounds(3, 1, rounds=0, seed=1, u0=5, dummy_threshold=2) == [5]
 
 
@@ -964,9 +1064,7 @@ def test_lockstep_widths_are_pinned():
 
 
 def test_lockstep_dummy_depletion_plateaus():
-    widths = run_lockstep_rounds(
-        3, 2, rounds=30, seed=2, u0=40, dummy_threshold=10, dummy_d=10
-    )
+    widths = run_lockstep_rounds(3, 2, rounds=30, seed=2, u0=40, dummy_threshold=10)
     assert widths[0] == 40
     assert min(widths) <= fixed_point(10, 3)
     # once below the threshold nothing changes any more
