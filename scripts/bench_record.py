@@ -90,7 +90,11 @@ def ladder_spec(rounds: int) -> dict:
 
 
 def scale_spec(rounds: int) -> dict:
-    """The Reliable ladder's spec at n=32 under causal order, 2 updates per round."""
+    """The Reliable ladder's spec at n=32, 2 updates per round, as CausalOrderReliable.
+
+    CausalOrderReliable is the Reliable transport; the replica's pending
+    buffer does the parent-causal delivery.
+    """
     return {
         **ladder_spec(rounds),
         "n": 32,

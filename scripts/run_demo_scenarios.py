@@ -5,12 +5,12 @@ Each scenario exercises one delivery regime: `happy3` is the clean baseline,
 `reorder` stretches delays to force parent-before-child violations, `droppy`
 loses and duplicates messages until gossip repairs the gaps,
 `equivocation` forks a byzantine sender across a healing partition, and
-`equivocation-causal` does the same under causal order, where a replica left
-out of one send must still get the sender's later ones, and `withhold-causal`
-has a byzantine sender leave one replica out of every send under causal
-order, so that replica gets those ops only by backfill and must still be
-handed their children.  All six are expected to end with every verdict flag
-true (exit 0).
+`equivocation-causal` does the same under `CausalOrderReliable` (the
+`Reliable` transport, with parent-causal delivery done by the replica's
+pending buffer), and `withhold-causal` has a byzantine sender leave one
+replica out of every send under `CausalOrderReliable`, so that replica gets
+those ops only by backfill and must still apply their buffered children.
+All six are expected to end with every verdict flag true (exit 0).
 """
 
 import argparse

@@ -7,9 +7,11 @@ splits into a side-effect-free generator (choose parents among the current
 forward extremities, derive the content id) and an effector (union the vertex,
 and with it its edges, into the local graph).  An effector may only run once
 all parents are present; operations arriving early wait in a pending buffer
-and are drained as their parents show up.  Effectors for distinct events commute
-and re-applying an event is a no-op, which together make replicas converge to
-identical states once they have applied the same set of operations.
+and are drained as their parents show up.  That buffer is the causal
+delivery: the transport need not order operations at all.  Effectors for
+distinct events commute and re-applying an event is a no-op, which together
+make replicas converge to identical states once they have applied the same
+set of operations.
 """
 
 from __future__ import annotations
@@ -294,53 +296,31 @@ def generate_add(
     return AddOperation(make_vertex(payload, sender, seq, parents))
 
 
-class WaitingRoom:
-    """Items in `held` by id, each id filed under keys the item waits on.
+class PendingBuffer:
+    """Operations whose parents have not all arrived yet, held by event id.
 
-    `waiters(key)` unfiles the key and yields its ids still held, each
-    checked as iteration reaches it.  Releasing an item (deleting it from
-    `held`) leaves its filings behind, to be skipped when their keys wake.
-    The pending buffer and the transport's causal holdback are both rooms.
+    Each operation is filed under one parent it still misses.  `ingest`
+    applies a level of operations, then `wake`s the operations filed under
+    the ids that level applied: those now ready leave the buffer as the next
+    level, the rest are filed under a parent they still miss.  So a delivery
+    touches only the operations it unblocked.  Removing an operation leaves
+    its filing behind, to be skipped when that parent wakes it.  `ready_ops`
+    is the full scan the index must agree with.
     """
 
     def __init__(self) -> None:
-        self.held: dict = {}
-        # Key -> ids filed under it, released ones included.
-        self._filed: dict[object, list] = {}
+        self.held: dict[EventId, AddOperation] = {}
+        # Missing parent id -> ids of the ops filed under it, removed ones included.
+        self._filed: dict[EventId, list[EventId]] = {}
+        # (state, its vertex count, answer) of the last `missing_parent_ids`;
+        # None once the buffer has changed.
+        self._missing: tuple[MegState, int, frozenset[EventId]] | None = None
 
     def __len__(self) -> int:
         return len(self.held)
 
-    def __contains__(self, item_id: object) -> bool:
-        return item_id in self.held
-
-    def file(self, item_id: object, key: object) -> None:
-        self._filed.setdefault(key, []).append(item_id)
-
-    def waiters(self, key: object) -> Iterable:
-        ids = self._filed.pop(key, None)
-        if ids is None:
-            return ()
-        held = self.held
-        return (i for i in ids if i in held)
-
-
-class PendingBuffer(WaitingRoom):
-    """Operations whose parents have not all arrived yet, held by event id.
-
-    Each operation is filed under one parent it still misses.  `ingest`
-    applies a level of operations, then `wake`s the waiters of the ids that
-    level applied: those now ready leave the buffer as the next level, the
-    rest are filed under a parent they still miss.  So a delivery touches
-    only the operations it unblocked.  `ready_ops` is the full scan the index
-    must agree with.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        # (state, its vertex count, answer) of the last `missing_parent_ids`;
-        # None once the buffer has changed.
-        self._missing: tuple[MegState, int, frozenset[EventId]] | None = None
+    def __contains__(self, op_id: object) -> bool:
+        return op_id in self.held
 
     def add(self, op: AddOperation, waiting_on: EventId | None = None) -> None:
         """Buffer `op` under `waiting_on`, a parent it misses (default: its first)."""
@@ -348,7 +328,8 @@ class PendingBuffer(WaitingRoom):
         if op_id not in self.held:
             self.held[op_id] = op
             self._missing = None
-            self.file(op_id, op.vertex.parents[0] if waiting_on is None else waiting_on)
+            key = op.vertex.parents[0] if waiting_on is None else waiting_on
+            self._filed.setdefault(key, []).append(op_id)
 
     def remove(self, op_id: EventId) -> None:
         if self.held.pop(op_id, None) is not None:
@@ -360,18 +341,20 @@ class PendingBuffer(WaitingRoom):
         They leave the buffer; a woken op that still misses a parent waits
         on that parent instead.
         """
-        held = self.held
+        held, filed = self.held, self._filed
         ready: list[AddOperation] = []
         for vid in applied:
-            for op_id in self.waiters(vid):
-                op = held[op_id]
+            for op_id in filed.pop(vid, ()):
+                op = held.get(op_id)
+                if op is None:  # removed, or filed twice and already woken
+                    continue
                 missing = state.first_missing_parent(op)
                 if missing is None:
                     del held[op_id]
                     self._missing = None
                     ready.append(op)
                 else:
-                    self.file(op_id, missing)
+                    filed.setdefault(missing, []).append(op_id)
         ready.sort(key=lambda op: op.vertex.id)
         return ready
 

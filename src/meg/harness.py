@@ -447,8 +447,8 @@ class ReplicaNode:
     def route(self, net: Network, sender: int, msg: object) -> bool:
         """Handle one message `net` delivered; True if it applied an operation.
 
-        Every apply is reported to `net`.  Byzantine replicas take operations
-        in, but count no activity and stay silent on the auxiliary protocols.
+        Byzantine replicas take operations in, but count no activity and
+        stay silent on the auxiliary protocols.
 
         A backfill envelope whose id is already applied or buffered, possibly
         by an earlier envelope of the same response, is skipped before
@@ -493,7 +493,6 @@ class ReplicaNode:
             elif isinstance(msg, BackfillRequest):
                 net.respond_backfill(self.idx, sender, self.serve_backfill(msg.missing))
             return False
-        net.mark_applied(self.idx, applied)
         return bool(applied) and not self.byzantine
 
     def _lacking(self, parents: tuple[EventId, ...]) -> set[EventId]:
@@ -684,9 +683,7 @@ class Simulation:
             ReplicaNode(i, keys[i], directory, room, spec.d, spec.seed, byzantine=i in self.byzantine)
             for i in range(spec.n)
         ]
-        self.net = Network(
-            spec.n, spec.guarantee, spec.network_config(), initial_ids=(self.nodes[0].state.root,)
-        )
+        self.net = Network(spec.n, spec.guarantee, spec.network_config())
         self.orphan_rng = Random(f"{spec.seed}:orphans")
         self.correct_broadcast: set[EventId] = set()
         self.width = [[0] * spec.horizon for _ in range(spec.n)]

@@ -17,27 +17,16 @@ Three delivery guarantees are simulated for operation messages:
 * RELIABLE: per-recipient exactly-once for whatever the sender actually
   addressed.  Duplicates are filtered at the receiver, drops are disallowed,
   and traffic crossing a partition is deferred until the cut heals.
-* CAUSAL_ORDER_RELIABLE: RELIABLE plus receiver-side holdback so no operation
-  is handed over before its parents or before earlier sends from the same
-  sender to the same recipient.  Parent links plus FIFO per (sender,
-  recipient) cover the happened-before relation that matters for the DAG; no
-  extra vector bookkeeping is kept.  Sends are numbered per recipient, so a
-  recipient left out of one send does not wait for it.  Each recipient's
-  held operations sit in a `WaitingRoom`, as the pending buffer's do, filed
-  under the first condition each still waits on (its sender's FIFO turn or a
-  parent not yet handed over) and under its own id, so each delivery wakes
-  only the operations it unblocked or made duplicates.  A copy dropped as a
-  duplicate still uses up its send index, so a re-sent envelope does not
-  leave its sender's FIFO turn waiting for an index that never arrives.
-  An id a recipient was left out of counts as handed over there once its
-  replica reports applying it another way (`mark_applied`).
+* CAUSAL_ORDER_RELIABLE: the RELIABLE transport.  Parent-causal delivery,
+  which is all the add effector needs (an operation applies only after its
+  parents), is done by the replica's pending buffer (`meg.core.ingest`),
+  which holds an early operation until its parents are applied.
 
 Gossip and backfill messages are auxiliary and always best-effort: partitions
 drop them and the periodic retry cadence is expected to absorb losses.
 
 A sender's own copy is not routed through the scheduler; callers apply their
-own operations synchronously at broadcast time, which the transport records
-for ordering purposes.
+own operations synchronously at broadcast time.
 """
 
 from __future__ import annotations
@@ -48,7 +37,7 @@ from enum import Enum
 from random import Random
 from typing import Iterable, NamedTuple
 
-from .core import EventId, WaitingRoom
+from .core import EventId
 from .monitor import SignedEnvelope
 
 
@@ -95,7 +84,6 @@ class NetworkConfig:
 
 class OpMessage(NamedTuple):
     env: SignedEnvelope
-    send_index: int
 
 
 class GossipMessage(NamedTuple):
@@ -137,7 +125,6 @@ def _msg_hex(msg: object) -> str:
 
 
 class _Scheduled(NamedTuple):
-    seq: int
     sender: int
     receiver: int
     msg: object
@@ -146,13 +133,7 @@ class _Scheduled(NamedTuple):
 class Network:
     """Message scheduler shared by all replicas of one scenario."""
 
-    def __init__(
-        self,
-        n: int,
-        guarantee: DeliveryGuarantee,
-        config: NetworkConfig,
-        initial_ids: Iterable[EventId] = (),
-    ) -> None:
+    def __init__(self, n: int, guarantee: DeliveryGuarantee, config: NetworkConfig) -> None:
         if n < 1:
             raise ValueError("need at least one replica")
         if guarantee is not DeliveryGuarantee.BEST_EFFORT and config.drop > 0:
@@ -168,22 +149,9 @@ class Network:
         self._queue: list[tuple[int, int, _Scheduled]] = []
         self._seq = 0
         self._rng = Random(f"{config.seed}:net")
-        # Per sender, per recipient: next send index to assign.
-        self._send_counters = [[0] * n for _ in range(n)]
-        # Per receiver: operation ids already handed over (dedup and holdback),
-        # and ids sent without addressing it, until its replica applies them.
-        self._delivered_ops: list[set[EventId]] = [set(initial_ids) for _ in range(n)]
-        self._unaddressed: list[set[EventId]] = [set() for _ in range(n)]
-        # Per receiver, per sender: next expected send index (FIFO holdback),
-        # and the later indexes already used up out of turn.
-        self._fifo_next = [[0] * n for _ in range(n)]
-        self._fifo_skipped: list[list[set[int]]] = [[set() for _ in range(n)] for _ in range(n)]
-        # Per receiver, the causal holdback: a waiting room of items by seq,
-        # filed under an event id (a parent, or the item's own id) or a
-        # (sender, send_index) FIFO turn; and a heap of (sender, send_index,
-        # seq) that may be deliverable or duplicates, re-checked when popped.
-        self._holdback = [WaitingRoom() for _ in range(n)]
-        self._ready: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        # Per receiver: operation ids already handed over, so that the
+        # reliable guarantees hand each over once.
+        self._delivered_ops: list[set[EventId]] = [set() for _ in range(n)]
 
     # -- helpers -----------------------------------------------------------
 
@@ -209,7 +177,7 @@ class Network:
 
     def _push(self, due: int, sender: int, receiver: int, msg: object) -> None:
         seq = self._seq
-        heapq.heappush(self._queue, (due, seq, _Scheduled(seq, sender, receiver, msg)))
+        heapq.heappush(self._queue, (due, seq, _Scheduled(sender, receiver, msg)))
         self._seq += 1
 
     def _sample_delay(self) -> int:
@@ -226,31 +194,23 @@ class Network:
     ) -> None:
         """Address an operation to `targets` (default: everyone).
 
-        The caller is expected to apply its own copy synchronously; the
-        transport just records it as delivered to the sender so later causal
-        holdback sees it as available.  A correct replica always targets all;
-        restricted target sets model crash-mid-send and byzantine behavior.
+        The sender is never addressed: the caller applies its own copy
+        synchronously.  A correct replica always targets all; restricted
+        target sets model crash-mid-send and byzantine behavior.
         """
         vid = env.op.vertex.id
         self._log("SEND", sender, None, vid.hex()[:16])
-        self._delivered_ops[sender].add(vid)
-        self._wake(sender, vid)
         recipients = set(range(self.n)) if targets is None else set(targets)
         recipients.discard(sender)
-        if targets is not None:
-            for r in set(range(self.n)) - recipients - {sender}:
-                self._unaddressed[r].add(vid)
         best_effort = self.guarantee is DeliveryGuarantee.BEST_EFFORT
-        counters = self._send_counters[sender]
+        msg = OpMessage(env)
         for r in sorted(recipients):
-            send_index = counters[r]
-            counters[r] += 1
             if best_effort and self.config.drop > 0 and self._rng.random() < self.config.drop:
                 self._log("DROP", sender, r, vid.hex()[:16])
                 continue
-            self._push(self.tick + self._sample_delay(), sender, r, OpMessage(env, send_index))
+            self._push(self.tick + self._sample_delay(), sender, r, msg)
             if self.config.duplicate > 0 and self._rng.random() < self.config.duplicate:
-                self._push(self.tick + self._sample_delay(), sender, r, OpMessage(env, send_index))
+                self._push(self.tick + self._sample_delay(), sender, r, msg)
 
     def gossip_extremities(self, sender: int, extremities: frozenset[EventId]) -> None:
         """Advertise the sender's extremity ids to every other replica."""
@@ -269,33 +229,14 @@ class Network:
 
     # -- delivery ----------------------------------------------------------
 
-    def mark_applied(self, receiver: int, ids: Iterable[EventId]) -> None:
-        """Tell the transport which operations the receiver's replica applied.
-
-        An id the receiver was left out of never arrives there, so once the
-        replica applies it another way (by backfill), the holdback counts it
-        handed over and wakes the items waiting on it; `step` hands those
-        over on the next tick.  Other ids are ignored.
-        """
-        unaddressed = self._unaddressed[receiver]
-        for vid in ids:
-            if vid in unaddressed:
-                unaddressed.remove(vid)
-                self._delivered_ops[receiver].add(vid)
-                self._wake(receiver, vid)
-
     def step(self) -> list[tuple[int, int, object]]:
         """Process everything due at the current tick, then advance one tick.
 
         Returns (receiver index, sender index, message) triples in delivery
-        order; the caller routes them into replica logic.  Held items woken
-        since the last step go first.
+        order; the caller routes them into replica logic.
         """
         t = self.tick
         out: list[tuple[int, int, object]] = []
-        for r, ready in enumerate(self._ready):
-            if ready:
-                self._drain_holdback(r, out)
         queue = self._queue
         while queue and queue[0][0] <= t:
             item = heapq.heappop(queue)[2]
@@ -312,10 +253,17 @@ class Network:
         return out
 
     def _handle_op(self, item: _Scheduled, out: list[tuple[int, int, object]]) -> None:
+        """Hand an operation over, or drop or defer it as the guarantee says.
+
+        BestEffort drops an operation a partition cuts and hands over every
+        copy.  The reliable guarantees defer it until the cut heals and hand
+        each id over once per receiver, dropping later copies.
+        """
         msg: OpMessage = item.msg  # type: ignore[assignment]
         vid = msg.env.op.vertex.id
+        best_effort = self.guarantee is DeliveryGuarantee.BEST_EFFORT
         if self._separated(item.sender, item.receiver, self.tick):
-            if self.guarantee is DeliveryGuarantee.BEST_EFFORT:
+            if best_effort:
                 self._log("DROP", item.sender, item.receiver, vid.hex()[:16])
             else:
                 self._push(
@@ -325,115 +273,29 @@ class Network:
                     msg,
                 )
             return
-        if self.guarantee is DeliveryGuarantee.BEST_EFFORT:
-            self._log("DELIVER", item.sender, item.receiver, vid.hex()[:16])
-            out.append((item.receiver, item.sender, msg))
-            return
-        if vid in self._delivered_ops[item.receiver]:
-            self._log("DROP", item.sender, item.receiver, vid.hex()[:16])
-            if self._consume_turn(item.receiver, item.sender, msg.send_index):
-                self._drain_holdback(item.receiver, out)
-            return
-        if self.guarantee is DeliveryGuarantee.RELIABLE:
-            self._deliver(item, out)
-            return
-        # Causal order: hold back until parents are available at the receiver
-        # and all earlier sends from this sender to it went through.
-        r = item.receiver
-        self._holdback[r].held[item.seq] = item
-        self._holdback[r].file(item.seq, vid)
-        heapq.heappush(self._ready[r], (item.sender, msg.send_index, item.seq))
-        self._drain_holdback(r, out)
-
-    def _unmet(self, receiver: int, item: _Scheduled) -> object | None:
-        """The first condition a held item still waits on, None if deliverable."""
-        msg: OpMessage = item.msg  # type: ignore[assignment]
-        if msg.send_index != self._fifo_next[receiver][item.sender]:
-            return (item.sender, msg.send_index)
-        delivered = self._delivered_ops[receiver]
-        for p in msg.env.op.vertex.parents:
-            if p not in delivered:
-                return p
-        return None
-
-    def _wake(self, receiver: int, key: object) -> None:
-        room = self._holdback[receiver]
-        for seq in room.waiters(key):
-            item = room.held[seq]
-            heapq.heappush(self._ready[receiver], (item.sender, item.msg.send_index, seq))
-
-    def _drain_holdback(self, receiver: int, out: list[tuple[int, int, object]]) -> None:
-        """Hand over held items, least (sender, send_index, seq) first.
-
-        Every held item that is a duplicate or deliverable is on the ready
-        heap, so popping it in key order hands items over in the order of
-        repeatedly taking the least such item.
-        """
-        room, ready = self._holdback[receiver], self._ready[receiver]
-        held = room.held
-        while ready:
-            sender, send_index, seq = heapq.heappop(ready)
-            item = held.get(seq)
-            if item is None:
-                continue
-            vid = item.msg.env.op.vertex.id
-            if vid in self._delivered_ops[receiver]:
-                # A duplicate copy got held while the first went through.
-                del held[seq]
-                self._log("DROP", sender, receiver, vid.hex()[:16])
-                self._consume_turn(receiver, sender, send_index)
-                continue
-            unmet = self._unmet(receiver, item)
-            if unmet is not None:
-                room.file(seq, unmet)
-                continue
-            del held[seq]
-            self._deliver(item, out)
-            self._wake(receiver, vid)
-
-    def _deliver(self, item: _Scheduled, out: list[tuple[int, int, object]]) -> None:
-        msg: OpMessage = item.msg  # type: ignore[assignment]
-        vid = msg.env.op.vertex.id
-        self._delivered_ops[item.receiver].add(vid)
-        self._consume_turn(item.receiver, item.sender, msg.send_index)
+        if not best_effort:
+            delivered = self._delivered_ops[item.receiver]
+            if vid in delivered:
+                self._log("DROP", item.sender, item.receiver, vid.hex()[:16])
+                return
+            delivered.add(vid)
         self._log("DELIVER", item.sender, item.receiver, vid.hex()[:16])
         out.append((item.receiver, item.sender, msg))
-
-    def _consume_turn(self, receiver: int, sender: int, send_index: int) -> bool:
-        """Use up a send index, by a delivery or by a dropped duplicate copy.
-
-        The index equal to the FIFO turn advances the turn past any later
-        indexes already used up and wakes the new turn; an index ahead of the
-        turn is recorded as used up.  Returns True when the turn advanced.
-        """
-        turn = self._fifo_next[receiver][sender]
-        skipped = self._fifo_skipped[receiver][sender]
-        if send_index > turn:
-            skipped.add(send_index)
-        if send_index != turn:
-            return False
-        turn += 1
-        while turn in skipped:
-            skipped.remove(turn)
-            turn += 1
-        self._fifo_next[receiver][sender] = turn
-        self._wake(receiver, (sender, turn))
-        return True
 
     # -- introspection -----------------------------------------------------
 
     def queue_empty(self) -> bool:
-        return not self._queue and not any(self._holdback)
+        return not self._queue
 
     def pending_payload(self) -> bool:
         """True if an operation (or non-empty backfill) is still in flight.
 
         Gossip that nobody will answer and empty responses do not count as
-        pending work; undelivered operations and held-back operations do.
+        pending work; undelivered operations do.
         """
         for _, _, item in self._queue:
             if isinstance(item.msg, OpMessage):
                 return True
             if isinstance(item.msg, BackfillResponse) and item.msg.envelopes:
                 return True
-        return any(self._holdback)
+        return False

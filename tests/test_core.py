@@ -18,7 +18,6 @@ from meg.core import (
     PendingBuffer,
     PreconditionError,
     Vertex,
-    WaitingRoom,
     AddOperation,
     generate_add,
     ingest,
@@ -471,15 +470,19 @@ def test_ingest_wakes_exactly_what_a_full_scan_finds(seed, data):
 
 
 def test_waiting_room_skips_released_and_stale_filings():
-    room = WaitingRoom()
-    room.held.update(x="item", y="other")
-    room.file("x", "a")
-    room.file("x", "b")
-    room.file("y", "b")
-    del room.held["x"]
-    assert list(room.waiters("a")) == []
-    assert list(room.waiters("b")) == ["y"]
-    assert list(room.waiters("b")) == []
+    # x and y both wait on a.  x is removed, so waking a hands back y alone,
+    # and a wakes nothing a second time.
+    state, buffer = init(), PendingBuffer()
+    a = make_child(state, (state.root,), body=b"a")
+    x = make_child(state, (a.vertex.id,), body=b"x", seq=1)
+    y = make_child(state, (a.vertex.id,), body=b"y", seq=2)
+    buffer.add(x)
+    buffer.add(y)
+    buffer.remove(x.vertex.id)
+    state.apply_add(a)
+    assert buffer.wake(state, [a.vertex.id]) == [y]
+    buffer.held[x.vertex.id] = x  # held, but no longer filed under a
+    assert buffer.wake(state, [a.vertex.id]) == []
     # c misses a and b.  Removed and added again, it is filed under a twice;
     # woken by a, it is filed under b twice, and b hands it back once.
     state, buffer = init(), PendingBuffer()

@@ -21,7 +21,6 @@ from meg.network import (
 )
 
 KEYS = [SigningKey.from_seed(f"net-test:{i}") for i in range(4)]
-ROOT = init("net").root
 
 
 class Chain:
@@ -123,77 +122,18 @@ def test_reliable_reorders_across_senders():
     for env in envs:
         net.broadcast(0, env)
     got = op_deliveries(drain(net))
-    arrival = [m.send_index for _, _, m in got]
-    assert arrival != sorted(arrival)
+    assert [m.env for _, _, m in got] != envs
 
 
 # -- causal order --------------------------------------------------------------------
-
-
-def test_causal_holdback_fifo_per_sender():
-    net = Network(
-        2,
-        DeliveryGuarantee.CAUSAL_ORDER_RELIABLE,
-        NetworkConfig(delay=(1, 100), seed=5),
-        initial_ids=(ROOT,),
-    )
-    chain = Chain(0)
-    for i in range(8):
-        _, env = chain.env(bytes([i]))
-        net.broadcast(0, env)
-    got = op_deliveries(drain(net))
-    assert [m.send_index for _, _, m in got] == list(range(8))
-
-
-def test_causal_holdback_waits_for_parents():
-    # B's parent A travels slowly; B must not be handed over before A.
-    net = Network(
-        3,
-        DeliveryGuarantee.CAUSAL_ORDER_RELIABLE,
-        NetworkConfig(delay=(1, 50), seed=6),
-        initial_ids=(ROOT,),
-    )
-    shared = Chain(0)
-    op_a, env_a = shared.env(b"a")
-    # second sender builds on A (it has "seen" it)
-    other = Chain(1)
-    other.state.apply_add(op_a)
-    op_b = generate_add(
-        other.state, EventPayload("msg", b"b"), 2, other.rng, other.key.replica_id, 0
-    )
-    env_b = sign_envelope(op_b, other.key)
-    assert op_a.vertex.id in op_b.vertex.parents
-    net.broadcast(0, env_a)
-    net.broadcast(1, env_b)
-    got = op_deliveries(drain(net))
-    for receiver in (2,):
-        ids = [m.env.op.vertex.id for r, _, m in got if r == receiver]
-        assert ids.index(op_a.vertex.id) < ids.index(op_b.vertex.id)
-
-
-def test_causal_duplicate_in_holdback_dropped():
-    net = Network(
-        2,
-        DeliveryGuarantee.CAUSAL_ORDER_RELIABLE,
-        NetworkConfig(delay=(1, 20), duplicate=1.0, seed=7),
-        initial_ids=(ROOT,),
-    )
-    chain = Chain(0)
-    for i in range(4):
-        net.broadcast(0, chain.env(bytes([i]))[1])
-    got = op_deliveries(drain(net))
-    assert [m.send_index for _, _, m in got] == list(range(4))
-    assert net.queue_empty()
+#
+# CausalOrderReliable is the Reliable transport; the replica's pending buffer
+# orders what it hands over (see the harness tests).
 
 
 def test_causal_fifo_counts_sends_per_recipient():
-    # Receiver 2 is left out of the first send; it must not wait for it.
-    net = Network(
-        3,
-        DeliveryGuarantee.CAUSAL_ORDER_RELIABLE,
-        NetworkConfig(delay=(1, 5), seed=14),
-        initial_ids=(ROOT,),
-    )
+    # Receiver 2 is left out of the first send; it still gets the second.
+    net = Network(3, DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, NetworkConfig(delay=(1, 5), seed=14))
     key = KEYS[0]
     op_1, op_2 = (
         generate_add(init("net"), EventPayload("msg", body), 2, Random(0), key.replica_id, seq)
@@ -210,71 +150,17 @@ def test_causal_fifo_counts_sends_per_recipient():
     assert net.queue_empty()
 
 
-def test_causal_child_of_unaddressed_op_waits_until_it_is_applied():
-    # Receiver 2 is left out of x and y builds on x, so y waits at 2 until
-    # its replica reports x applied some other way; then y goes next tick.
-    net = Network(
-        3,
-        DeliveryGuarantee.CAUSAL_ORDER_RELIABLE,
-        NetworkConfig(delay=(1, 3), seed=4),
-        initial_ids=(ROOT,),
-    )
-    chain = Chain(0)
-    x, y = chain.env(b"x")[1], chain.env(b"y")[1]
-    assert y.op.vertex.parents == (x.op.vertex.id,)
-    net.broadcast(0, x, targets=(1,))
-    net.broadcast(0, y)
-    got = op_deliveries([d for _ in range(10) for d in net.step()])
-    assert {(r, m.env) for r, _, m in got} == {(1, x), (1, y)}
-    net.mark_applied(1, [y.op.vertex.id])  # addressed to 1: no effect
-    net.mark_applied(2, [x.op.vertex.id])
-    assert [(r, m.env) for r, _, m in op_deliveries(net.step())] == [(2, y)]
-    assert net.queue_empty()
-
-
-def test_causal_held_copy_dropped_when_its_id_goes_through():
-    # X is sent twice around Y.  The second copy of X arrives first and waits
-    # for its FIFO turn; once the first copy goes through it is a duplicate
-    # and is dropped on that tick, not when its turn comes.
-    net = Network(
-        2,
-        DeliveryGuarantee.CAUSAL_ORDER_RELIABLE,
-        NetworkConfig(delay=(1, 20), seed=27),
-        initial_ids=(ROOT,),
-    )
-    key = KEYS[0]
-    x, y = (
-        sign_envelope(
-            generate_add(init("net"), EventPayload("msg", body), 2, Random(0), key.replica_id, seq),
-            key,
-        )
-        for seq, body in enumerate((b"x", b"y"))
-    )
-    for env in (x, y, x):
-        net.broadcast(0, env)
-    got = op_deliveries(drain(net))
-    assert [m.send_index for _, _, m in got] == [0, 1]
-    x_hex = x.op.vertex.id.hex()[:16]
-    x_events = [(ev.tick, ev.kind) for ev in net.trace if ev.event_hex == x_hex and ev.kind != "SEND"]
-    assert x_events == [(6, "DELIVER"), (6, "DROP")]
-    assert net.queue_empty()
-
-
 def test_causal_resent_envelope_does_not_stall_later_sends():
-    # x goes out twice, so its second copy takes send index 1; dropping that
-    # copy as a duplicate must still let y, at index 2, take its turn.
-    net = Network(
-        2,
-        DeliveryGuarantee.CAUSAL_ORDER_RELIABLE,
-        NetworkConfig(delay=(1, 1), seed=3),
-        initial_ids=(ROOT,),
-    )
+    # x goes out twice; its second copy is dropped as a duplicate, and y,
+    # sent after it, still goes through.
+    net = Network(2, DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, NetworkConfig(delay=(1, 1), seed=3))
     chain = Chain(0)
     x, y = chain.env(b"x")[1], chain.env(b"y")[1]
     for env in (x, x, y):
         net.broadcast(0, env)
     got = op_deliveries(drain(net))
-    assert [(m.env, m.send_index) for _, _, m in got] == [(x, 0), (y, 2)]
+    assert [m.env for _, _, m in got] == [x, y]
+    assert [ev.kind for ev in net.trace if ev.kind != "SEND"] == ["DELIVER", "DROP", "DELIVER"]
     assert net.queue_empty()
 
 
@@ -293,7 +179,7 @@ def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate,
     # Senders extend one shared DAG and broadcast to everyone; now and then a
     # sender re-sends one of its earlier envelopes.
     config = NetworkConfig(delay=(1, hi), duplicate=duplicate, seed=seed)
-    net = Network(n, guarantee, config, initial_ids=(ROOT,))
+    net = Network(n, guarantee, config)
     state, rng = init("net"), Random(seed)
     sent: list[list] = [[] for _ in range(n)]
     origin, got = {}, []
@@ -316,10 +202,6 @@ def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate,
     ops = op_deliveries(got)
     delivered = sorted((r, m.env.op.vertex.id) for r, _, m in ops)
     assert delivered == sorted((r, vid) for vid, i in origin.items() for r in range(n) if r != i)
-    if guarantee is DeliveryGuarantee.CAUSAL_ORDER_RELIABLE:
-        for pair in {(r, s) for r, s, _ in ops}:
-            turns = [m.send_index for r, s, m in ops if (r, s) == pair]
-            assert turns == sorted(turns)
 
 
 # -- best effort -----------------------------------------------------------------------
