@@ -23,12 +23,15 @@ uninstrumented calls: µs per op of that same lockstep run, ns per ball of
 `pmf_removed(150, 8, 40)`.  Then it runs the n = 32 scale ladder, where the
 width grows into the hundreds: CausalOrderReliable, n=32, f=0, d=4, delay
 1..10, 2 updates per replica per round, 20 and 80 rounds (40,960 and 163,840
-applies), horizon 12·rounds + 100, seed 1.  Each point runs once, in a fresh
-child process so that the points do not share a peak-RSS high-water mark,
-and records µs per apply, the final median replica width and peak RSS; the
-ladder records the slope of log wall time over log applies between the two
-points.  The package is imported from this checkout's `src/`, as in
-`fuzz_fingerprints.py`.
+applies), horizon 12·rounds + 100, seed 1.  Each point runs `SCALE_REPEATS`
+times, the points taking turns, each run in a fresh child process so that
+no two runs share a peak-RSS high-water mark.  A point records the median
+and every run of its µs per apply and peak RSS, and its final median replica
+width; the ladder records the slope of log wall time over log applies
+between the two medians, and the µs-per-apply growth of each run pair.  One
+more child process steps the 20-round point under tracemalloc and records
+the bytes still traced at its last tick, per apply.  The package is
+imported from this checkout's `src/`, as in `fuzz_fingerprints.py`.
 """
 
 from __future__ import annotations
@@ -65,6 +68,7 @@ KERNEL_REPEATS = 3
 KERNEL_MONTE_CARLO = (30, 5, 10, 40, 500, 1)
 KERNEL_PMF = (150, 8, 40)
 SCALE_ROUNDS = (20, 80)
+SCALE_REPEATS = 3
 
 
 def ladder_spec(rounds: int) -> dict:
@@ -219,7 +223,7 @@ def width_kernels(harness) -> dict:
     return kernels
 
 
-def scale_point(rounds: int) -> dict:
+def scale_run(rounds: int) -> dict:
     """One scale-ladder run; called in a child process of its own."""
     harness = import_harness(SRC)
     spec = harness.parse_scenario(scale_spec(rounds))
@@ -228,8 +232,6 @@ def scale_point(rounds: int) -> dict:
     wall = perf_counter() - start
     applies = sum(metrics.applied_counts)
     return {
-        "rounds": rounds,
-        "spec": scale_spec(rounds),
         "applies": applies,
         "wall_s": wall,
         "us_per_apply": wall / applies * 1e6,
@@ -241,19 +243,70 @@ def scale_point(rounds: int) -> dict:
     }
 
 
+def traced_memory(rounds: int) -> dict:
+    """Bytes tracemalloc still traces once the scale point's last tick has run."""
+    harness = import_harness(SRC)
+    spec = harness.parse_scenario(scale_spec(rounds))
+    tracemalloc.start()
+    try:
+        sim = harness.Simulation(spec)
+        for _ in range(spec.horizon):
+            sim.step()
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    applies = sum(len(node.state.vertices) - 1 for node in sim.nodes)
+    return {"rounds": rounds, "applies": applies, "traced_bytes": traced, "bytes_per_apply": traced / applies}
+
+
+def in_child(fn, *args):
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        return pool.apply(fn, args)
+
+
 def scale_ladder() -> dict:
-    spawn = multiprocessing.get_context("spawn")
+    runs: dict[int, list[dict]] = {rounds: [] for rounds in SCALE_ROUNDS}
+    for _ in range(SCALE_REPEATS):
+        for rounds in SCALE_ROUNDS:
+            run = in_child(scale_run, rounds)
+            print(f"scale ladder, {rounds} rounds: {json.dumps(run)}", flush=True)
+            runs[rounds].append(run)
     points = []
     for rounds in SCALE_ROUNDS:
-        with spawn.Pool(1) as pool:
-            point = pool.apply(scale_point, (rounds,))
-        print(f"scale ladder: {json.dumps({k: v for k, v in point.items() if k != 'spec'})}", flush=True)
-        points.append(point)
+        first = runs[rounds][0]
+        points.append(
+            {
+                "rounds": rounds,
+                "spec": scale_spec(rounds),
+                **{k: first[k] for k in ("applies", "final_median_width", "convergence_tick", "all_ok")},
+                **{
+                    k: statistics.median(run[k] for run in runs[rounds])
+                    for k in ("wall_s", "us_per_apply", "peak_rss_mb")
+                },
+                "runs": runs[rounds],
+            }
+        )
     lo, hi = points[0], points[-1]
     slope = math.log(hi["wall_s"] / lo["wall_s"]) / math.log(hi["applies"] / lo["applies"])
     growth = hi["us_per_apply"] / lo["us_per_apply"] - 1
-    print(f"scale ladder: slope {slope:.3f}, µs per apply {growth:+.1%}", flush=True)
-    return {"points": points, "slope": slope, "us_per_apply_growth": growth}
+    pair_growth = [
+        b["us_per_apply"] / a["us_per_apply"] - 1 for a, b in zip(lo["runs"], hi["runs"])
+    ]
+    print(
+        f"scale ladder: slope {slope:.3f}, µs per apply {growth:+.1%} "
+        f"(run pairs {', '.join(f'{g:+.1%}' for g in pair_growth)})",
+        flush=True,
+    )
+    memory = in_child(traced_memory, SCALE_ROUNDS[0])
+    print(f"scale ladder, traced memory: {json.dumps(memory)}", flush=True)
+    return {
+        "repeats": SCALE_REPEATS,
+        "points": points,
+        "slope": slope,
+        "us_per_apply_growth": growth,
+        "us_per_apply_growth_runs": pair_growth,
+        "traced_memory": memory,
+    }
 
 
 def main(argv=None) -> int:

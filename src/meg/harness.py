@@ -356,8 +356,8 @@ class ReplicaNode:
         self.byzantine = byzantine
         self.state = init(room)
         self.buffer = PendingBuffer()
+        # Envelopes of exactly the applied and the buffered operations.
         self.store: dict[EventId, SignedEnvelope] = {}
-        self.applied: set[EventId] = set()
         # Requested ids in the store -> response, for applied ids only.
         self._served: dict[frozenset[EventId], tuple[SignedEnvelope, ...]] = {}
         # (due tick, op id, sender) of buffered arrivals not yet asked about.
@@ -368,6 +368,11 @@ class ReplicaNode:
         self.stale_parent_ops = 0
         self.rejected_ops = 0
         self.invariant_failures = 0
+
+    @property
+    def applied(self) -> set[EventId]:
+        """Every vertex id but the root's: built on each read, to grade a run."""
+        return self.state.vertices.keys() - {self.state.root}
 
     def random_payload(self) -> EventPayload:
         return EventPayload("msg", self.payload_rng.randbytes(8))
@@ -399,7 +404,7 @@ class ReplicaNode:
         self.store[op.vertex.id] = env
         state = self.state
         if (
-            op.vertex.id not in self.applied
+            op.vertex.id not in state.vertices
             and state.precondition_holds(op)
             and any(state.has_child(p) for p in op.vertex.parents)
         ):
@@ -411,22 +416,22 @@ class ReplicaNode:
     def _ingest(self, op: AddOperation) -> list[EventId]:
         """Deliver through `ingest`, then check what the delivery changed.
 
-        Each applied vertex, in order, must be new and have a non-empty,
-        duplicate-free parent list of vertices present before it.  The vertex
-        count must grow by exactly the number applied (edges exist only in
-        the parent lists, so this stands in for an edge count), and the
-        extremities must end as the old set with each vertex's parents
-        removed and the vertex added.  If the graph was a rooted DAG with
-        consistent extremities before the delivery and the check passes, it
-        still is one after, so O(width + parents) per delivery stands in for
-        a whole-graph walk.
+        Each applied vertex, in order, must be reported once and have a
+        non-empty, duplicate-free parent list of vertices present before it.
+        The vertex count must grow by exactly the number applied, so each is
+        new (edges exist only in the parent lists, so this stands in for an
+        edge count), and the extremities must end as the old set with each
+        vertex's parents removed and the vertex added.  If the graph was a
+        rooted DAG with consistent extremities before the delivery and the
+        check passes, it still is one after, so O(width + parents) per
+        delivery stands in for a whole-graph walk.
         """
         state = self.state
         extremities = set(state.extremities_view())
         count = len(state.vertices)
         applied = ingest(state, self.buffer, op)
         this_or_later = set(applied)
-        ok = len(this_or_later) == len(applied) and not this_or_later & self.applied
+        ok = len(this_or_later) == len(applied)
         for vid in applied:
             parents = state.vertices[vid].parents
             ok = (
@@ -438,7 +443,6 @@ class ReplicaNode:
             this_or_later.discard(vid)
             extremities.difference_update(parents)
             extremities.add(vid)
-        self.applied.update(applied)
         grown = len(state.vertices) == count + len(applied)
         if not (ok and grown and extremities == state.extremities_view()):
             self.invariant_failures += 1
@@ -450,18 +454,19 @@ class ReplicaNode:
         Byzantine replicas take operations in, but count no activity and
         stay silent on the auxiliary protocols.
 
-        A backfill envelope whose id is already applied or buffered, possibly
-        by an earlier envelope of the same response, is skipped before
-        verification: ids are content hashes, so it could add nothing.  A
-        forged envelope that reuses a held id is therefore dropped without
-        counting in `rejected_ops`.
+        An operation copy or backfill envelope whose id is in the store, so
+        applied or buffered (possibly by an earlier envelope of the same
+        response), is skipped before verification: ids are content hashes,
+        so it could add nothing.  A forged envelope that reuses a held id is
+        therefore dropped without counting in `rejected_ops`.
 
         An operation that arrives before its parents is buffered.  Under
         BestEffort a dropped parent never arrives, so the replica asks the
-        sender for the parents it lacks at once.  Under the reliable
-        guarantees a correct sender's parent arrives within `delay[1]` ticks
-        unless a partition holds it, so the replica asks only if the
-        operation is still buffered then (`request_overdue`).
+        sender for the parents it lacks at once, and again on each later
+        copy.  Under the reliable guarantees a correct sender's parent
+        arrives within `delay[1]` ticks unless a partition holds it, so the
+        copy that stores the operation arms one deadline, and the replica
+        asks only if it is still buffered then (`request_overdue`).
 
         Gossip is answered with a request for the advertised ids the replica
         lacks and the parents its buffer misses; when it lacks none of the
@@ -469,12 +474,13 @@ class ReplicaNode:
         """
         state, buffer = self.state, self.buffer
         if isinstance(msg, OpMessage):
-            applied = self.receive_envelope(msg.env)
             vertex = msg.env.op.vertex
+            held = vertex.id in self.store
+            applied = [] if held else self.receive_envelope(msg.env)
             if not self.byzantine and vertex.id in buffer:
                 if net.guarantee is DeliveryGuarantee.BEST_EFFORT:
                     net.request_backfill(self.idx, sender, self._lacking(vertex.parents))
-                else:
+                elif not held:
                     due = net.tick + net.config.delay[1]
                     heapq.heappush(self._deadlines, (due, vertex.id, sender))
         elif self.byzantine:
@@ -482,8 +488,7 @@ class ReplicaNode:
         elif isinstance(msg, BackfillResponse):
             applied = []
             for env in msg.envelopes:
-                vid = env.op.vertex.id
-                if vid not in self.applied and vid not in buffer:
+                if env.op.vertex.id not in self.store:
                     applied += self.receive_envelope(env)
         else:
             if isinstance(msg, GossipMessage):
@@ -545,7 +550,7 @@ class ReplicaNode:
                         nxt.append(p)
             frontier = sorted(set(nxt) - seen)
         response = tuple(out)
-        if held <= self.applied:
+        if held <= self.state.vertices.keys():
             self._served[held] = response
         return response
 
@@ -742,17 +747,18 @@ class Simulation:
         final_digests = [node.state.state_digest() for node in nodes]
         converged = len({final_digests[i] for i in correct}) == 1
         correct_ids = {nodes[i].key.replica_id for i in correct}
+        applied_sets = [node.applied for node in nodes]
         metrics = Metrics(
             width=self.width,
             buffer_occupancy=self.occupancy,
-            applied_counts=[len(node.applied) for node in nodes],
+            applied_counts=[len(applied) for applied in applied_sets],
             stale_parent_ops=[node.stale_parent_ops for node in nodes],
             rejected_ops=[node.rejected_ops for node in nodes],
             convergence_tick=quiescence_tick if converged else None,
             quiescence_tick=quiescence_tick,
             trace=list(self.net.trace),
             final_digests=final_digests,
-            applied_sets=[set(node.applied) for node in nodes],
+            applied_sets=applied_sets,
             correct_indices=correct,
             correct_broadcast_ids=self.correct_broadcast,
             buffered_correct_origin=[

@@ -14,9 +14,9 @@ Three delivery guarantees are simulated for operation messages:
 
 * BEST_EFFORT: links may silently drop or duplicate; partitions discard
   crossing traffic.
-* RELIABLE: per-recipient exactly-once for whatever the sender actually
-  addressed.  Duplicates are filtered at the receiver, drops are disallowed,
-  and traffic crossing a partition is deferred until the cut heals.
+* RELIABLE: no drops; traffic crossing a partition is deferred until the
+  cut heals.  Duplicates are handed over like any copy: the receiving
+  replica's envelope store tells it which copies can add nothing.
 * CAUSAL_ORDER_RELIABLE: the RELIABLE transport.  Parent-causal delivery,
   which is all the add effector needs (an operation applies only after its
   parents), is done by the replica's pending buffer (`meg.core.ingest`),
@@ -149,9 +149,6 @@ class Network:
         self._queue: list[tuple[int, int, _Scheduled]] = []
         self._seq = 0
         self._rng = Random(f"{config.seed}:net")
-        # Per receiver: operation ids already handed over, so that the
-        # reliable guarantees hand each over once.
-        self._delivered_ops: list[set[EventId]] = [set() for _ in range(n)]
 
     # -- helpers -----------------------------------------------------------
 
@@ -255,15 +252,14 @@ class Network:
     def _handle_op(self, item: _Scheduled, out: list[tuple[int, int, object]]) -> None:
         """Hand an operation over, or drop or defer it as the guarantee says.
 
-        BestEffort drops an operation a partition cuts and hands over every
-        copy.  The reliable guarantees defer it until the cut heals and hand
-        each id over once per receiver, dropping later copies.
+        Every guarantee hands over every copy that is not cut.  BestEffort
+        drops an operation a partition cuts; the reliable guarantees defer it
+        until the cut heals.
         """
         msg: OpMessage = item.msg  # type: ignore[assignment]
         vid = msg.env.op.vertex.id
-        best_effort = self.guarantee is DeliveryGuarantee.BEST_EFFORT
         if self._separated(item.sender, item.receiver, self.tick):
-            if best_effort:
+            if self.guarantee is DeliveryGuarantee.BEST_EFFORT:
                 self._log("DROP", item.sender, item.receiver, vid.hex()[:16])
             else:
                 self._push(
@@ -273,12 +269,6 @@ class Network:
                     msg,
                 )
             return
-        if not best_effort:
-            delivered = self._delivered_ops[item.receiver]
-            if vid in delivered:
-                self._log("DROP", item.sender, item.receiver, vid.hex()[:16])
-                return
-            delivered.add(vid)
         self._log("DELIVER", item.sender, item.receiver, vid.hex()[:16])
         out.append((item.receiver, item.sender, msg))
 

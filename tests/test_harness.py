@@ -400,6 +400,22 @@ def test_ingest_counts_a_stray_vertex(monkeypatch):
     assert reader.invariant_failures == 1
 
 
+def test_ingest_counts_a_vertex_reported_as_new_twice(monkeypatch):
+    # A re-delivery whose apply claims the present vertex is new: the graph
+    # does not grow by the number applied.
+    original = MegState.apply_add
+    monkeypatch.setattr(
+        MegState, "apply_add", lambda self, op: original(self, op) or op.vertex.id in self.vertices
+    )
+    writer, reader = make_node(0, n=2), make_node(1, n=2)
+    env = writer.make_op(EventPayload("msg", b"a"))
+    assert reader.receive_envelope(env) == [env.op.vertex.id]
+    assert reader.invariant_failures == 0
+    assert reader.receive_envelope(env) == [env.op.vertex.id]
+    assert reader.invariant_failures == 1
+    assert reader.state.is_rooted_dag() and extremities_consistent(reader.state)
+
+
 # -- checker negative controls ---------------------------------------------------------
 
 
@@ -864,15 +880,15 @@ CAUSAL_PINNED = dict(
 
 
 def test_causal_trace_is_pinned():
-    """Buffered early arrivals, duplicate drops and partition deferral, byte for byte."""
+    """Buffered early arrivals, duplicate copies and partition deferral, byte for byte."""
     metrics, verdict = run_scenario(spec_with(**CAUSAL_PINNED))
     assert verdict.all_ok()
     assert metrics.applied_counts == [67] * 5
     assert metrics.convergence_tick == 149
-    # Taken from this spec run with "guarantee": "Reliable" on the transport
-    # that still had a causal holdback, so the pin is not read off this code.
+    # Taken from the transport that still dropped duplicates, with each such
+    # drop logged as DELIVER instead, so the pin is not read off this code.
     assert hashlib.sha256(trace_tsv(metrics).encode()).hexdigest() == (
-        "9861df9ad48e44db6561622f2d3e96d748c2d3d1f620839a8d287616f6705a6a"
+        "e2f34871c3daeb8e079dd328ef49d550b5043bf1005c90b9702b29c8306aab53"
     )
 
 
@@ -900,7 +916,7 @@ def test_causal_order_runs_as_reliable(spec):
 
 
 def test_reliable_repair_trace_is_pinned():
-    """Backfill, gossip, duplicate filtering and orphan buffering, byte for byte."""
+    """Backfill, gossip, duplicate copies and orphan buffering, byte for byte."""
     spec = spec_with(
         n=5,
         f=1,
@@ -917,8 +933,9 @@ def test_reliable_repair_trace_is_pinned():
     metrics, verdict = run_scenario(spec)
     assert verdict.all_ok()
     assert metrics.convergence_tick == 64
+    # Taken like the causal pin above.
     assert hashlib.sha256(trace_tsv(metrics).encode()).hexdigest() == (
-        "9d030441e2d50a6dc78c675b67720ec75684b6db3ecbafdcbcfa2ddd5d39cdf8"
+        "8181f93976924e34aec0bd515e0cefde8982c5ad4e59160297119087e67243a5"
     )
     assert hashlib.sha256(b"".join(metrics.final_digests)).hexdigest() == (
         "4f2ce3270a4f9e16823bb5c7b8990c4d0b18fe87e130d270e15931d0f403c105"
@@ -1011,6 +1028,30 @@ def test_best_effort_request_goes_out_at_once(monkeypatch):
     assert requests == [(1, 0, {env_a.op.vertex.id})]
 
 
+def test_best_effort_duplicate_of_a_buffered_op_asks_again(monkeypatch):
+    # The first request or its answer may have been dropped, so each copy
+    # that finds the operation still buffered asks again, unverified.
+    reader, net, env_a, requests = out_of_order_arrival(monkeypatch, DeliveryGuarantee.BEST_EFFORT)
+    (env_b,) = (reader.store[vid] for vid in reader.buffer.held)
+    verified = count_verifications(monkeypatch)
+    assert not reader.route(net, 0, OpMessage(env_b))
+    assert requests == [(1, 0, {env_a.op.vertex.id})] * 2
+    assert verified[0] == 0
+
+
+def test_reliable_duplicate_of_a_buffered_op_arms_no_second_deadline(monkeypatch):
+    reader, net, env_a, requests = out_of_order_arrival(monkeypatch, DeliveryGuarantee.RELIABLE)
+    (env_b,) = (reader.store[vid] for vid in reader.buffer.held)
+    verified = count_verifications(monkeypatch)
+    net.step()
+    assert not reader.route(net, 0, OpMessage(env_b))
+    assert verified[0] == 0
+    for _ in range(3 * net.config.delay[1]):
+        reader.request_overdue(net)
+        net.step()
+    assert requests == [(1, 0, {env_a.op.vertex.id})]
+
+
 # -- stepping a simulation by hand -----------------------------------------------------------
 
 APPEND_TICKS = 20
@@ -1058,6 +1099,14 @@ class SimulationMachine(RuleBasedStateMachine):
     @rule()
     def step(self):
         self.sim.step()
+
+    @invariant()
+    def store_holds_the_applied_and_buffered_ops(self):
+        # `route` skips a copy whose id is in the store, so it must hold
+        # exactly what the replica has applied or buffered.
+        for node in self.sim.nodes:
+            held = (node.state.vertices.keys() - {node.state.root}) | node.buffer.held.keys()
+            assert set(node.store) == held
 
     @invariant()
     def replicas_stay_consistent(self):

@@ -1,13 +1,22 @@
-"""Transport behavior per guarantee: ordering, dedup, partitions, determinism."""
+"""Transport behavior per guarantee: ordering, duplicates, partitions, determinism.
 
+The transport filters no duplicates; the duplicate tests route its deliveries
+into replicas, which skip the copies their envelope store already holds.
+"""
+
+from collections import defaultdict
+from contextlib import contextmanager
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meg import harness
 from meg.core import EventPayload, generate_add, init
-from meg.monitor import SigningKey, sign_envelope
+from meg.harness import ReplicaNode
+from meg.monitor import MembershipDirectory, SigningKey, sign_envelope
 from meg.network import (
     BackfillRequest,
     BackfillResponse,
@@ -21,6 +30,7 @@ from meg.network import (
 )
 
 KEYS = [SigningKey.from_seed(f"net-test:{i}") for i in range(4)]
+DIRECTORY = MembershipDirectory({k.replica_id: k.verification_key for k in KEYS}, f=0)
 
 
 class Chain:
@@ -53,6 +63,41 @@ def drain(net, max_ticks=10_000):
 
 def op_deliveries(deliveries):
     return [(r, s, m) for (r, s, m) in deliveries if isinstance(m, OpMessage)]
+
+
+def replicas(n):
+    """Replicas over the same room as `Chain`, so its envelopes apply."""
+    return [ReplicaNode(i, KEYS[i], DIRECTORY, "net", 2, seed=0) for i in range(n)]
+
+
+def route(nodes, net, deliveries):
+    for receiver, sender, msg in deliveries:
+        nodes[receiver].route(net, sender, msg)
+
+
+def drain_into(nodes, net, max_ticks=10_000):
+    """`drain`, routing each delivery into its replica as it is handed over."""
+    for _ in range(max_ticks):
+        route(nodes, net, net.step())
+        if net.queue_empty():
+            break
+
+
+@contextmanager
+def watched():
+    """Yield (ids applied per replica index, the `verify_envelope` mock) while replicas run."""
+    applied = defaultdict(list)
+    ingest = ReplicaNode._ingest
+
+    def recorded(node, op):
+        ids = ingest(node, op)
+        applied[node.idx].extend(ids)
+        return ids
+
+    with mock.patch.object(ReplicaNode, "_ingest", recorded), mock.patch.object(
+        harness, "verify_envelope", wraps=harness.verify_envelope
+    ) as verify:
+        yield applied, verify
 
 
 def reliable_net(n=3, **kw):
@@ -95,12 +140,19 @@ def test_reliable_exactly_once():
 
 
 def test_reliable_duplicates_filtered():
+    # Both copies are handed over; each replica verifies and applies the
+    # first and skips the second, which its envelope store already holds.
     net = reliable_net(seed=2, duplicate=1.0)
+    nodes = replicas(3)
     _, env = Chain(0).env()
-    net.broadcast(0, env)
-    got = op_deliveries(drain(net))
-    assert sorted(r for r, _, _ in got) == [1, 2]
-    assert sum(1 for ev in net.trace if ev.kind == "DROP") == 2
+    vid = env.op.vertex.id
+    with watched() as (applied, verify):
+        nodes[0].absorb_own(env)
+        net.broadcast(0, env)
+        drain_into(nodes, net)
+    assert [ev.kind for ev in net.trace] == ["SEND"] + ["DELIVER"] * 4
+    assert dict(applied) == {0: [vid], 1: [vid], 2: [vid]}
+    assert verify.call_count == 2
 
 
 def test_reliable_defers_across_partition():
@@ -151,16 +203,19 @@ def test_causal_fifo_counts_sends_per_recipient():
 
 
 def test_causal_resent_envelope_does_not_stall_later_sends():
-    # x goes out twice; its second copy is dropped as a duplicate, and y,
-    # sent after it, still goes through.
+    # x goes out twice; the replica skips its second copy unverified, and y,
+    # sent after it, still applies.
     net = Network(2, DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, NetworkConfig(delay=(1, 1), seed=3))
+    nodes = replicas(2)
     chain = Chain(0)
     x, y = chain.env(b"x")[1], chain.env(b"y")[1]
-    for env in (x, x, y):
-        net.broadcast(0, env)
-    got = op_deliveries(drain(net))
-    assert [m.env for _, _, m in got] == [x, y]
-    assert [ev.kind for ev in net.trace if ev.kind != "SEND"] == ["DELIVER", "DROP", "DELIVER"]
+    with watched() as (applied, verify):
+        for env in (x, x, y):
+            net.broadcast(0, env)
+        drain_into(nodes, net)
+    assert [ev.kind for ev in net.trace if ev.kind != "SEND"] == ["DELIVER"] * 3
+    assert applied[1] == [x.op.vertex.id, y.op.vertex.id]
+    assert verify.call_count == 2
     assert net.queue_empty()
 
 
@@ -177,31 +232,35 @@ def test_causal_resent_envelope_does_not_stall_later_sends():
 @settings(max_examples=60, deadline=None)
 def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate, guarantee, data):
     # Senders extend one shared DAG and broadcast to everyone; now and then a
-    # sender re-sends one of its earlier envelopes.
+    # sender re-sends one of its earlier envelopes.  Every replica applies
+    # each id once and verifies each id it did not send once.
     config = NetworkConfig(delay=(1, hi), duplicate=duplicate, seed=seed)
     net = Network(n, guarantee, config)
+    nodes = replicas(n)
     state, rng = init("net"), Random(seed)
     sent: list[list] = [[] for _ in range(n)]
-    origin, got = {}, []
-    for step in range(data.draw(st.integers(min_value=1, max_value=25))):
-        i = data.draw(st.integers(min_value=0, max_value=n - 1))
-        if sent[i] and data.draw(st.booleans()):
-            net.broadcast(i, data.draw(st.sampled_from(sent[i])))
-        else:
-            payload = EventPayload("msg", bytes([step]))
-            op = generate_add(state, payload, 2, rng, KEYS[i].replica_id, len(sent[i]))
-            state.apply_add(op)
-            env = sign_envelope(op, KEYS[i])
-            sent[i].append(env)
-            origin[op.vertex.id] = i
-            net.broadcast(i, env)
-        if data.draw(st.booleans()):
-            got.extend(net.step())
-    got.extend(drain(net))
+    with watched() as (applied, verify):
+        for step in range(data.draw(st.integers(min_value=1, max_value=25))):
+            i = data.draw(st.integers(min_value=0, max_value=n - 1))
+            if sent[i] and data.draw(st.booleans()):
+                net.broadcast(i, data.draw(st.sampled_from(sent[i])))
+            else:
+                payload = EventPayload("msg", bytes([step]))
+                op = generate_add(state, payload, 2, rng, KEYS[i].replica_id, len(sent[i]))
+                state.apply_add(op)
+                env = sign_envelope(op, KEYS[i])
+                sent[i].append(env)
+                nodes[i].absorb_own(env)
+                net.broadcast(i, env)
+            if data.draw(st.booleans()):
+                route(nodes, net, net.step())
+        drain_into(nodes, net)
     assert net.queue_empty()
-    ops = op_deliveries(got)
-    delivered = sorted((r, m.env.op.vertex.id) for r, _, m in ops)
-    assert delivered == sorted((r, vid) for vid, i in origin.items() for r in range(n) if r != i)
+    ids = sorted(env.op.vertex.id for envs in sent for env in envs)
+    for node in nodes:
+        assert sorted(applied[node.idx]) == ids
+        assert len(node.buffer) == 0 and node.invariant_failures == 0
+    assert verify.call_count == len(ids) * (n - 1)
 
 
 # -- best effort -----------------------------------------------------------------------
