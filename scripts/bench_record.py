@@ -9,7 +9,11 @@ Runs `bench/run.py` (unchanged) for every workload it defines, end to end
 (`--trace 0`) and per layer (`--trace 1`), at the benchmark's default seed
 and run length, and keeps both lines each run prints: the record line
 (commit, Python version, nproc, parameters, per-repetition times) and the
-result line (the metrics).  It then times the Reliable ladder, fault-free
+result line (the metrics).  Apart from those runs it records each
+workload's peak RSS from `RSS_REPEATS` runs of `bench/run.py --seconds
+0.1`, each a fresh process that runs the fewest repetitions the benchmark
+allows, so the figure does not grow with the repetitions a 40 s run fits.
+It then times the Reliable ladder, fault-free
 Reliable delivery at sizes no benchmark workload covers: n=8, f=0, d=4,
 delay 1..10, 8 updates per replica per round, 10 and 20 rounds (640 and 1280
 ops), seed 1.  Each ladder point is timed `LADDER_REPEATS` times without
@@ -69,6 +73,9 @@ KERNEL_MONTE_CARLO = (30, 5, 10, 40, 500, 1)
 KERNEL_PMF = (150, 8, 40)
 SCALE_ROUNDS = (20, 80)
 SCALE_REPEATS = 3
+# Short bench runs whose peak RSS is recorded per workload.
+RSS_SECONDS = 0.1
+RSS_REPEATS = 3
 
 
 def ladder_spec(rounds: int) -> dict:
@@ -113,28 +120,46 @@ def git(*args: str) -> str:
     return done.stdout.strip() if done.returncode == 0 else "unknown"
 
 
-def bench_runs() -> list[dict]:
+def workload_names() -> list[str]:
     sys.path.insert(0, str(BENCH))
     import workloads
 
+    return sorted(workloads.WORKLOADS)
+
+
+def run_bench(workload: str, *args: str) -> tuple[dict, dict]:
+    """The record line and the result line of one `bench/run.py` run."""
+    cmd = [sys.executable, str(BENCH / "run.py"), "--workload", workload, *args]
+    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"error: {' '.join(cmd)} exited {done.returncode}: {done.stderr}")
+    record, result = (json.loads(line) for line in done.stdout.splitlines()[-2:])
+    return record, result
+
+
+def bench_runs() -> list[dict]:
     runs = []
-    for workload in sorted(workloads.WORKLOADS):
+    for workload in workload_names():
         for trace in (0, 1):
-            cmd = [
-                sys.executable,
-                str(BENCH / "run.py"),
-                "--workload",
-                workload,
-                "--trace",
-                str(trace),
-            ]
-            done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
-            if done.returncode != 0:
-                raise SystemExit(f"error: {' '.join(cmd)} exited {done.returncode}: {done.stderr}")
-            record, result = (json.loads(line) for line in done.stdout.splitlines()[-2:])
+            record, result = run_bench(workload, "--trace", str(trace))
             print(f"{workload} trace {trace}: {json.dumps(result['metrics'])}", flush=True)
             runs.append({"workload": workload, "trace": trace, "record": record, "result": result})
     return runs
+
+
+def short_run_rss() -> dict:
+    """Median and every run of each workload's peak RSS over short bench runs."""
+    rss = {}
+    for workload in workload_names():
+        runs = []
+        for _ in range(RSS_REPEATS):
+            _, result = run_bench(workload, "--seconds", str(RSS_SECONDS))
+            if not result["correct"]:
+                raise SystemExit(f"error: {workload} failed {result['failed']} operations")
+            runs.append(result["metrics"]["peak_rss_mb"]["value"])
+        rss[workload] = {"peak_rss_mb": statistics.median(runs), "peak_rss_mb_runs": runs}
+        print(f"{workload} peak RSS, {RSS_SECONDS} s runs: {json.dumps(rss[workload])}", flush=True)
+    return {"seconds": RSS_SECONDS, "repeats": RSS_REPEATS, "workloads": rss}
 
 
 def ladder(harness) -> list[dict]:
@@ -324,6 +349,7 @@ def main(argv=None) -> int:
     runs = bench_runs()
     record["seconds"] = runs[0]["record"]["seconds"]
     record["bench"] = runs
+    record["short_run_rss"] = short_run_rss()
     harness = import_harness(SRC)
     record["reliable_ladder"] = ladder(harness)
     record["state_size"] = state_size(harness)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import AbstractSet, Callable, Iterable
 
-from .encoding import compute_event_id
+from .encoding import compute_event_id, encode_vertex_fields
 
 EventId = bytes
 ReplicaId = bytes
@@ -49,11 +49,12 @@ class EmptyExtremitiesError(MegError):
 
 @dataclass(frozen=True, slots=True)
 class EventPayload:
-    """Application content of an event.
+    """Application content of an event, as handed to `make_vertex`.
 
-    The body size bound of 64 KiB (`MAX_PAYLOAD_BYTES`) is enforced where
-    untrusted input enters the system, not here, so that oversized test
-    inputs can be built.
+    It validates the content on the way in; the vertex built from it holds
+    `kind` and `body` inline and keeps no reference to it.  The body size
+    bound of 64 KiB (`MAX_PAYLOAD_BYTES`) is enforced where untrusted input
+    enters the system, not here, so that oversized test inputs can be built.
     """
 
     kind: str
@@ -66,15 +67,17 @@ class EventPayload:
 
 @dataclass(frozen=True, slots=True)
 class Vertex:
-    """Immutable event: payload plus the parent ids it acknowledged.
+    """Immutable event: payload fields plus the parent ids it acknowledged.
 
-    `id` is a claim that inbound verification checks against the canonical
-    content hash; locally generated vertices always satisfy it.  Parents are
-    kept in generation order; hashing sorts them, so order does not affect
-    the id.
+    `kind` and `body` are the payload's fields, held inline so that a stored
+    event is one object.  `id` is a claim that inbound verification checks
+    against the canonical content hash; locally generated vertices always
+    satisfy it.  Parents are kept in generation order; hashing sorts them, so
+    order does not affect the id.
     """
 
-    payload: EventPayload
+    kind: str
+    body: bytes
     id: EventId
     parents: tuple[EventId, ...]
     sender: ReplicaId
@@ -244,9 +247,10 @@ def make_vertex(
 ) -> Vertex:
     """Vertex whose id is the content hash of exactly these fields."""
     parents = tuple(parents)
-    vid = compute_event_id(payload.kind, payload.body, sender, seq, parents)
+    kind, body = payload.kind, payload.body
+    vid = compute_event_id(encode_vertex_fields(kind, body, sender, seq, parents))
     # Positional: a frozen dataclass matches keyword arguments at a cost.
-    return Vertex(payload, vid, parents, sender, seq)
+    return Vertex(kind, body, vid, parents, sender, seq)
 
 
 def init(room: str = DEFAULT_ROOM) -> MegState:

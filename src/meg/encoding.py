@@ -39,12 +39,10 @@ def encode_vertex_fields(
     )
 
 
-def compute_event_id(
-    kind: str,
-    body: bytes,
-    sender: bytes,
-    seq: int,
-    parents: Iterable[bytes],
-) -> bytes:
-    """Content-derived 256-bit event id: SHA-256 of the canonical encoding."""
-    return hashlib.sha256(encode_vertex_fields(kind, body, sender, seq, parents)).digest()
+def compute_event_id(data: bytes) -> bytes:
+    """Content-derived 256-bit event id: SHA-256 of the canonical encoding.
+
+    `data` is what `encode_vertex_fields` returns, so a caller that also
+    signs or checks a signature encodes the vertex once for both.
+    """
+    return hashlib.sha256(data).digest()

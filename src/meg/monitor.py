@@ -92,13 +92,7 @@ class MembershipDirectory:
 
 
 def canonical_vertex_bytes(vertex: Vertex) -> bytes:
-    return encode_vertex_fields(
-        vertex.payload.kind,
-        vertex.payload.body,
-        vertex.sender,
-        vertex.seq,
-        vertex.parents,
-    )
+    return encode_vertex_fields(vertex.kind, vertex.body, vertex.sender, vertex.seq, vertex.parents)
 
 
 def sign_envelope(op: AddOperation, key: SigningKey) -> SignedEnvelope:
@@ -136,13 +130,13 @@ def verify_envelope(
         return VerificationFailure.DUPLICATE_PARENTS
     if v.id in v.parents:
         return VerificationFailure.SELF_PARENT
-    if len(v.payload.body) > MAX_PAYLOAD_BYTES:
+    if len(v.body) > MAX_PAYLOAD_BYTES:
         return VerificationFailure.OVERSIZED_PAYLOAD
     if v.sender != env.sender:
         return VerificationFailure.BAD_SIGNATURE
     data = canonical_vertex_bytes(v)
     if not hmac.compare_digest(_mac(keyed, data), env.signature):
         return VerificationFailure.BAD_SIGNATURE
-    if compute_event_id(v.payload.kind, v.payload.body, v.sender, v.seq, v.parents) != v.id:
+    if compute_event_id(data) != v.id:
         return VerificationFailure.BAD_EVENT_ID
     return None

@@ -99,14 +99,21 @@ class BackfillResponse(NamedTuple):
 
 
 class TraceEvent(NamedTuple):
+    """One trace record.  `event` is the id the record names, or None.
+
+    The record holds the id bytes the vertex already holds, not a copy; its
+    16-hex-digit prefix is rendered only when `line` writes the record.
+    """
+
     tick: int
     kind: str  # SEND | DELIVER | DROP | BACKFILL_REQ | BACKFILL_RESP | GOSSIP
     sender: str
     receiver: str
-    event_hex: str
+    event: EventId | None
 
     def line(self) -> str:
-        return f"{self.tick}\t{self.kind}\t{self.sender}\t{self.receiver}\t{self.event_hex}"
+        event = "-" if self.event is None else self.event[:8].hex()
+        return f"{self.tick}\t{self.kind}\t{self.sender}\t{self.receiver}\t{event}"
 
 
 _AUX_KINDS = {
@@ -116,12 +123,12 @@ _AUX_KINDS = {
 }
 
 
-def _msg_hex(msg: object) -> str:
+def _msg_id(msg: object) -> EventId | None:
     if isinstance(msg, BackfillRequest) and msg.missing:
-        return min(msg.missing).hex()[:16]
+        return min(msg.missing)
     if isinstance(msg, BackfillResponse) and msg.envelopes:
-        return msg.envelopes[0].op.vertex.id.hex()[:16]
-    return "-"
+        return msg.envelopes[0].op.vertex.id
+    return None
 
 
 class _Scheduled(NamedTuple):
@@ -155,8 +162,8 @@ class Network:
     def _name(self, idx: int | None) -> str:
         return self._names[idx]
 
-    def _log(self, kind: str, sender: int | None, receiver: int | None, hex_id: str) -> None:
-        self.trace.append(TraceEvent(self.tick, kind, self._name(sender), self._name(receiver), hex_id))
+    def _log(self, kind: str, sender: int | None, receiver: int | None, event: EventId | None) -> None:
+        self.trace.append(TraceEvent(self.tick, kind, self._name(sender), self._name(receiver), event))
 
     def _separated(self, a: int, b: int, tick: int) -> bool:
         partitions = self.config.partitions
@@ -196,14 +203,14 @@ class Network:
         target sets model crash-mid-send and byzantine behavior.
         """
         vid = env.op.vertex.id
-        self._log("SEND", sender, None, vid.hex()[:16])
+        self._log("SEND", sender, None, vid)
         recipients = set(range(self.n)) if targets is None else set(targets)
         recipients.discard(sender)
         best_effort = self.guarantee is DeliveryGuarantee.BEST_EFFORT
         msg = OpMessage(env)
         for r in sorted(recipients):
             if best_effort and self.config.drop > 0 and self._rng.random() < self.config.drop:
-                self._log("DROP", sender, r, vid.hex()[:16])
+                self._log("DROP", sender, r, vid)
                 continue
             self._push(self.tick + self._sample_delay(), sender, r, msg)
             if self.config.duplicate > 0 and self._rng.random() < self.config.duplicate:
@@ -242,9 +249,9 @@ class Network:
                 self._handle_op(item, out)
             else:
                 if self._separated(item.sender, item.receiver, t):
-                    self._log("DROP", item.sender, item.receiver, _msg_hex(msg))
+                    self._log("DROP", item.sender, item.receiver, _msg_id(msg))
                     continue
-                self._log(_AUX_KINDS[type(msg)], item.sender, item.receiver, _msg_hex(msg))
+                self._log(_AUX_KINDS[type(msg)], item.sender, item.receiver, _msg_id(msg))
                 out.append((item.receiver, item.sender, msg))
         self.tick = t + 1
         return out
@@ -260,7 +267,7 @@ class Network:
         vid = msg.env.op.vertex.id
         if self._separated(item.sender, item.receiver, self.tick):
             if self.guarantee is DeliveryGuarantee.BEST_EFFORT:
-                self._log("DROP", item.sender, item.receiver, vid.hex()[:16])
+                self._log("DROP", item.sender, item.receiver, vid)
             else:
                 self._push(
                     self._next_open_tick(item.sender, item.receiver, self.tick),
@@ -269,7 +276,7 @@ class Network:
                     msg,
                 )
             return
-        self._log("DELIVER", item.sender, item.receiver, vid.hex()[:16])
+        self._log("DELIVER", item.sender, item.receiver, vid)
         out.append((item.receiver, item.sender, msg))
 
     # -- introspection -----------------------------------------------------

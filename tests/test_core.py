@@ -22,6 +22,7 @@ from meg.core import (
     generate_add,
     ingest,
     init,
+    make_vertex,
     select_parents,
 )
 from meg.encoding import compute_event_id, encode_vertex_fields
@@ -32,9 +33,13 @@ SETTINGS = {"max_examples": 50, "deadline": None}
 SENDER = hashlib.sha256(b"core-test-sender").digest()
 
 
+def event_id(kind, body, sender, seq, parents):
+    return compute_event_id(encode_vertex_fields(kind, body, sender, seq, parents))
+
+
 def make_child(state, parents, body=b"x", seq=0, sender=SENDER, kind="msg"):
-    vid = compute_event_id(kind, body, sender, seq, parents)
-    return AddOperation(Vertex(EventPayload(kind, body), vid, tuple(parents), sender, seq))
+    vid = event_id(kind, body, sender, seq, parents)
+    return AddOperation(Vertex(kind, body, vid, tuple(parents), sender, seq))
 
 
 # -- encoding ------------------------------------------------------------------
@@ -43,7 +48,8 @@ def make_child(state, parents, body=b"x", seq=0, sender=SENDER, kind="msg"):
 def test_event_id_is_sha256_of_field_encoding():
     parents = (b"\x01" * 32, b"\x02" * 32)
     blob = encode_vertex_fields("msg", b"hello", SENDER, 3, parents)
-    assert compute_event_id("msg", b"hello", SENDER, 3, parents) == hashlib.sha256(blob).digest()
+    assert compute_event_id(blob) == hashlib.sha256(blob).digest()
+    assert make_vertex(EventPayload("msg", b"hello"), SENDER, 3, parents).id == compute_event_id(blob)
 
 
 def test_vertex_field_encoding_layout():
@@ -58,19 +64,19 @@ def test_vertex_field_encoding_layout():
 
 def test_event_id_ignores_parent_order():
     a, b = b"\x01" * 32, b"\x02" * 32
-    assert compute_event_id("m", b"", SENDER, 0, (a, b)) == compute_event_id(
+    assert event_id("m", b"", SENDER, 0, (a, b)) == event_id(
         "m", b"", SENDER, 0, (b, a)
     )
 
 
 def test_event_id_sensitive_to_every_field():
-    base = compute_event_id("m", b"body", SENDER, 1, (b"\x01" * 32,))
-    assert compute_event_id("n", b"body", SENDER, 1, (b"\x01" * 32,)) != base
-    assert compute_event_id("m", b"other", SENDER, 1, (b"\x01" * 32,)) != base
-    assert compute_event_id("m", b"body", SENDER, 2, (b"\x01" * 32,)) != base
-    assert compute_event_id("m", b"body", SENDER, 1, (b"\x02" * 32,)) != base
+    base = event_id("m", b"body", SENDER, 1, (b"\x01" * 32,))
+    assert event_id("n", b"body", SENDER, 1, (b"\x01" * 32,)) != base
+    assert event_id("m", b"other", SENDER, 1, (b"\x01" * 32,)) != base
+    assert event_id("m", b"body", SENDER, 2, (b"\x01" * 32,)) != base
+    assert event_id("m", b"body", SENDER, 1, (b"\x02" * 32,)) != base
     other = hashlib.sha256(b"other-sender").digest()
-    assert compute_event_id("m", b"body", other, 1, (b"\x01" * 32,)) != base
+    assert event_id("m", b"body", other, 1, (b"\x01" * 32,)) != base
 
 
 # -- init and apply ---------------------------------------------------------------
@@ -247,9 +253,10 @@ def state_bytes_per_vertex(writers, d, rounds):
 
 
 def test_state_holds_each_vertex_once():
-    # 6,401 vertices; storing the edges a second time as a set of
-    # (child, parent) tuples costs about 650-770 bytes per vertex.
-    assert state_bytes_per_vertex(32, 3, 200) <= 450
+    # 6,401 vertices of about 297 bytes each.  Nesting the payload in an
+    # object of its own costs 40 more per vertex, and storing the edges a
+    # second time as a set of (child, parent) tuples 650-770 more.
+    assert state_bytes_per_vertex(32, 3, 200) <= 320
 
 
 def test_state_digest_depends_on_edges_not_insertion_order():
@@ -290,7 +297,7 @@ def test_generate_add_builds_valid_op():
     for seq in range(4):
         op = generate_add(state, EventPayload("m", bytes([seq])), 2, Random(seq), SENDER, seq)
         assert set(op.vertex.parents) <= state.get_extremities()
-        assert op.vertex.id == compute_event_id(
+        assert op.vertex.id == event_id(
             "m", bytes([seq]), SENDER, seq, op.vertex.parents
         )
         state.apply_add(op)

@@ -1,8 +1,10 @@
 """Scenario parsing, execution, verdict checkers, and the lockstep runner."""
 
 import dataclasses
+import gc
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -297,6 +299,31 @@ def test_run_is_deterministic():
     assert [ev.line() for ev in m3.trace] != [ev.line() for ev in m1.trace]
 
 
+def test_trace_records_point_at_the_event_ids():
+    # A causal-clean-like run: n=8, CausalOrderReliable, d=4, delay 1..10.
+    # Each record holds the id bytes its vertex holds, about 96 bytes per
+    # record; a 16-character hex copy of the id in each one costs 57-65 more.
+    spec = spec_with(n=8, guarantee="CausalOrderReliable", delay=[1, 10], d=4, seed=1)
+    sim = Simulation(spec)
+    trace, vertices = sim.net.trace, sim.nodes[0].state.vertices
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(spec.horizon):
+            sim.step()
+        assert all(ev.event is vertices[ev.event].id for ev in trace)
+        gc.collect()
+        with_trace = tracemalloc.get_traced_memory()[0]
+        records = len(trace)
+        trace.clear()
+        gc.collect()
+        without_trace = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert records > 500
+    assert (with_trace - without_trace) / records <= 120
+
+
 def test_csv_and_trace_shapes():
     metrics, _ = run_scenario(spec_with(horizon=50))
     csv = width_series_csv(metrics)
@@ -489,8 +516,8 @@ def test_maybe_emit_dummy_threshold():
 def test_dummy_content_and_cap():
     node = make_node(d=2)
     env = maybe_emit_dummy(node, threshold=0, dummy_d=10)
-    assert env.op.vertex.payload.kind == "dummy"
-    assert env.op.vertex.payload.body == b""
+    assert env.op.vertex.kind == "dummy"
+    assert env.op.vertex.body == b""
 
 
 def test_equivocate_builds_two_concurrent_ops():

@@ -81,21 +81,21 @@ def test_unknown_sender_rejected():
 
 
 def test_empty_parents_rejected():
-    v = Vertex(EventPayload("msg", b""), b"\x01" * 32, (), KEY.replica_id, 0)
+    v = Vertex("msg", b"", b"\x01" * 32, (), KEY.replica_id, 0)
     env = sign_envelope(AddOperation(v), KEY)
     assert verify_envelope(env, DIRECTORY) is VerificationFailure.EMPTY_PARENTS
 
 
 def test_duplicate_parents_rejected():
     p = b"\x02" * 32
-    v = Vertex(EventPayload("msg", b""), b"\x01" * 32, (p, p), KEY.replica_id, 0)
+    v = Vertex("msg", b"", b"\x01" * 32, (p, p), KEY.replica_id, 0)
     env = sign_envelope(AddOperation(v), KEY)
     assert verify_envelope(env, DIRECTORY) is VerificationFailure.DUPLICATE_PARENTS
 
 
 def test_self_parent_rejected():
     vid = b"\x05" * 32
-    v = Vertex(EventPayload("msg", b""), vid, (vid, b"\x06" * 32), KEY.replica_id, 0)
+    v = Vertex("msg", b"", vid, (vid, b"\x06" * 32), KEY.replica_id, 0)
     env = sign_envelope(AddOperation(v), KEY)
     assert verify_envelope(env, DIRECTORY) is VerificationFailure.SELF_PARENT
 
@@ -110,14 +110,7 @@ def test_oversized_payload_rejected():
 def test_tampered_body_fails_signature():
     env = fresh_env()
     v = env.op.vertex
-    forged_body = b"changed"
-    tampered = Vertex(
-        EventPayload(v.payload.kind, forged_body),
-        compute_event_id(v.payload.kind, forged_body, v.sender, v.seq, v.parents),
-        v.parents,
-        v.sender,
-        v.seq,
-    )
+    tampered = make_vertex(EventPayload(v.kind, b"changed"), v.sender, v.seq, v.parents)
     bad = SignedEnvelope(AddOperation(tampered), env.sender, env.signature)
     assert verify_envelope(bad, DIRECTORY) is VerificationFailure.BAD_SIGNATURE
 
@@ -139,7 +132,7 @@ def test_sender_binding_mismatch_fails_signature():
 def test_forged_id_on_intact_content_fails_event_id():
     env = fresh_env()
     v = env.op.vertex
-    forged = Vertex(v.payload, b"\x42" * 32, v.parents, v.sender, v.seq)
+    forged = Vertex(v.kind, v.body, b"\x42" * 32, v.parents, v.sender, v.seq)
     # canonical bytes exclude the id, so the original signature still verifies
     bad = SignedEnvelope(AddOperation(forged), env.sender, env.signature)
     assert verify_envelope(bad, DIRECTORY) is VerificationFailure.BAD_EVENT_ID
@@ -150,8 +143,8 @@ def test_reordered_parents_keep_id_and_signature():
     a, b = b"\x01" * 32, b"\x02" * 32
     v = make_vertex(EventPayload("msg", b"p"), KEY.replica_id, 0, (a, b))
     env = sign_envelope(AddOperation(v), KEY)
-    swapped = Vertex(v.payload, v.id, (b, a), v.sender, v.seq)
-    assert compute_event_id(v.payload.kind, v.payload.body, v.sender, v.seq, (b, a)) == v.id
+    swapped = Vertex(v.kind, v.body, v.id, (b, a), v.sender, v.seq)
+    assert compute_event_id(canonical_vertex_bytes(swapped)) == v.id
     relayed = SignedEnvelope(AddOperation(swapped), env.sender, env.signature)
     assert verify_envelope(relayed, DIRECTORY) is None
 

@@ -124,14 +124,16 @@ def test_config_validation():
 
 
 def test_trace_event_line_is_tab_separated():
-    ev = TraceEvent(7, "DELIVER", "r0", "r2", "ab" * 8)
+    # The record holds the id; the line shows its first 16 hex digits.
+    ev = TraceEvent(7, "DELIVER", "r0", "r2", bytes.fromhex("ab" * 8 + "cd" * 24))
     assert ev.line() == "7\tDELIVER\tr0\tr2\t" + "ab" * 8
+    assert TraceEvent(3, "GOSSIP", "r1", "r0", None).line() == "3\tGOSSIP\tr1\tr0\t-"
 
 
 # -- reliable ----------------------------------------------------------------------
 
 
-def test_reliable_exactly_once():
+def test_reliable_delivers_to_every_other_replica():
     net = reliable_net(seed=1)
     _, env = Chain(0).env()
     net.broadcast(0, env)
@@ -139,7 +141,7 @@ def test_reliable_exactly_once():
     assert sorted(r for r, _, _ in got) == [1, 2]
 
 
-def test_reliable_duplicates_filtered():
+def test_reliable_duplicates_skipped_by_the_envelope_store():
     # Both copies are handed over; each replica verifies and applies the
     # first and skips the second, which its envelope store already holds.
     net = reliable_net(seed=2, duplicate=1.0)
@@ -183,7 +185,7 @@ def test_reliable_reorders_across_senders():
 # orders what it hands over (see the harness tests).
 
 
-def test_causal_fifo_counts_sends_per_recipient():
+def test_causal_delivers_each_send_to_its_targets():
     # Receiver 2 is left out of the first send; it still gets the second.
     net = Network(3, DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, NetworkConfig(delay=(1, 5), seed=14))
     key = KEYS[0]
@@ -202,7 +204,7 @@ def test_causal_fifo_counts_sends_per_recipient():
     assert net.queue_empty()
 
 
-def test_causal_resent_envelope_does_not_stall_later_sends():
+def test_causal_resent_envelope_is_skipped_and_later_sends_apply():
     # x goes out twice; the replica skips its second copy unverified, and y,
     # sent after it, still applies.
     net = Network(2, DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, NetworkConfig(delay=(1, 1), seed=3))
