@@ -345,11 +345,50 @@ def test_aux_dropped_across_partition():
 def test_pending_payload_tracks_ops_not_gossip():
     net = reliable_net(seed=13)
     net.gossip_extremities(0, frozenset({b"\x01" * 32}))
+    net.respond_backfill(0, 1, ())
     assert not net.pending_payload()
     net.broadcast(0, Chain(0).env()[1])
     assert net.pending_payload()
     drain(net)
     assert not net.pending_payload()
+
+
+# -- the partition cut rule -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["op", "gossip", "request", "response"])
+@pytest.mark.parametrize("guarantee", list(DeliveryGuarantee))
+def test_cut_message_is_dropped_unless_a_reliable_op(guarantee, kind):
+    # One message 0 -> 1, due at tick 2, inside a cut that heals at tick 50.
+    # A reliable op is deferred to the heal and handed over once; every other
+    # cut message is dropped, its line naming the id `_msg_id` gives it.
+    cfg = NetworkConfig(delay=(2, 2), partitions=(Partition(0, 50, frozenset({0})),))
+    net = Network(2, guarantee, cfg)
+    env = Chain(0).env()[1]
+    vid = env.op.vertex.id
+    ids = frozenset({b"\x02" * 32, b"\x01" * 32})
+    if kind == "op":
+        net.broadcast(0, env)
+        named = vid.hex()[:16]
+    elif kind == "gossip":
+        net.gossip_extremities(0, ids)
+        named = "-"
+    elif kind == "request":
+        net.request_backfill(0, 1, ids)
+        named = ("01" * 32)[:16]
+    else:
+        net.respond_backfill(0, 1, (env,))
+        named = vid.hex()[:16]
+    assert net.pending_payload() == (kind in ("op", "response"))
+    got = drain(net)
+    lines = [ev.line() for ev in net.trace if ev.kind != "SEND"]
+    if kind == "op" and guarantee is not DeliveryGuarantee.BEST_EFFORT:
+        assert got == [(1, 0, OpMessage(env))]
+        assert lines == [f"50\tDELIVER\tr0\tr1\t{named}"]
+    else:
+        assert got == []
+        assert lines == [f"2\tDROP\tr0\tr1\t{named}"]
+    assert net.queue_empty() and not net.pending_payload()
 
 
 # -- determinism ------------------------------------------------------------------------
