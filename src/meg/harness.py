@@ -175,8 +175,6 @@ class ScenarioSpec:
             self.network_config()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        if self.guarantee is not DeliveryGuarantee.BEST_EFFORT and self.drop > 0:
-            raise ScenarioError(f"{self.guarantee.value} forces drop probability 0")
         # Every replica index the spec names, checked against [0, n) in one place.
         named = [i for part in self.partitions for i in part.side_a]
         if self.adversary is not None:
@@ -208,8 +206,9 @@ class ScenarioSpec:
             raise ScenarioError("f > 0 requires an adversary naming the faulty replicas")
 
     def network_config(self) -> NetworkConfig:
-        """The transport parameters; `NetworkConfig` checks the delay, drop and partition values."""
+        """The transport parameters; `NetworkConfig` checks them, the guarantee's drop rule too."""
         return NetworkConfig(
+            guarantee=self.guarantee,
             delay=self.delay,
             drop=self.drop,
             duplicate=self.duplicate,
@@ -358,8 +357,6 @@ class ReplicaNode:
         self.buffer = PendingBuffer()
         # Envelopes of exactly the applied and the buffered operations.
         self.store: dict[EventId, SignedEnvelope] = {}
-        # Requested ids in the store -> response, for applied ids only.
-        self._served: dict[frozenset[EventId], tuple[SignedEnvelope, ...]] = {}
         # (due tick, op id, sender) of buffered arrivals not yet asked about.
         self._deadlines: list[tuple[int, EventId, int]] = []
         self.parent_rng = Random(f"{seed}:parents:{idx}")
@@ -478,7 +475,7 @@ class ReplicaNode:
             held = vertex.id in self.store
             applied = [] if held else self.receive_envelope(msg.env)
             if not self.byzantine and vertex.id in buffer:
-                if net.guarantee is DeliveryGuarantee.BEST_EFFORT:
+                if net.config.guarantee is DeliveryGuarantee.BEST_EFFORT:
                     net.request_backfill(self.idx, sender, self._lacking(vertex.parents))
                 elif not held:
                     due = net.tick + net.config.delay[1]
@@ -521,22 +518,11 @@ class ReplicaNode:
         Breadth-first from the requested ids so the requested events and near
         ancestors come first; capped at `BACKFILL_BATCH` envelopes per
         response, the requester retries for the rest on its next trigger.
-
-        The walk depends only on the requested ids the store holds, so the
-        response is cached under those ids once all of them are applied.  An
-        applied vertex's ancestors are applied too, and every applied vertex
-        but the root is stored before it is applied, so that walk can never
-        change.  A buffered id is not cached: its walk grows
-        when its missing parent arrives.
         """
         store, limit = self.store, BACKFILL_BATCH
-        held = frozenset(store.keys() & missing)
-        cached = self._served.get(held)
-        if cached is not None:
-            return cached
         out: list[SignedEnvelope] = []
         seen: set[EventId] = set()
-        frontier = sorted(held)
+        frontier = sorted(store.keys() & missing)
         while frontier and len(out) < limit:
             nxt: list[EventId] = []
             for mid in frontier:
@@ -549,10 +535,7 @@ class ReplicaNode:
                     if p not in seen and p in store:
                         nxt.append(p)
             frontier = sorted(set(nxt) - seen)
-        response = tuple(out)
-        if held <= self.state.vertices.keys():
-            self._served[held] = response
-        return response
+        return tuple(out)
 
 
 def maybe_emit_dummy(node: ReplicaNode, threshold: int, dummy_d: int) -> SignedEnvelope | None:
@@ -688,7 +671,7 @@ class Simulation:
             ReplicaNode(i, keys[i], directory, room, spec.d, spec.seed, byzantine=i in self.byzantine)
             for i in range(spec.n)
         ]
-        self.net = Network(spec.n, spec.guarantee, spec.network_config())
+        self.net = Network(spec.n, spec.network_config())
         self.orphan_rng = Random(f"{spec.seed}:orphans")
         self.correct_broadcast: set[EventId] = set()
         self.width = [[0] * spec.horizon for _ in range(spec.n)]

@@ -4,9 +4,9 @@ Time advances in integer ticks.  Sends schedule deliveries after a bounded
 random delay; `step` hands back everything due at the current tick, ordered
 by (due tick, enqueue sequence number), so identical configurations and seeds
 replay the identical event trace.  The queue is a heap of plain
-`(due, seq, item)` tuples; `seq` is unique, so the heap orders entries by
-integer comparison alone and never compares the items.  Messages, queue
-items and trace events are named tuples, which cost less to build than
+`(due, seq, sender, receiver, msg)` tuples; `seq` is unique, so the heap
+orders entries by integer comparison alone and never compares the messages.
+Messages and trace events are named tuples, which cost less to build than
 frozen dataclasses; they are told apart by type, never by tuple equality
 (a `GossipMessage` and a `BackfillRequest` of the same ids compare equal).
 
@@ -65,6 +65,7 @@ class Partition:
 class NetworkConfig:
     """Transport parameters.  Delays are uniform integer ticks in [lo, hi]."""
 
+    guarantee: DeliveryGuarantee
     delay: tuple[int, int] = (1, 10)
     drop: float = 0.0
     duplicate: float = 0.0
@@ -80,6 +81,8 @@ class NetworkConfig:
         for part in self.partitions:
             if part.start < 0 or part.end <= part.start:
                 raise ValueError(f"partition interval invalid: [{part.start}, {part.end})")
+        if self.guarantee is not DeliveryGuarantee.BEST_EFFORT and self.drop > 0:
+            raise ValueError(f"{self.guarantee.value} requires drop probability 0")
 
 
 class OpMessage(NamedTuple):
@@ -116,7 +119,9 @@ class TraceEvent(NamedTuple):
         return f"{self.tick}\t{self.kind}\t{self.sender}\t{self.receiver}\t{event}"
 
 
-_AUX_KINDS = {
+# The trace kind of a message that is handed over.
+_KINDS = {
+    OpMessage: "DELIVER",
     GossipMessage: "GOSSIP",
     BackfillRequest: "BACKFILL_REQ",
     BackfillResponse: "BACKFILL_RESP",
@@ -124,6 +129,8 @@ _AUX_KINDS = {
 
 
 def _msg_id(msg: object) -> EventId | None:
+    if isinstance(msg, OpMessage):
+        return msg.env.op.vertex.id
     if isinstance(msg, BackfillRequest) and msg.missing:
         return min(msg.missing)
     if isinstance(msg, BackfillResponse) and msg.envelopes:
@@ -131,29 +138,20 @@ def _msg_id(msg: object) -> EventId | None:
     return None
 
 
-class _Scheduled(NamedTuple):
-    sender: int
-    receiver: int
-    msg: object
-
-
 class Network:
     """Message scheduler shared by all replicas of one scenario."""
 
-    def __init__(self, n: int, guarantee: DeliveryGuarantee, config: NetworkConfig) -> None:
+    def __init__(self, n: int, config: NetworkConfig) -> None:
         if n < 1:
             raise ValueError("need at least one replica")
-        if guarantee is not DeliveryGuarantee.BEST_EFFORT and config.drop > 0:
-            raise ValueError(f"{guarantee.value} requires drop probability 0")
         self.n = n
-        self.guarantee = guarantee
         self.config = config
         self.tick = 0
         self.trace: list[TraceEvent] = []
         # Trace names by replica index, and None ("to everyone") as "*".
         self._names: dict[int | None, str] = {i: f"r{i}" for i in range(n)}
         self._names[None] = "*"
-        self._queue: list[tuple[int, int, _Scheduled]] = []
+        self._queue: list[tuple[int, int, int, int, object]] = []
         self._seq = 0
         self._rng = Random(f"{config.seed}:net")
 
@@ -180,8 +178,7 @@ class Network:
             t = max(ends)
 
     def _push(self, due: int, sender: int, receiver: int, msg: object) -> None:
-        seq = self._seq
-        heapq.heappush(self._queue, (due, seq, _Scheduled(sender, receiver, msg)))
+        heapq.heappush(self._queue, (due, self._seq, sender, receiver, msg))
         self._seq += 1
 
     def _sample_delay(self) -> int:
@@ -206,7 +203,7 @@ class Network:
         self._log("SEND", sender, None, vid)
         recipients = set(range(self.n)) if targets is None else set(targets)
         recipients.discard(sender)
-        best_effort = self.guarantee is DeliveryGuarantee.BEST_EFFORT
+        best_effort = self.config.guarantee is DeliveryGuarantee.BEST_EFFORT
         msg = OpMessage(env)
         for r in sorted(recipients):
             if best_effort and self.config.drop > 0 and self._rng.random() < self.config.drop:
@@ -237,47 +234,26 @@ class Network:
         """Process everything due at the current tick, then advance one tick.
 
         Returns (receiver index, sender index, message) triples in delivery
-        order; the caller routes them into replica logic.
+        order; the caller routes them into replica logic.  A message a
+        partition cuts is dropped, unless it is an operation under a reliable
+        guarantee: that is deferred until the cut heals.
         """
         t = self.tick
         out: list[tuple[int, int, object]] = []
         queue = self._queue
+        reliable = self.config.guarantee is not DeliveryGuarantee.BEST_EFFORT
         while queue and queue[0][0] <= t:
-            item = heapq.heappop(queue)[2]
-            msg = item.msg
-            if isinstance(msg, OpMessage):
-                self._handle_op(item, out)
-            else:
-                if self._separated(item.sender, item.receiver, t):
-                    self._log("DROP", item.sender, item.receiver, _msg_id(msg))
-                    continue
-                self._log(_AUX_KINDS[type(msg)], item.sender, item.receiver, _msg_id(msg))
-                out.append((item.receiver, item.sender, msg))
+            _, _, sender, receiver, msg = heapq.heappop(queue)
+            if self._separated(sender, receiver, t):
+                if reliable and isinstance(msg, OpMessage):
+                    self._push(self._next_open_tick(sender, receiver, t), sender, receiver, msg)
+                else:
+                    self._log("DROP", sender, receiver, _msg_id(msg))
+                continue
+            self._log(_KINDS[type(msg)], sender, receiver, _msg_id(msg))
+            out.append((receiver, sender, msg))
         self.tick = t + 1
         return out
-
-    def _handle_op(self, item: _Scheduled, out: list[tuple[int, int, object]]) -> None:
-        """Hand an operation over, or drop or defer it as the guarantee says.
-
-        Every guarantee hands over every copy that is not cut.  BestEffort
-        drops an operation a partition cuts; the reliable guarantees defer it
-        until the cut heals.
-        """
-        msg: OpMessage = item.msg  # type: ignore[assignment]
-        vid = msg.env.op.vertex.id
-        if self._separated(item.sender, item.receiver, self.tick):
-            if self.guarantee is DeliveryGuarantee.BEST_EFFORT:
-                self._log("DROP", item.sender, item.receiver, vid)
-            else:
-                self._push(
-                    self._next_open_tick(item.sender, item.receiver, self.tick),
-                    item.sender,
-                    item.receiver,
-                    msg,
-                )
-            return
-        self._log("DELIVER", item.sender, item.receiver, vid)
-        out.append((item.receiver, item.sender, msg))
 
     # -- introspection -----------------------------------------------------
 
@@ -290,9 +266,9 @@ class Network:
         Gossip that nobody will answer and empty responses do not count as
         pending work; undelivered operations do.
         """
-        for _, _, item in self._queue:
-            if isinstance(item.msg, OpMessage):
+        for *_, msg in self._queue:
+            if isinstance(msg, OpMessage):
                 return True
-            if isinstance(item.msg, BackfillResponse) and item.msg.envelopes:
+            if isinstance(msg, BackfillResponse) and msg.envelopes:
                 return True
         return False

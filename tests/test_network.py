@@ -101,26 +101,28 @@ def watched():
 
 
 def reliable_net(n=3, **kw):
-    cfg = NetworkConfig(**kw)
-    return Network(n, DeliveryGuarantee.RELIABLE, cfg)
+    return Network(n, NetworkConfig(DeliveryGuarantee.RELIABLE, **kw))
 
 
 # -- config validation -----------------------------------------------------------
 
 
 def test_config_validation():
+    best_effort, reliable = DeliveryGuarantee.BEST_EFFORT, DeliveryGuarantee.RELIABLE
     with pytest.raises(ValueError):
-        NetworkConfig(delay=(0, 5))
+        NetworkConfig(best_effort, delay=(0, 5))
     with pytest.raises(ValueError):
-        NetworkConfig(delay=(6, 5))
+        NetworkConfig(best_effort, delay=(6, 5))
     with pytest.raises(ValueError):
-        NetworkConfig(drop=1.5)
+        NetworkConfig(best_effort, drop=1.5)
     with pytest.raises(ValueError):
-        NetworkConfig(partitions=(Partition(5, 5, frozenset({0})),))
+        NetworkConfig(best_effort, partitions=(Partition(5, 5, frozenset({0})),))
+    assert NetworkConfig(best_effort, drop=0.2).drop == 0.2
+    for guarantee in (reliable, DeliveryGuarantee.CAUSAL_ORDER_RELIABLE):
+        with pytest.raises(ValueError, match="requires drop probability 0"):
+            NetworkConfig(guarantee, drop=0.2)
     with pytest.raises(ValueError):
-        Network(3, DeliveryGuarantee.RELIABLE, NetworkConfig(drop=0.2))
-    with pytest.raises(ValueError):
-        Network(0, DeliveryGuarantee.RELIABLE, NetworkConfig())
+        Network(0, NetworkConfig(reliable))
 
 
 def test_trace_event_line_is_tab_separated():
@@ -158,8 +160,7 @@ def test_reliable_duplicates_skipped_by_the_envelope_store():
 
 
 def test_reliable_defers_across_partition():
-    cfg = NetworkConfig(delay=(1, 3), partitions=(Partition(0, 50, frozenset({0})),), seed=3)
-    net = Network(2, DeliveryGuarantee.RELIABLE, cfg)
+    net = reliable_net(2, delay=(1, 3), partitions=(Partition(0, 50, frozenset({0})),), seed=3)
     _, env = Chain(0).env()
     net.broadcast(0, env)
     got = op_deliveries(drain(net))
@@ -187,7 +188,7 @@ def test_reliable_reorders_across_senders():
 
 def test_causal_delivers_each_send_to_its_targets():
     # Receiver 2 is left out of the first send; it still gets the second.
-    net = Network(3, DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, NetworkConfig(delay=(1, 5), seed=14))
+    net = Network(3, NetworkConfig(DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, delay=(1, 5), seed=14))
     key = KEYS[0]
     op_1, op_2 = (
         generate_add(init("net"), EventPayload("msg", body), 2, Random(0), key.replica_id, seq)
@@ -207,7 +208,7 @@ def test_causal_delivers_each_send_to_its_targets():
 def test_causal_resent_envelope_is_skipped_and_later_sends_apply():
     # x goes out twice; the replica skips its second copy unverified, and y,
     # sent after it, still applies.
-    net = Network(2, DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, NetworkConfig(delay=(1, 1), seed=3))
+    net = Network(2, NetworkConfig(DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, delay=(1, 1), seed=3))
     nodes = replicas(2)
     chain = Chain(0)
     x, y = chain.env(b"x")[1], chain.env(b"y")[1]
@@ -236,8 +237,7 @@ def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate,
     # Senders extend one shared DAG and broadcast to everyone; now and then a
     # sender re-sends one of its earlier envelopes.  Every replica applies
     # each id once and verifies each id it did not send once.
-    config = NetworkConfig(delay=(1, hi), duplicate=duplicate, seed=seed)
-    net = Network(n, guarantee, config)
+    net = Network(n, NetworkConfig(guarantee, delay=(1, hi), duplicate=duplicate, seed=seed))
     nodes = replicas(n)
     state, rng = init("net"), Random(seed)
     sent: list[list] = [[] for _ in range(n)]
@@ -269,22 +269,23 @@ def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate,
 
 
 def test_best_effort_drop_everything():
-    net = Network(3, DeliveryGuarantee.BEST_EFFORT, NetworkConfig(drop=1.0, seed=8))
+    net = Network(3, NetworkConfig(DeliveryGuarantee.BEST_EFFORT, drop=1.0, seed=8))
     net.broadcast(0, Chain(0).env()[1])
     assert op_deliveries(drain(net)) == []
     assert sum(1 for ev in net.trace if ev.kind == "DROP") == 2
 
 
 def test_best_effort_delivers_duplicates():
-    net = Network(2, DeliveryGuarantee.BEST_EFFORT, NetworkConfig(duplicate=1.0, seed=9))
+    net = Network(2, NetworkConfig(DeliveryGuarantee.BEST_EFFORT, duplicate=1.0, seed=9))
     net.broadcast(0, Chain(0).env()[1])
     got = op_deliveries(drain(net))
     assert len(got) == 2
 
 
 def test_best_effort_partition_drops():
-    cfg = NetworkConfig(delay=(1, 2), partitions=(Partition(0, 100, frozenset({0})),), seed=10)
-    net = Network(2, DeliveryGuarantee.BEST_EFFORT, cfg)
+    cut = (Partition(0, 100, frozenset({0})),)
+    config = NetworkConfig(DeliveryGuarantee.BEST_EFFORT, delay=(1, 2), partitions=cut, seed=10)
+    net = Network(2, config)
     net.broadcast(0, Chain(0).env()[1])
     assert op_deliveries(drain(net)) == []
 
@@ -295,7 +296,7 @@ def test_next_open_tick_jumps_over_overlapping_partitions():
         Partition(15, 40, frozenset({0, 1})),
         Partition(40, 45, frozenset({2})),
     )
-    net = Network(3, DeliveryGuarantee.RELIABLE, NetworkConfig(partitions=parts))
+    net = reliable_net(3, partitions=parts)
 
     def stepping(a, b, tick):
         t = tick
@@ -334,8 +335,7 @@ def test_gossip_and_backfill_flow():
 
 
 def test_aux_dropped_across_partition():
-    cfg = NetworkConfig(delay=(1, 2), partitions=(Partition(0, 100, frozenset({0})),), seed=12)
-    net = Network(2, DeliveryGuarantee.RELIABLE, cfg)
+    net = reliable_net(2, delay=(1, 2), partitions=(Partition(0, 100, frozenset({0})),), seed=12)
     net.gossip_extremities(0, frozenset({b"\x01" * 32}))
     got = drain(net)
     assert not [m for _, _, m in got if isinstance(m, GossipMessage)]
@@ -362,8 +362,8 @@ def test_cut_message_is_dropped_unless_a_reliable_op(guarantee, kind):
     # One message 0 -> 1, due at tick 2, inside a cut that heals at tick 50.
     # A reliable op is deferred to the heal and handed over once; every other
     # cut message is dropped, its line naming the id `_msg_id` gives it.
-    cfg = NetworkConfig(delay=(2, 2), partitions=(Partition(0, 50, frozenset({0})),))
-    net = Network(2, guarantee, cfg)
+    cut = (Partition(0, 50, frozenset({0})),)
+    net = Network(2, NetworkConfig(guarantee, delay=(2, 2), partitions=cut))
     env = Chain(0).env()[1]
     vid = env.op.vertex.id
     ids = frozenset({b"\x02" * 32, b"\x01" * 32})
@@ -395,7 +395,7 @@ def test_cut_message_is_dropped_unless_a_reliable_op(guarantee, kind):
 
 
 def run_fixed_workload(seed):
-    net = Network(3, DeliveryGuarantee.RELIABLE, NetworkConfig(delay=(1, 30), seed=seed))
+    net = reliable_net(delay=(1, 30), seed=seed)
     chains = [Chain(i) for i in range(3)]
     for tick in range(5):
         for i in range(3):
@@ -414,7 +414,7 @@ def test_equivocation_equals_two_crashing_senders():
     """Targeted sends from one sender look like two partial crash-sends."""
 
     def deliveries_with(split_senders: bool):
-        net = Network(4, DeliveryGuarantee.RELIABLE, NetworkConfig(delay=(2, 2), seed=30))
+        net = reliable_net(4, delay=(2, 2), seed=30)
         mk = Chain(0)
         op_a, env_a = mk.env(b"fork-a")
         op_b, env_b = mk.env(b"fork-b")
