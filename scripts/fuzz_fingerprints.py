@@ -18,10 +18,11 @@ of every replica's stored envelope signatures (in id order), the applied
 counts, `rejected_ops`, `stale_parent_ops`, the convergence and quiescence
 ticks, the final digests and the verdict.  Two checkouts behave the same on
 these cases when their files are byte-identical; `--compare` prints the cases
-that differ, grouped by guarantee, faults and behaviour, and exits 1 if there
-is any.  It then sums up the verdicts from A to B: for each flag, the cases
-that went true to false and false to true, and the change in convergence
-tick over the cases that converged on both sides.
+that differ, grouped by guarantee, faults and behaviour, tallies the differing
+cases per field, and exits 1 if there is any.  It then sums up the verdicts
+from A to B: for each flag, the cases that went true to false and false to
+true, and the change in convergence tick over the cases that converged on
+both sides.
 """
 
 from __future__ import annotations
@@ -202,6 +203,9 @@ def compare(a_path: Path, b_path: Path) -> int:
         counts = Counter(row[label] for _, row, _ in differing)
         if counts:
             print(f"by {label}: " + ", ".join(f"{k} {v}" for k, v in sorted(counts.items())))
+    by_field = Counter(field for _, _, fields in differing for field in fields)
+    if by_field:
+        print("by field: " + ", ".join(f"{k} {v}" for k, v in sorted(by_field.items())))
     print(f"{len(differing)} of {len(set(a) | set(b))} cases differ")
     verdict_summary([(a[i], b[i]) for i in sorted(set(a) & set(b))])
     return 1 if differing else 0

@@ -1,10 +1,10 @@
 """Canonical byte encodings and content-derived identifiers.
 
-Every event is hashed and signed over one fixed serialization so that all
-replicas derive the same id for the same content, regardless of how the
-event object was built locally.  Fields appear in a fixed order (kind, body,
-sender, seq, sorted parent ids) and each field is prefixed with its length
-as an 8-byte big-endian integer.
+Every event is hashed over one fixed serialization so that all replicas
+derive the same id for the same content, regardless of how the event object
+was built locally; the id is what its creator signs.  Fields appear in a
+fixed order (kind, body, sender, seq, sorted parent ids) and each field is
+prefixed with its length as an 8-byte big-endian integer.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ def encode_vertex_fields(
     seq: int,
     parents: Iterable[bytes],
 ) -> bytes:
-    """Serialize vertex content into canonical bytes (hash and signature input)."""
+    """Serialize vertex content into canonical bytes (the event id's hash input)."""
     if seq < 0:
         raise ValueError("seq must be non-negative")
     kind_b = kind.encode("utf-8")
@@ -42,7 +42,6 @@ def encode_vertex_fields(
 def compute_event_id(data: bytes) -> bytes:
     """Content-derived 256-bit event id: SHA-256 of the canonical encoding.
 
-    `data` is what `encode_vertex_fields` returns, so a caller that also
-    signs or checks a signature encodes the vertex once for both.
+    `data` is what `encode_vertex_fields` returns.
     """
     return hashlib.sha256(data).digest()

@@ -489,7 +489,7 @@ class ReplicaNode:
                     applied += self.receive_envelope(env)
         else:
             if isinstance(msg, GossipMessage):
-                unknown = {w for w in msg.extremities if not state.lookup(w) and w not in buffer}
+                unknown = {w for w in msg.extremities.difference(state.vertices) if w not in buffer}
                 missing = buffer.missing_parent_ids(state)
                 net.request_backfill(self.idx, sender, unknown | missing if unknown else missing)
             elif isinstance(msg, BackfillRequest):

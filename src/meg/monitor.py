@@ -2,14 +2,14 @@
 
 Every operation that arrives from the network passes through `verify_envelope`
 before it may touch replica state.  Checks are stateless, so verification can
-run anywhere.  Identifiers are content hashes and envelopes are signed over
-the same canonical bytes, so a payload cannot be altered without changing the
+run anywhere.  Identifiers are content hashes of the canonical bytes and
+envelopes sign the id, so a payload cannot be altered without changing the
 id, and an id cannot be claimed without the matching content.  Distinct
 accepted vertices are assumed to have distinct ids (hash collision resistance).
 
 The signature scheme is pluggable behind `SigningKey`; the default is a keyed
 hash (HMAC-SHA256) stand-in where the verification key equals the signing
-secret.  Any deterministic scheme over the canonical encoding works.  Both
+secret.  Any deterministic scheme over the 32-byte event id works.  Both
 `SigningKey` and `MembershipDirectory` build one `hmac.HMAC` per key, when
 they are built, and each signature or check hashes the data into a copy of
 it, so the key is not re-padded per message.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .core import MAX_PAYLOAD_BYTES, AddOperation, ReplicaId, Vertex
+from .core import MAX_PAYLOAD_BYTES, AddOperation, ReplicaId
 from .encoding import compute_event_id, encode_vertex_fields
 
 
@@ -44,7 +44,6 @@ class SignedEnvelope:
     """An add operation bound to its claimed creator by a signature."""
 
     op: AddOperation
-    sender: ReplicaId
     signature: bytes
 
 
@@ -91,17 +90,9 @@ class MembershipDirectory:
         return self._keyed.get(replica_id)
 
 
-def canonical_vertex_bytes(vertex: Vertex) -> bytes:
-    return encode_vertex_fields(vertex.kind, vertex.body, vertex.sender, vertex.seq, vertex.parents)
-
-
 def sign_envelope(op: AddOperation, key: SigningKey) -> SignedEnvelope:
-    """Sign the canonical vertex bytes; the envelope sender is the key's id."""
-    return SignedEnvelope(
-        op=op,
-        sender=key.replica_id,
-        signature=key.sign(canonical_vertex_bytes(op.vertex)),
-    )
+    """Sign the event id, the hash of every field of the vertex, its sender included."""
+    return SignedEnvelope(op, key.sign(op.vertex.id))
 
 
 def verify_envelope(
@@ -111,17 +102,17 @@ def verify_envelope(
 
     A payload body over `MAX_PAYLOAD_BYTES` (64 KiB) is OVERSIZED_PAYLOAD.
 
-    The signature check runs before the id check, so content tampered after
-    signing surfaces as BAD_SIGNATURE while a forged id on intact, correctly
-    signed content surfaces as BAD_EVENT_ID.  The signature must also bind
-    the vertex's declared creator: a mismatch between envelope sender and
-    vertex sender fails as BAD_SIGNATURE.
+    The key is the one of the vertex's declared creator.  The id check runs
+    before the signature check, so content tampered after signing and a
+    forged id on intact content both surface as BAD_EVENT_ID, while a vertex
+    that names one member but carries another's signature surfaces as
+    BAD_SIGNATURE.
 
     Re-delivery of an accepted envelope is not an error here; replay safety
     comes from the idempotent effector downstream.
     """
     v = env.op.vertex
-    keyed = directory.keyed_mac(env.sender)
+    keyed = directory.keyed_mac(v.sender)
     if keyed is None:
         return VerificationFailure.UNKNOWN_SENDER
     if not v.parents:
@@ -132,11 +123,9 @@ def verify_envelope(
         return VerificationFailure.SELF_PARENT
     if len(v.body) > MAX_PAYLOAD_BYTES:
         return VerificationFailure.OVERSIZED_PAYLOAD
-    if v.sender != env.sender:
-        return VerificationFailure.BAD_SIGNATURE
-    data = canonical_vertex_bytes(v)
-    if not hmac.compare_digest(_mac(keyed, data), env.signature):
-        return VerificationFailure.BAD_SIGNATURE
+    data = encode_vertex_fields(v.kind, v.body, v.sender, v.seq, v.parents)
     if compute_event_id(data) != v.id:
         return VerificationFailure.BAD_EVENT_ID
+    if not hmac.compare_digest(_mac(keyed, v.id), env.signature):
+        return VerificationFailure.BAD_SIGNATURE
     return None

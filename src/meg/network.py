@@ -131,7 +131,7 @@ _KINDS = {
 def _msg_id(msg: object) -> EventId | None:
     if isinstance(msg, OpMessage):
         return msg.env.op.vertex.id
-    if isinstance(msg, BackfillRequest) and msg.missing:
+    if isinstance(msg, BackfillRequest):
         return min(msg.missing)
     if isinstance(msg, BackfillResponse) and msg.envelopes:
         return msg.envelopes[0].op.vertex.id
@@ -203,10 +203,9 @@ class Network:
         self._log("SEND", sender, None, vid)
         recipients = set(range(self.n)) if targets is None else set(targets)
         recipients.discard(sender)
-        best_effort = self.config.guarantee is DeliveryGuarantee.BEST_EFFORT
         msg = OpMessage(env)
         for r in sorted(recipients):
-            if best_effort and self.config.drop > 0 and self._rng.random() < self.config.drop:
+            if self.config.drop > 0 and self._rng.random() < self.config.drop:
                 self._log("DROP", sender, r, vid)
                 continue
             self._push(self.tick + self._sample_delay(), sender, r, msg)

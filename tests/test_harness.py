@@ -35,7 +35,7 @@ from meg.harness import (
     trace_tsv,
     width_series_csv,
 )
-from meg import harness
+from meg import core, harness, monitor
 from meg.monitor import MembershipDirectory, SigningKey
 from meg.network import (
     BackfillResponse,
@@ -579,6 +579,39 @@ def count_verifications(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(harness, "verify_envelope", counted)
     return calls
+
+
+def count_encodings(monkeypatch) -> dict[str, int]:
+    """Count `encode_vertex_fields` and `compute_event_id` calls from now on."""
+    calls = {"encode_vertex_fields": 0, "compute_event_id": 0}
+    for module in (core, monitor):
+        for name in calls:
+
+            def counted(*args, name=name, fn=getattr(module, name)):
+                calls[name] += 1
+                return fn(*args)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("on_root", [False, True])
+def test_make_op_encodes_the_event_once(monkeypatch, on_root):
+    node = make_node(d=2)
+    calls = count_encodings(monkeypatch)
+    node.make_op(EventPayload("msg", b"a"), parents=(node.state.root,) if on_root else None)
+    assert calls == {"encode_vertex_fields": 1, "compute_event_id": 1}
+
+
+def test_each_encoding_is_hashed_once(monkeypatch):
+    # Making an op and checking an arrival each encode the vertex once, to
+    # hash it; signing and checking the signature use the id.
+    spec = adversary_spec([{"kind": "orphan_flood", "rate": 2}], rounds=3, gossip_period=10)
+    calls = count_encodings(monkeypatch)
+    metrics, verdict = run_scenario(spec)
+    assert verdict.all_ok()
+    assert {"GOSSIP", "BACKFILL_RESP"} <= {ev.kind for ev in metrics.trace}
+    assert calls["encode_vertex_fields"] == calls["compute_event_id"] > 0
 
 
 def test_backfill_skips_held_ids_before_verification(monkeypatch):

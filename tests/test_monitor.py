@@ -7,13 +7,12 @@ from random import Random
 import pytest
 
 from meg.core import AddOperation, EventPayload, Vertex, generate_add, init, make_vertex
-from meg.encoding import compute_event_id
+from meg.encoding import compute_event_id, encode_vertex_fields
 from meg.monitor import (
     MembershipDirectory,
     SignedEnvelope,
     SigningKey,
     VerificationFailure,
-    canonical_vertex_bytes,
     sign_envelope,
     verify_envelope,
 )
@@ -58,12 +57,12 @@ def test_directory_requires_quorum_margin():
     assert d.keyed_mac(OUTSIDER.replica_id) is None
 
 
-def test_signatures_are_hmac_sha256_of_the_canonical_bytes():
+def test_signatures_are_hmac_sha256_of_the_event_id():
     env = fresh_env()
-    data = canonical_vertex_bytes(env.op.vertex)
-    assert env.signature == hmac.new(KEY.verification_key, data, hashlib.sha256).digest()
+    vid = env.op.vertex.id
+    assert env.signature == hmac.new(KEY.verification_key, vid, hashlib.sha256).digest()
     # Signing and checking again give the same answer: the keyed HMAC is copied, not fed.
-    assert KEY.sign(data) == env.signature
+    assert KEY.sign(vid) == env.signature
     assert verify_envelope(env, DIRECTORY) is None
     assert verify_envelope(env, DIRECTORY) is None
 
@@ -107,25 +106,36 @@ def test_oversized_payload_rejected():
     assert verify_envelope(fresh_env(body=b"z" * (64 * 1024)), DIRECTORY) is None
 
 
+def test_tampered_body_fails_event_id():
+    # The body changes after signing and the vertex keeps its signed id.
+    env = fresh_env()
+    v = env.op.vertex
+    tampered = Vertex(v.kind, b"changed", v.id, v.parents, v.sender, v.seq)
+    bad = SignedEnvelope(AddOperation(tampered), env.signature)
+    assert verify_envelope(bad, DIRECTORY) is VerificationFailure.BAD_EVENT_ID
+
+
 def test_tampered_body_fails_signature():
+    # The body changes after signing and the id is recomputed to match it.
     env = fresh_env()
     v = env.op.vertex
     tampered = make_vertex(EventPayload(v.kind, b"changed"), v.sender, v.seq, v.parents)
-    bad = SignedEnvelope(AddOperation(tampered), env.sender, env.signature)
+    bad = SignedEnvelope(AddOperation(tampered), env.signature)
     assert verify_envelope(bad, DIRECTORY) is VerificationFailure.BAD_SIGNATURE
 
 
 def test_wrong_key_fails_signature():
+    # A key outside the directory signs KEY's vertex: the vertex's sender picks the key.
     env = fresh_env()
-    resigned = SignedEnvelope(env.op, env.sender, OTHER_KEY.sign(canonical_vertex_bytes(env.op.vertex)))
+    resigned = SignedEnvelope(env.op, OUTSIDER.sign(env.op.vertex.id))
     assert verify_envelope(resigned, DIRECTORY) is VerificationFailure.BAD_SIGNATURE
 
 
 def test_sender_binding_mismatch_fails_signature():
-    # OTHER relays KEY's vertex under its own envelope identity and signature.
+    # OTHER, a member, relays KEY's vertex with its own signature.
     env = fresh_env()
     hijacked = sign_envelope(env.op, OTHER_KEY)
-    assert hijacked.sender != env.op.vertex.sender
+    assert hijacked.signature != env.signature
     assert verify_envelope(hijacked, DIRECTORY) is VerificationFailure.BAD_SIGNATURE
 
 
@@ -133,19 +143,21 @@ def test_forged_id_on_intact_content_fails_event_id():
     env = fresh_env()
     v = env.op.vertex
     forged = Vertex(v.kind, v.body, b"\x42" * 32, v.parents, v.sender, v.seq)
-    # canonical bytes exclude the id, so the original signature still verifies
-    bad = SignedEnvelope(AddOperation(forged), env.sender, env.signature)
-    assert verify_envelope(bad, DIRECTORY) is VerificationFailure.BAD_EVENT_ID
+    # The id is checked before the signature, so neither the original
+    # signature nor one the creator makes over the forged id lets it pass.
+    for signature in (env.signature, KEY.sign(forged.id)):
+        bad = SignedEnvelope(AddOperation(forged), signature)
+        assert verify_envelope(bad, DIRECTORY) is VerificationFailure.BAD_EVENT_ID
 
 
 def test_reordered_parents_keep_id_and_signature():
-    # The id and the signed bytes sort the parent ids, so their order is not content.
+    # The id's bytes sort the parent ids, so their order is not content.
     a, b = b"\x01" * 32, b"\x02" * 32
     v = make_vertex(EventPayload("msg", b"p"), KEY.replica_id, 0, (a, b))
     env = sign_envelope(AddOperation(v), KEY)
     swapped = Vertex(v.kind, v.body, v.id, (b, a), v.sender, v.seq)
-    assert compute_event_id(canonical_vertex_bytes(swapped)) == v.id
-    relayed = SignedEnvelope(AddOperation(swapped), env.sender, env.signature)
+    assert compute_event_id(encode_vertex_fields("msg", b"p", KEY.replica_id, 0, (b, a))) == v.id
+    relayed = SignedEnvelope(AddOperation(swapped), env.signature)
     assert verify_envelope(relayed, DIRECTORY) is None
 
 

@@ -159,16 +159,6 @@ def test_reliable_duplicates_skipped_by_the_envelope_store():
     assert verify.call_count == 2
 
 
-def test_reliable_defers_across_partition():
-    net = reliable_net(2, delay=(1, 3), partitions=(Partition(0, 50, frozenset({0})),), seed=3)
-    _, env = Chain(0).env()
-    net.broadcast(0, env)
-    got = op_deliveries(drain(net))
-    assert [r for r, _, _ in got] == [1]
-    deliver_ticks = [ev.tick for ev in net.trace if ev.kind == "DELIVER"]
-    assert deliver_ticks and min(deliver_ticks) >= 50
-
-
 def test_reliable_reorders_across_senders():
     # With a wide delay spread, raw arrival order differs from send order.
     net = reliable_net(n=2, delay=(1, 100), seed=4)
@@ -282,14 +272,6 @@ def test_best_effort_delivers_duplicates():
     assert len(got) == 2
 
 
-def test_best_effort_partition_drops():
-    cut = (Partition(0, 100, frozenset({0})),)
-    config = NetworkConfig(DeliveryGuarantee.BEST_EFFORT, delay=(1, 2), partitions=cut, seed=10)
-    net = Network(2, config)
-    net.broadcast(0, Chain(0).env()[1])
-    assert op_deliveries(drain(net)) == []
-
-
 def test_next_open_tick_jumps_over_overlapping_partitions():
     parts = (
         Partition(5, 20, frozenset({0})),
@@ -332,14 +314,6 @@ def test_gossip_and_backfill_flow():
     resps = [(r, m) for r, _, m in got if isinstance(m, BackfillResponse)]
     assert [r for r, _ in resps] == [1]
     assert resps[0][1].envelopes == (env,)
-
-
-def test_aux_dropped_across_partition():
-    net = reliable_net(2, delay=(1, 2), partitions=(Partition(0, 100, frozenset({0})),), seed=12)
-    net.gossip_extremities(0, frozenset({b"\x01" * 32}))
-    got = drain(net)
-    assert not [m for _, _, m in got if isinstance(m, GossipMessage)]
-    assert any(ev.kind == "DROP" for ev in net.trace)
 
 
 def test_pending_payload_tracks_ops_not_gossip():
