@@ -12,7 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from meg.core import AddOperation, EventPayload, MegState, make_vertex
+from meg.core import EventPayload, MegState, make_vertex
 from meg.harness import (
     AdversarySpec,
     Equivocate,
@@ -407,27 +407,52 @@ def test_dag_invariants_catch_extremity_corruption_healed_later(monkeypatch):
     assert not verdict.dag_invariants
 
 
-def test_ingest_counts_a_stray_vertex(monkeypatch):
-    writer, reader = make_node(0, n=2), make_node(1, n=2)
-    original = MegState.apply_add
-    strays = []
+FOREIGN_ID = b"\xee" * 32
 
-    def slip_in_stray(self, op):
+
+def slip_in_stray(state, vertex):
+    # A vertex the delivery does not report, hidden from the extremities, so
+    # only the size of the graph shows it.
+    stray = make_vertex(EventPayload("msg", b"stray"), vertex.sender, 99, (state.root,))
+    state.vertices[stray.id] = stray
+
+
+def add_foreign_extremity(state, vertex):
+    state._extremities.add(FOREIGN_ID)
+
+
+def swap_an_extremity(state, vertex):
+    # The set keeps its size: one other extremity out, an id that is no vertex in.
+    state._extremities.remove(min(state._extremities - {vertex.id}))
+    state._extremities.add(FOREIGN_ID)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [slip_in_stray, add_foreign_extremity, swap_an_extremity],
+    ids=["stray-vertex", "foreign-extremity", "swapped-extremity"],
+)
+def test_ingest_counts_a_stray_vertex(monkeypatch, corrupt):
+    # One delivery corrupts the state right after its apply: counted once,
+    # and the next delivery, checked against the corrupted state, is not.
+    writer, reader = make_node(0, n=2), make_node(1, n=2)
+    first = writer.make_op(EventPayload("msg", b"first"), parents=(writer.state.root,))
+    assert reader.receive_envelope(first) == [first.op.vertex.id]
+    original = MegState.apply_add
+    corrupted = []
+
+    def corrupt_once(self, op):
         applied = original(self, op)
-        if applied and not strays:
-            stray = make_vertex(EventPayload("msg", b"stray"), op.vertex.sender, 99, (self.root,))
-            original(self, AddOperation(stray))
-            # Hide it from the extremities, so only the size of the graph shows it.
-            self._extremities.discard(stray.id)
+        if applied and not corrupted:
+            corrupt(self, op.vertex)
             self._sorted_extremities = None
-            strays.append(stray.id)
+            corrupted.append(op.vertex.id)
         return applied
 
-    monkeypatch.setattr(MegState, "apply_add", slip_in_stray)
-    env = writer.make_op(EventPayload("msg", b"a"))
+    monkeypatch.setattr(MegState, "apply_add", corrupt_once)
+    env = writer.make_op(EventPayload("msg", b"a"), parents=(writer.state.root,))
     assert reader.receive_envelope(env) == [env.op.vertex.id]
-    assert strays and strays[0] in reader.state.vertices
-    assert reader.state.get_extremities() == {env.op.vertex.id}
+    assert corrupted == [env.op.vertex.id]
     assert reader.invariant_failures == 1
     child = writer.make_op(EventPayload("msg", b"b"), parents=(env.op.vertex.id,))
     assert reader.receive_envelope(child) == [child.op.vertex.id]
