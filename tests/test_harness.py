@@ -421,6 +421,10 @@ def add_foreign_extremity(state, vertex):
     state._extremities.add(FOREIGN_ID)
 
 
+def leave_a_parent_in_place(state, vertex):
+    state._extremities.update(vertex.parents)
+
+
 def swap_an_extremity(state, vertex):
     # The set keeps its size: one other extremity out, an id that is no vertex in.
     state._extremities.remove(min(state._extremities - {vertex.id}))
@@ -429,8 +433,8 @@ def swap_an_extremity(state, vertex):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [slip_in_stray, add_foreign_extremity, swap_an_extremity],
-    ids=["stray-vertex", "foreign-extremity", "swapped-extremity"],
+    [slip_in_stray, add_foreign_extremity, leave_a_parent_in_place, swap_an_extremity],
+    ids=["stray-vertex", "foreign-extremity", "parent-left-in-place", "swapped-extremity"],
 )
 def test_ingest_counts_a_stray_vertex(monkeypatch, corrupt):
     # One delivery corrupts the state right after its apply: counted once,
