@@ -35,10 +35,6 @@ class MegError(Exception):
     """Base error for DAG state handling."""
 
 
-class UnknownVertexError(MegError):
-    """A queried vertex id is not part of the state."""
-
-
 class PreconditionError(MegError):
     """An effector ran although some parent is missing."""
 
@@ -115,11 +111,6 @@ class MegState:
 
     def lookup(self, w: EventId) -> bool:
         return w in self.vertices
-
-    def has_child(self, w: EventId) -> bool:
-        if w not in self.vertices:
-            raise UnknownVertexError(f"unknown vertex {w.hex()[:16]}")
-        return w not in self._extremities
 
     def get_extremities(self) -> frozenset[EventId]:
         """Exactly the vertices with no incoming edge.  Never empty."""

@@ -238,27 +238,37 @@ def _probability(value: object, name: str) -> float:
     return float(value)
 
 
+def _refuse_unexpected(raw: dict, allowed: set[str], what: str) -> None:
+    unexpected = sorted(set(raw) - allowed)
+    if unexpected:
+        raise ScenarioError(f"{what} keys unexpected: {unexpected}")
+
+
 def _parse_behavior(raw: dict) -> Behavior:
     kind = raw.get("kind")
-    if kind == "equivocate":
+    cls = {"equivocate": Equivocate, "withhold": Withhold, "orphan_flood": OrphanFlood}.get(kind)
+    if cls is None:
+        raise ScenarioError(f"unknown adversary behavior kind: {kind!r}")
+    _refuse_unexpected(raw, {"kind"} | {f.name for f in fields(cls)}, f"{kind} behavior")
+    if cls is Equivocate:
         return Equivocate(
             subset_a=_ints(raw["subset_a"], "subset_a"),
             subset_b=_ints(raw["subset_b"], "subset_b"),
             at_round=_int(raw.get("at_round", 0), "at_round"),
         )
-    if kind == "withhold":
+    if cls is Withhold:
         return Withhold(skip=_ints(raw["skip"], "skip"))
-    if kind == "orphan_flood":
-        return OrphanFlood(rate=_int(raw["rate"], "rate"))
-    raise ScenarioError(f"unknown adversary behavior kind: {kind!r}")
+    return OrphanFlood(rate=_int(raw["rate"], "rate"))
 
 
 def parse_scenario(raw: dict) -> ScenarioSpec:
     """Validate a scenario dict: exactly the documented keys, each of the right shape.
 
-    Counts, indices and ticks must be JSON integers, and `drop` and
-    `duplicate` JSON numbers; nothing is coerced, so `3.9`, `true` or `"1"`
-    where an integer belongs is a `ScenarioError`.
+    The adversary block and each behavior hold no other keys either, but may
+    leave out `behaviors` and `at_round`.  Counts, indices and ticks must be
+    JSON integers, and `drop` and `duplicate` JSON numbers; nothing is
+    coerced, so `3.9`, `true` or `"1"` where an integer belongs is a
+    `ScenarioError`.
     """
     try:
         got = set(raw)
@@ -288,6 +298,7 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
         adversary = None
         if raw["adversary"] is not None:
             adv = raw["adversary"]
+            _refuse_unexpected(adv, {f.name for f in fields(AdversarySpec)}, "adversary")
             adversary = AdversarySpec(
                 byzantine=frozenset(_ints(adv["byzantine"], "byzantine")),
                 behaviors=tuple(_parse_behavior(b) for b in adv.get("behaviors", [])),
@@ -387,31 +398,16 @@ class ReplicaNode:
         self.seq += 1
         return sign_envelope(op, self.key)
 
-    def absorb_own(self, env: SignedEnvelope) -> None:
-        """Apply the replica's own operation synchronously at broadcast time."""
-        self.store[env.op.vertex.id] = env
-        self._ingest(env.op)
-
     def receive_envelope(self, env: SignedEnvelope) -> list[EventId]:
-        """Verify, then apply or buffer.  Returns the event ids applied."""
+        """Verify, then absorb.  Returns the event ids applied."""
         if verify_envelope(env, self.directory) is not None:
             self.rejected_ops += 1
             return []
-        op = env.op
-        self.store[op.vertex.id] = env
-        state = self.state
-        if (
-            op.vertex.id not in state.vertices
-            and state.precondition_holds(op)
-            and any(state.has_child(p) for p in op.vertex.parents)
-        ):
-            # A first-time apply whose parents already have children: late or
-            # deliberately old references.  Accepted, but worth counting.
-            self.stale_parent_ops += 1
-        return self._ingest(op)
+        return self.absorb(env)
 
-    def _ingest(self, op: AddOperation) -> list[EventId]:
-        """Deliver through `ingest`, then check what the delivery changed.
+    def absorb(self, env: SignedEnvelope) -> list[EventId]:
+        """Store an own or verified envelope, deliver it through `ingest`, and
+        check what the delivery changed.  Returns the event ids applied.
 
         Each applied vertex, in order, must be reported once and have a
         non-empty, duplicate-free parent list of vertices present before it.
@@ -422,11 +418,16 @@ class ReplicaNode:
         rooted DAG with consistent extremities before the delivery and the
         check passes, it still is one after, so O(width + parents) per
         delivery stands in for a whole-graph walk.
+
+        A vertex whose parents are not all among the replayed extremities had
+        a parent that was already covered: a late or deliberately old
+        reference, accepted but counted in `stale_parent_ops`.
         """
         state = self.state
+        self.store[env.op.vertex.id] = env
         extremities = set(state.extremities_view())
         count = len(state.vertices)
-        applied = ingest(state, self.buffer, op)
+        applied = ingest(state, self.buffer, env.op)
         this_or_later = set(applied)
         ok = len(this_or_later) == len(applied)
         for vid in applied:
@@ -437,6 +438,8 @@ class ReplicaNode:
                 and len(set(parents)) == len(parents)
                 and all(p in state.vertices and p not in this_or_later for p in parents)
             )
+            if not extremities.issuperset(parents):
+                self.stale_parent_ops += 1
             this_or_later.discard(vid)
             extremities.difference_update(parents)
             extremities.add(vid)
@@ -564,8 +567,8 @@ def equivocate(
     """
     env_a = node.make_op(payload_a)
     env_b = node.make_op(payload_b)
-    node.absorb_own(env_a)
-    node.absorb_own(env_b)
+    node.absorb(env_a)
+    node.absorb(env_b)
     return env_a, env_b
 
 
@@ -680,7 +683,7 @@ class Simulation:
         self.settled_at = 0
 
     def send_own(self, i: int, env: SignedEnvelope, targets: set[int] | None = None) -> None:
-        self.nodes[i].absorb_own(env)
+        self.nodes[i].absorb(env)
         self.net.broadcast(i, env, targets)
         if i not in self.byzantine:
             self.correct_broadcast.add(env.op.vertex.id)

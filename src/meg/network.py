@@ -102,21 +102,23 @@ class BackfillResponse(NamedTuple):
 
 
 class TraceEvent(NamedTuple):
-    """One trace record.  `event` is the id the record names, or None.
+    """One trace record: replicas by index, receiver None for a send to all.
 
-    The record holds the id bytes the vertex already holds, not a copy; its
-    16-hex-digit prefix is rendered only when `line` writes the record.
+    `event` is the id the record names, or None: the bytes the vertex already
+    holds, not a copy.  Replica names and the id's 16-hex-digit prefix are
+    rendered only when `line` writes the record.
     """
 
     tick: int
     kind: str  # SEND | DELIVER | DROP | BACKFILL_REQ | BACKFILL_RESP | GOSSIP
-    sender: str
-    receiver: str
+    sender: int
+    receiver: int | None
     event: EventId | None
 
     def line(self) -> str:
+        receiver = "*" if self.receiver is None else f"r{self.receiver}"
         event = "-" if self.event is None else self.event[:8].hex()
-        return f"{self.tick}\t{self.kind}\t{self.sender}\t{self.receiver}\t{event}"
+        return f"{self.tick}\t{self.kind}\tr{self.sender}\t{receiver}\t{event}"
 
 
 # The trace kind of a message that is handed over.
@@ -148,20 +150,14 @@ class Network:
         self.config = config
         self.tick = 0
         self.trace: list[TraceEvent] = []
-        # Trace names by replica index, and None ("to everyone") as "*".
-        self._names: dict[int | None, str] = {i: f"r{i}" for i in range(n)}
-        self._names[None] = "*"
         self._queue: list[tuple[int, int, int, int, object]] = []
         self._seq = 0
         self._rng = Random(f"{config.seed}:net")
 
     # -- helpers -----------------------------------------------------------
 
-    def _name(self, idx: int | None) -> str:
-        return self._names[idx]
-
-    def _log(self, kind: str, sender: int | None, receiver: int | None, event: EventId | None) -> None:
-        self.trace.append(TraceEvent(self.tick, kind, self._name(sender), self._name(receiver), event))
+    def _log(self, kind: str, sender: int, receiver: int | None, event: EventId | None) -> None:
+        self.trace.append(TraceEvent(self.tick, kind, sender, receiver, event))
 
     def _separated(self, a: int, b: int, tick: int) -> bool:
         partitions = self.config.partitions

@@ -242,6 +242,24 @@ def test_parse_range_checks_indices_ticks_and_rates(raw, match):
         parse_scenario(raw)
 
 
+@pytest.mark.parametrize(
+    ("adversary", "match"),
+    [
+        ({"byzantine": [2], "behaviours": EQUIVOCATOR["behaviors"]}, "adversary keys"),
+        (
+            {**EQUIVOCATOR, "behaviors": [{**EQUIVOCATOR["behaviors"][0], "at_roud": 3}]},
+            "equivocate behavior keys",
+        ),
+        ({**EQUIVOCATOR, "behaviors": [{"kind": "orphan_flood", "rate": 2, "burst": 4}]}, "orphan_flood"),
+    ],
+    ids=["adversary-behaviours", "equivocate-at_roud", "orphan_flood-extra"],
+)
+def test_parse_rejects_unknown_nested_keys(adversary, match):
+    # Each would parse to a runnable spec that quietly ignores the key.
+    with pytest.raises(ScenarioError, match=match):
+        spec_with(f=1, adversary=adversary)
+
+
 def test_parse_takes_an_integer_probability():
     assert spec_with(duplicate=0).duplicate == 0.0
     assert spec_with(f=1, adversary=EQUIVOCATOR).adversary.byzantine == frozenset({2})
@@ -540,7 +558,7 @@ def test_maybe_emit_dummy_threshold():
     node = make_node(d=2)
     for i in range(12):
         env = node.make_op(EventPayload("msg", bytes([i])))
-        node.absorb_own(env)
+        node.absorb(env)
         # re-parent everything on the root by marking ops as siblings:
     # width after a chain is 1; dummy must not fire
     assert maybe_emit_dummy(node, threshold=10, dummy_d=10) is None
@@ -565,6 +583,7 @@ def test_equivocate_builds_two_concurrent_ops():
     assert {va.id, vb.id} <= node.state.vertices.keys()
     assert node.state.get_extremities() == {va.id, vb.id}
     assert extremities_consistent(node.state)
+    assert node.stale_parent_ops == 1  # the second op sits on parents the first covered
 
 
 def test_serve_backfill_returns_ancestor_closure(monkeypatch):
@@ -572,7 +591,7 @@ def test_serve_backfill_returns_ancestor_closure(monkeypatch):
     envs = []
     for i in range(5):
         env = node.make_op(EventPayload("msg", bytes([i])))
-        node.absorb_own(env)
+        node.absorb(env)
         envs.append(env)
     tip = envs[-1].op.vertex.id
     served = node.serve_backfill(frozenset({tip}))
@@ -673,7 +692,7 @@ def test_stale_parent_ops_counts_first_applies_only():
     envs = []
     for i in range(3):
         env = writer.make_op(EventPayload("msg", bytes([i])))
-        writer.absorb_own(env)
+        writer.absorb(env)
         envs.append(env)
     for env in envs:
         assert reader.receive_envelope(env) == [env.op.vertex.id]
@@ -684,6 +703,17 @@ def test_stale_parent_ops_counts_first_applies_only():
     old = late.make_op(EventPayload("msg", b"late"))  # parent: the root, long since covered
     assert reader.receive_envelope(old) == [old.op.vertex.id]
     assert reader.stale_parent_ops == 1
+    # An op on the root and on a fresh parent counts once it applies, whether
+    # it arrives after that parent or waits in the buffer until it arrives.
+    a, b = envs[0], envs[1]  # a's parent is the root, b's is a
+    o = late.make_op(EventPayload("msg", b"o"), parents=(late.state.root, b.op.vertex.id))
+    for order in ((b, o), (o, b)):
+        fresh = make_node(1, n=3)
+        fresh.receive_envelope(a)
+        for env in order:
+            fresh.receive_envelope(env)
+        assert fresh.applied == {env.op.vertex.id for env in (a, b, o)}
+        assert fresh.stale_parent_ops == 1
 
 
 # -- adversarial scenarios ------------------------------------------------------------------

@@ -87,14 +87,14 @@ def drain_into(nodes, net, max_ticks=10_000):
 def watched():
     """Yield (ids applied per replica index, the `verify_envelope` mock) while replicas run."""
     applied = defaultdict(list)
-    ingest = ReplicaNode._ingest
+    absorb = ReplicaNode.absorb
 
-    def recorded(node, op):
-        ids = ingest(node, op)
+    def recorded(node, env):
+        ids = absorb(node, env)
         applied[node.idx].extend(ids)
         return ids
 
-    with mock.patch.object(ReplicaNode, "_ingest", recorded), mock.patch.object(
+    with mock.patch.object(ReplicaNode, "absorb", recorded), mock.patch.object(
         harness, "verify_envelope", wraps=harness.verify_envelope
     ) as verify:
         yield applied, verify
@@ -127,9 +127,11 @@ def test_config_validation():
 
 def test_trace_event_line_is_tab_separated():
     # The record holds the id; the line shows its first 16 hex digits.
-    ev = TraceEvent(7, "DELIVER", "r0", "r2", bytes.fromhex("ab" * 8 + "cd" * 24))
+    ev = TraceEvent(7, "DELIVER", 0, 2, bytes.fromhex("ab" * 8 + "cd" * 24))
     assert ev.line() == "7\tDELIVER\tr0\tr2\t" + "ab" * 8
-    assert TraceEvent(3, "GOSSIP", "r1", "r0", None).line() == "3\tGOSSIP\tr1\tr0\t-"
+    assert TraceEvent(3, "GOSSIP", 1, 0, None).line() == "3\tGOSSIP\tr1\tr0\t-"
+    # A send to everyone has no receiver.
+    assert TraceEvent(0, "SEND", 12, None, b"\x01" * 32).line() == "0\tSEND\tr12\t*\t" + "01" * 8
 
 
 # -- reliable ----------------------------------------------------------------------
@@ -151,7 +153,7 @@ def test_reliable_duplicates_skipped_by_the_envelope_store():
     _, env = Chain(0).env()
     vid = env.op.vertex.id
     with watched() as (applied, verify):
-        nodes[0].absorb_own(env)
+        nodes[0].absorb(env)
         net.broadcast(0, env)
         drain_into(nodes, net)
     assert [ev.kind for ev in net.trace] == ["SEND"] + ["DELIVER"] * 4
@@ -242,7 +244,7 @@ def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate,
                 state.apply_add(op)
                 env = sign_envelope(op, KEYS[i])
                 sent[i].append(env)
-                nodes[i].absorb_own(env)
+                nodes[i].absorb(env)
                 net.broadcast(i, env)
             if data.draw(st.booleans()):
                 route(nodes, net, net.step())
