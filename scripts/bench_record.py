@@ -25,7 +25,7 @@ and the cost of the width kernels, each the median of `KERNEL_REPEATS`
 uninstrumented calls: µs per op of that same lockstep run, ns per ball of
 `monte_carlo_trajectory(30, 5, 10, 40, 500, 1)`, and ms per
 `pmf_removed(150, 8, 40)`.  Then it runs the n = 32 scale ladder, where the
-width grows into the hundreds: CausalOrderReliable, n=32, f=0, d=4, delay
+width grows into the hundreds: Reliable, n=32, f=0, d=4, delay
 1..10, 2 updates per replica per round, 20 and 80 rounds (40,960 and 163,840
 applies), horizon 12·rounds + 100, seed 1.  Each point runs `SCALE_REPEATS`
 times, the points taking turns, each run in a fresh child process so that
@@ -101,15 +101,10 @@ def ladder_spec(rounds: int) -> dict:
 
 
 def scale_spec(rounds: int) -> dict:
-    """The Reliable ladder's spec at n=32, 2 updates per round, as CausalOrderReliable.
-
-    CausalOrderReliable is the Reliable transport; the replica's pending
-    buffer does the parent-causal delivery.
-    """
+    """The Reliable ladder's spec at n=32, 2 updates per round."""
     return {
         **ladder_spec(rounds),
         "n": 32,
-        "guarantee": "CausalOrderReliable",
         "updates_per_round": 2,
         "horizon": 12 * rounds + 100,
     }

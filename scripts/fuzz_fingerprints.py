@@ -8,9 +8,12 @@ Usage, from the root of a source checkout:
     python scripts/fuzz_fingerprints.py --compare fingerprints.jsonl other.jsonl
 
 Case i is generated from its index alone, so every checkout and every rerun
-sees the same scenarios: n from 2 to 5, all three delivery guarantees, drops,
+sees the same scenarios: n from 2 to 5, both delivery guarantees, drops,
 duplicates, one healing partition, an equivocating, withholding or orphan
-flooding replica (or two behaviours at once), gossip and dummies.  Each case
+flooding replica (or two behaviours at once), gossip and dummies.  The third
+entry of `GUARANTEES` is the Reliable transport's old name, which the parser
+still reads as Reliable; it stays so that case i keeps its spec and its spec
+hash, and earlier fingerprint files still compare byte for byte.  Each case
 runs through `meg.harness.Simulation` imported from `--src`, stepped to its
 horizon as `run_scenario` does, and its line records the spec hash, the
 SHA-256 of the trace, of the width and buffer series, of the applied sets and

@@ -277,8 +277,11 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
             missing = sorted(want - got)
             extra = sorted(got - want)
             raise ScenarioError(f"scenario keys mismatch: missing={missing} unexpected={extra}")
+        # The Reliable transport's old name, kept while the benchmark's
+        # causal-clean spec and the fuzz generator's cases still use it.
+        name = "Reliable" if raw["guarantee"] == "CausalOrderReliable" else raw["guarantee"]
         try:
-            guarantee = DeliveryGuarantee(raw["guarantee"])
+            guarantee = DeliveryGuarantee(name)
         except ValueError as exc:
             raise ScenarioError(f"unknown guarantee {raw['guarantee']!r}") from exc
         delay = raw["delay"]
@@ -463,10 +466,10 @@ class ReplicaNode:
         An operation that arrives before its parents is buffered.  Under
         BestEffort a dropped parent never arrives, so the replica asks the
         sender for the parents it lacks at once, and again on each later
-        copy.  Under the reliable guarantees a correct sender's parent
-        arrives within `delay[1]` ticks unless a partition holds it, so the
-        copy that stores the operation arms one deadline, and the replica
-        asks only if it is still buffered then (`request_overdue`).
+        copy.  Under Reliable a correct sender's parent arrives within
+        `delay[1]` ticks unless a partition holds it, so the copy that stores
+        the operation arms one deadline, and the replica asks only if it is
+        still buffered then (`request_overdue`).
 
         Gossip is answered with a request for the advertised ids the replica
         lacks and the parents its buffer misses; when it lacks none of the

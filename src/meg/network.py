@@ -10,17 +10,14 @@ Messages and trace events are named tuples, which cost less to build than
 frozen dataclasses; they are told apart by type, never by tuple equality
 (a `GossipMessage` and a `BackfillRequest` of the same ids compare equal).
 
-Three delivery guarantees are simulated for operation messages:
+Two delivery guarantees are simulated for operation messages:
 
 * BEST_EFFORT: links may silently drop or duplicate; partitions discard
   crossing traffic.
 * RELIABLE: no drops; traffic crossing a partition is deferred until the
   cut heals.  Duplicates are handed over like any copy: the receiving
   replica's envelope store tells it which copies can add nothing.
-* CAUSAL_ORDER_RELIABLE: the RELIABLE transport.  Parent-causal delivery,
-  which is all the add effector needs (an operation applies only after its
-  parents), is done by the replica's pending buffer (`meg.core.ingest`),
-  which holds an early operation until its parents are applied.
+  Parent-causal delivery is done by the replica's pending buffer.
 
 Gossip and backfill messages are auxiliary and always best-effort: partitions
 drop them and the periodic retry cadence is expected to absorb losses.
@@ -42,7 +39,6 @@ from .monitor import SignedEnvelope
 
 
 class DeliveryGuarantee(Enum):
-    CAUSAL_ORDER_RELIABLE = "CausalOrderReliable"
     RELIABLE = "Reliable"
     BEST_EFFORT = "BestEffort"
 
@@ -230,8 +226,8 @@ class Network:
 
         Returns (receiver index, sender index, message) triples in delivery
         order; the caller routes them into replica logic.  A message a
-        partition cuts is dropped, unless it is an operation under a reliable
-        guarantee: that is deferred until the cut heals.
+        partition cuts is dropped, unless it is an operation under Reliable:
+        that is deferred until the cut heals.
         """
         t = self.tick
         out: list[tuple[int, int, object]] = []

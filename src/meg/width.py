@@ -166,7 +166,7 @@ class Pmf:
 def hypergeom(m: int, b: int, w: int, exact: bool = False) -> tuple[Pmf, Number, Number]:
     """Draw m from b black and w white balls; X counts black draws.
 
-    Returns (pmf, mean, variance) with
+    Returns (pmf, mean, variance): the point mass at 0 for an empty urn, else
         P(X = j) = C(b, j) C(w, m - j) / C(b + w, m),
         E(X) = m b / (b + w),
         V(X) = m (b/(b+w)) (1 - b/(b+w)) (1 - (m-1)/(b+w-1)).
@@ -180,7 +180,7 @@ def hypergeom(m: int, b: int, w: int, exact: bool = False) -> tuple[Pmf, Number,
     for j in range(max(0, m - w), min(b, m) + 1):
         q = Fraction(math.comb(b, j) * math.comb(w, m - j), denom)
         probs[j] = q if exact else float(q)
-    share = Fraction(b, b + w)
+    share = Fraction(b, b + w) if b + w else Fraction(0)
     mean = m * share
     if b + w > 1:
         var = m * share * (1 - share) * (1 - Fraction(m - 1, b + w - 1))

@@ -312,7 +312,7 @@ def test_criterion_08_dag_invariants_and_commutativity():
 
 def test_criterion_09_reordering_liveness():
     failures = []
-    total_stale = 0
+    peak = 0
     for seed in range(20):
         spec = scenario(delay=[1, 100], seed=seed)
         metrics, verdict = run_scenario(spec)
@@ -325,8 +325,9 @@ def test_criterion_09_reordering_liveness():
         for i, occupancy in enumerate(metrics.buffer_occupancy):
             if any(occupancy[q:]):
                 failures.append(f"seed {seed}: replica {i} buffer non-empty at quiescence")
-        total_stale += sum(metrics.stale_parent_ops)
-    if total_stale == 0:
+        # An op buffered at some tick arrived before one of its parents.
+        peak = max(peak, *map(max, metrics.buffer_occupancy))
+    if peak == 0:
         failures.append("no op ever arrived before its parents; reordering not exercised")
     report(9, "20 reordering scenarios deliver everything and drain all buffers", failures)
 

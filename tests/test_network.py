@@ -118,9 +118,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         NetworkConfig(best_effort, partitions=(Partition(5, 5, frozenset({0})),))
     assert NetworkConfig(best_effort, drop=0.2).drop == 0.2
-    for guarantee in (reliable, DeliveryGuarantee.CAUSAL_ORDER_RELIABLE):
-        with pytest.raises(ValueError, match="requires drop probability 0"):
-            NetworkConfig(guarantee, drop=0.2)
+    with pytest.raises(ValueError, match="requires drop probability 0"):
+        NetworkConfig(reliable, drop=0.2)
     with pytest.raises(ValueError):
         Network(0, NetworkConfig(reliable))
 
@@ -172,15 +171,9 @@ def test_reliable_reorders_across_senders():
     assert [m.env for _, _, m in got] != envs
 
 
-# -- causal order --------------------------------------------------------------------
-#
-# CausalOrderReliable is the Reliable transport; the replica's pending buffer
-# orders what it hands over (see the harness tests).
-
-
-def test_causal_delivers_each_send_to_its_targets():
+def test_reliable_delivers_each_send_to_its_targets():
     # Receiver 2 is left out of the first send; it still gets the second.
-    net = Network(3, NetworkConfig(DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, delay=(1, 5), seed=14))
+    net = reliable_net(delay=(1, 5), seed=14)
     key = KEYS[0]
     op_1, op_2 = (
         generate_add(init("net"), EventPayload("msg", body), 2, Random(0), key.replica_id, seq)
@@ -197,10 +190,10 @@ def test_causal_delivers_each_send_to_its_targets():
     assert net.queue_empty()
 
 
-def test_causal_resent_envelope_is_skipped_and_later_sends_apply():
+def test_reliable_resent_envelope_is_skipped_and_later_sends_apply():
     # x goes out twice; the replica skips its second copy unverified, and y,
     # sent after it, still applies.
-    net = Network(2, NetworkConfig(DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, delay=(1, 1), seed=3))
+    net = reliable_net(n=2, delay=(1, 1), seed=3)
     nodes = replicas(2)
     chain = Chain(0)
     x, y = chain.env(b"x")[1], chain.env(b"y")[1]
@@ -219,17 +212,14 @@ def test_causal_resent_envelope_is_skipped_and_later_sends_apply():
     seed=st.integers(min_value=0, max_value=10_000),
     hi=st.integers(min_value=1, max_value=15),
     duplicate=st.sampled_from([0.0, 0.3]),
-    guarantee=st.sampled_from(
-        [DeliveryGuarantee.CAUSAL_ORDER_RELIABLE, DeliveryGuarantee.RELIABLE]
-    ),
     data=st.data(),
 )
 @settings(max_examples=60, deadline=None)
-def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate, guarantee, data):
+def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate, data):
     # Senders extend one shared DAG and broadcast to everyone; now and then a
     # sender re-sends one of its earlier envelopes.  Every replica applies
     # each id once and verifies each id it did not send once.
-    net = Network(n, NetworkConfig(guarantee, delay=(1, hi), duplicate=duplicate, seed=seed))
+    net = reliable_net(n, delay=(1, hi), duplicate=duplicate, seed=seed)
     nodes = replicas(n)
     state, rng = init("net"), Random(seed)
     sent: list[list] = [[] for _ in range(n)]

@@ -100,6 +100,14 @@ def test_hypergeom_golden():
     assert var == Fraction(1, 3)
 
 
+@pytest.mark.parametrize("exact", [False, True])
+def test_hypergeom_empty_urn_is_a_point_mass_at_zero(exact):
+    pmf, mean, var = hypergeom(0, 0, 0, exact=exact)
+    assert pmf.probs == {0: 1}
+    assert mean == 0 and var == 0
+    assert type(mean) is (Fraction if exact else float)
+
+
 def test_saturation_limit():
     assert abs(expected_removed(10, 5, 40) - 10) < 1e-6
     assert variance_removed(10, 5, 40) < 1e-6
