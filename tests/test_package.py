@@ -52,3 +52,31 @@ def test_bench_span_targets_resolve():
     for name in meg.__all__:
         module = getattr(meg, name)
         assert isinstance(module, ModuleType) and sys.modules[f"meg.{name}"] is module
+
+
+def test_bench_wire_reads_resolve(monkeypatch):
+    # The benchmark's `Network.step` observer counts an operation on the wire
+    # by `isinstance(msg, meg.network.OpMessage)`, and reads
+    # `env.op.vertex.id` of each envelope a backfill answer serves.
+    handed, served = [], []
+    step, serve = meg.network.Network.step, meg.harness.ReplicaNode.serve_backfill
+
+    def watched_step(net):
+        out = step(net)
+        handed.extend(msg for _, _, msg in out)
+        return out
+
+    def watched_serve(node, missing):
+        envelopes = serve(node, missing)
+        served.extend((node, env) for env in envelopes)
+        return envelopes
+
+    monkeypatch.setattr(meg.network.Network, "step", watched_step)
+    monkeypatch.setattr(meg.harness.ReplicaNode, "serve_backfill", watched_serve)
+    spec = meg.harness.load_scenario(ROOT / "scripts" / "scenarios" / "droppy.json")
+    _, verdict = meg.harness.run_scenario(spec)
+    assert verdict.all_ok()
+    auxiliary = (meg.network.GossipMessage, meg.network.BackfillRequest, meg.network.BackfillResponse)
+    ops = [msg for msg in handed if not isinstance(msg, auxiliary)]
+    assert ops and all(isinstance(msg, meg.network.OpMessage) for msg in ops)
+    assert served and all(env.op.vertex.id in node.store for node, env in served)
