@@ -24,6 +24,7 @@ from pathlib import Path
 from random import Random
 
 from .harness import (
+    DUMMY_D,
     ScenarioError,
     ScenarioSpec,
     load_scenario,
@@ -249,9 +250,9 @@ def _verify_sec() -> list[Check]:
     )
     _, verdict = run_scenario(reorder)
     checks.append(("reliable with heavy reordering: all verdict flags hold", verdict.all_ok()))
-    widths = run_lockstep_rounds(3, 2, 30, seed=5, u0=40, dummy_threshold=10)
+    widths = run_lockstep_rounds(3, DUMMY_D, 30, seed=5, u0=40, dummy_threshold=10)
     checks.append(
-        ("dummy depletion plateaus at or below analytic fixed point", min(widths) <= fixed_point(10, 3))
+        ("dummy depletion plateaus at or below analytic fixed point", min(widths) <= fixed_point(DUMMY_D, 3))
     )
     return checks
 

@@ -5,7 +5,9 @@ a new event to a parent it acknowledged, so the edges are the vertices'
 parent lists and are stored nowhere else.  The single update operation, add,
 splits into a side-effect-free generator (choose parents among the current
 forward extremities, derive the content id) and an effector (union the vertex,
-and with it its edges, into the local graph).  An effector may only run once
+and with it its edges, into the local graph).  The operation the generator
+returns, and that the buffer holds and every effector applies, is the vertex
+itself.  An effector may only run once
 all parents are present; operations arriving early wait in a pending buffer
 and are drained as their parents show up.  That buffer is the causal
 delivery: the transport need not order operations at all.  Effectors for
@@ -80,13 +82,6 @@ class Vertex:
     seq: int
 
 
-@dataclass(frozen=True, slots=True)
-class AddOperation:
-    """The one update operation: append a single vertex."""
-
-    vertex: Vertex
-
-
 class MegState:
     """Rooted event DAG owned by a single logical writer.
 
@@ -136,20 +131,20 @@ class MegState:
         edges = frozenset((w, p) for w, v in vertices.items() for p in v.parents)
         return frozenset(vertices.values()), edges
 
-    def precondition_holds(self, op: AddOperation) -> bool:
+    def precondition_holds(self, v: Vertex) -> bool:
         """Delivery precondition: every parent is already in the state."""
-        return self.first_missing_parent(op) is None
+        return self.first_missing_parent(v) is None
 
-    def first_missing_parent(self, op: AddOperation) -> EventId | None:
-        """The first parent of `op` not in the state, None if there is none."""
-        for p in op.vertex.parents:
+    def first_missing_parent(self, v: Vertex) -> EventId | None:
+        """The first parent of `v` not in the state, None if there is none."""
+        for p in v.parents:
             if p not in self.vertices:
                 return p
         return None
 
     # -- effector ----------------------------------------------------------
 
-    def apply_add(self, op: AddOperation) -> bool:
+    def apply_add(self, v: Vertex) -> bool:
         """Union the vertex, and so its parent edges, into the graph.
 
         Returns True when the vertex is new, False when it was already
@@ -157,7 +152,6 @@ class MegState:
         parent is missing; callers should route through `ingest` instead of
         calling this on unchecked input.
         """
-        v = op.vertex
         if v.id in self.vertices:
             return False
         if not v.parents:
@@ -280,7 +274,7 @@ def generate_add(
     rng: Random,
     sender: ReplicaId,
     seq: int,
-) -> AddOperation:
+) -> Vertex:
     """Generator half of add: pick parents, derive the id, leave state untouched.
 
     The parents are those `select_parents(state.get_extremities(), d, rng)`
@@ -288,7 +282,7 @@ def generate_add(
     generating many events against one state version sorts once.
     """
     parents = _select_sorted(state.sorted_extremities(), d, rng)
-    return AddOperation(make_vertex(payload, sender, seq, parents))
+    return make_vertex(payload, sender, seq, parents)
 
 
 class PendingBuffer:
@@ -304,7 +298,7 @@ class PendingBuffer:
     """
 
     def __init__(self) -> None:
-        self.held: dict[EventId, AddOperation] = {}
+        self.held: dict[EventId, Vertex] = {}
         # Missing parent id -> ids of the ops filed under it, removed ones included.
         self._filed: dict[EventId, list[EventId]] = {}
         # (state, its vertex count, answer) of the last `missing_parent_ids`;
@@ -317,27 +311,27 @@ class PendingBuffer:
     def __contains__(self, op_id: object) -> bool:
         return op_id in self.held
 
-    def add(self, op: AddOperation, waiting_on: EventId | None = None) -> None:
+    def add(self, op: Vertex, waiting_on: EventId | None = None) -> None:
         """Buffer `op` under `waiting_on`, a parent it misses (default: its first)."""
-        op_id = op.vertex.id
+        op_id = op.id
         if op_id not in self.held:
             self.held[op_id] = op
             self._missing = None
-            key = op.vertex.parents[0] if waiting_on is None else waiting_on
+            key = op.parents[0] if waiting_on is None else waiting_on
             self._filed.setdefault(key, []).append(op_id)
 
     def remove(self, op_id: EventId) -> None:
         if self.held.pop(op_id, None) is not None:
             self._missing = None
 
-    def wake(self, state: MegState, applied: Iterable[EventId]) -> list[AddOperation]:
+    def wake(self, state: MegState, applied: Iterable[EventId]) -> list[Vertex]:
         """Ops waiting on `applied` whose precondition now holds, ascending by id.
 
         They leave the buffer; a woken op that still misses a parent waits
         on that parent instead.
         """
         held, filed = self.held, self._filed
-        ready: list[AddOperation] = []
+        ready: list[Vertex] = []
         for vid in applied:
             for op_id in filed.pop(vid, ()):
                 op = held.get(op_id)
@@ -350,13 +344,13 @@ class PendingBuffer:
                     ready.append(op)
                 else:
                     filed.setdefault(missing, []).append(op_id)
-        ready.sort(key=lambda op: op.vertex.id)
+        ready.sort(key=lambda op: op.id)
         return ready
 
-    def operations(self) -> list[AddOperation]:
+    def operations(self) -> list[Vertex]:
         return [self.held[k] for k in sorted(self.held)]
 
-    def ready_ops(self, state: MegState) -> list[AddOperation]:
+    def ready_ops(self, state: MegState) -> list[Vertex]:
         """Buffered ops whose precondition now holds, ascending by event id.
 
         A full scan; after every `ingest` it must come back empty.
@@ -382,7 +376,7 @@ class PendingBuffer:
         missing = frozenset(
             p
             for op in ops.values()
-            for p in op.vertex.parents
+            for p in op.parents
             if p not in vertices and p not in ops
         )
         self._missing = (state, len(vertices), missing)
@@ -392,7 +386,7 @@ class PendingBuffer:
 def ingest(
     state: MegState,
     buffer: PendingBuffer,
-    op: AddOperation,
+    op: Vertex,
     check: Callable[[MegState], None] | None = None,
 ) -> list[EventId]:
     """Apply an operation if its parents are present, else buffer it.
@@ -415,7 +409,7 @@ def ingest(
         start = len(applied)
         for nxt in level:
             if state.apply_add(nxt):
-                applied.append(nxt.vertex.id)
+                applied.append(nxt.id)
                 if check is not None:
                     check(state)
         level = buffer.wake(state, applied[start:])

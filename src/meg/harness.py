@@ -37,13 +37,14 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 from random import Random
+from typing import Iterable
 
 from .core import (
-    AddOperation,
     EventId,
     EventPayload,
     MegState,
     PendingBuffer,
+    Vertex,
     generate_add,
     ingest,
     init,
@@ -81,7 +82,14 @@ class ScenarioError(ValueError):
 
 @dataclass(frozen=True)
 class Equivocate:
-    """Send one operation to subset_a and a different one to subset_b."""
+    """Send one operation to subset_a and a different one to subset_b.
+
+    Both are made against the same snapshot before either is applied, so they
+    share parents but differ in content and sequence number, hence in id.
+    The equivocator keeps its own state valid by absorbing both.  On the wire
+    this is indistinguishable from two senders that each crashed after
+    reaching part of the group.
+    """
 
     subset_a: tuple[int, ...]
     subset_b: tuple[int, ...]
@@ -91,9 +99,10 @@ class Equivocate:
         """Run this behavior at `node` for tick t; True if it sent anything."""
         if t != self.at_round:
             return False
-        env_a, env_b = equivocate(node, node.random_payload(), node.random_payload())
-        sim.net.broadcast(node.idx, env_a, targets=self.subset_a)
-        sim.net.broadcast(node.idx, env_b, targets=self.subset_b)
+        env_a = node.make_op(node.random_payload())
+        env_b = node.make_op(node.random_payload())
+        sim.send_own(node.idx, env_a, self.subset_a)
+        sim.send_own(node.idx, env_b, self.subset_b)
         return True
 
 
@@ -393,13 +402,13 @@ class ReplicaNode:
     ) -> SignedEnvelope:
         """Sign the next operation: on `parents`, else on extremities picked with cap `d`."""
         if parents is None:
-            op = generate_add(
+            v = generate_add(
                 self.state, payload, d or self.d, self.parent_rng, self.key.replica_id, self.seq
             )
         else:
-            op = AddOperation(make_vertex(payload, self.key.replica_id, self.seq, parents))
+            v = make_vertex(payload, self.key.replica_id, self.seq, parents)
         self.seq += 1
-        return sign_envelope(op, self.key)
+        return sign_envelope(v, self.key)
 
     def receive_envelope(self, env: SignedEnvelope) -> list[EventId]:
         """Verify, then absorb.  Returns the event ids applied."""
@@ -427,10 +436,10 @@ class ReplicaNode:
         reference, accepted but counted in `stale_parent_ops`.
         """
         state = self.state
-        self.store[env.op.vertex.id] = env
+        self.store[env.vertex.id] = env
         extremities = set(state.extremities_view())
         count = len(state.vertices)
-        applied = ingest(state, self.buffer, env.op)
+        applied = ingest(state, self.buffer, env.vertex)
         this_or_later = set(applied)
         ok = len(this_or_later) == len(applied)
         for vid in applied:
@@ -477,9 +486,9 @@ class ReplicaNode:
         """
         state, buffer = self.state, self.buffer
         if isinstance(msg, OpMessage):
-            vertex = msg.env.op.vertex
+            vertex = msg.vertex
             held = vertex.id in self.store
-            applied = [] if held else self.receive_envelope(msg.env)
+            applied = [] if held else self.receive_envelope(msg)
             if not self.byzantine and vertex.id in buffer:
                 if net.config.guarantee is DeliveryGuarantee.BEST_EFFORT:
                     net.request_backfill(self.idx, sender, self._lacking(vertex.parents))
@@ -491,7 +500,7 @@ class ReplicaNode:
         elif isinstance(msg, BackfillResponse):
             applied = []
             for env in msg.envelopes:
-                if env.op.vertex.id not in self.store:
+                if env.vertex.id not in self.store:
                     applied += self.receive_envelope(env)
         else:
             if isinstance(msg, GossipMessage):
@@ -515,7 +524,7 @@ class ReplicaNode:
         while deadlines and deadlines[0][0] <= net.tick:
             _, vid, sender = heapq.heappop(deadlines)
             if vid in self.buffer:
-                parents = self.store[vid].op.vertex.parents
+                parents = self.store[vid].vertex.parents
                 net.request_backfill(self.idx, sender, self._lacking(parents))
 
     def serve_backfill(self, missing: frozenset[EventId]) -> tuple[SignedEnvelope, ...]:
@@ -537,7 +546,7 @@ class ReplicaNode:
                 out.append(env)
                 if len(out) >= limit:
                     break
-                for p in env.op.vertex.parents:
+                for p in env.vertex.parents:
                     if p not in seen and p in store:
                         nxt.append(p)
             frontier = sorted(set(nxt) - seen)
@@ -553,26 +562,6 @@ def maybe_emit_dummy(node: ReplicaNode, threshold: int, dummy_d: int) -> SignedE
     if node.state.width() <= threshold:
         return None
     return node.make_op(EventPayload(kind="dummy", body=b""), d=dummy_d)
-
-
-def equivocate(
-    node: ReplicaNode,
-    payload_a: EventPayload,
-    payload_b: EventPayload,
-) -> tuple[SignedEnvelope, SignedEnvelope]:
-    """Create two concurrent, individually valid operations from one state.
-
-    Both are generated against the same snapshot before either is applied, so
-    they share parents but differ in content and sequence number, hence in
-    id.  The equivocator keeps its own state valid by absorbing both.  On the
-    wire this is indistinguishable from two senders that each crashed after
-    reaching part of the group.
-    """
-    env_a = node.make_op(payload_a)
-    env_b = node.make_op(payload_b)
-    node.absorb(env_a)
-    node.absorb(env_b)
-    return env_a, env_b
 
 
 # -- metrics and verdict ---------------------------------------------------------
@@ -685,11 +674,11 @@ class Simulation:
         # A full grace window after the last tick with activity.
         self.settled_at = 0
 
-    def send_own(self, i: int, env: SignedEnvelope, targets: set[int] | None = None) -> None:
+    def send_own(self, i: int, env: SignedEnvelope, targets: Iterable[int] | None = None) -> None:
         self.nodes[i].absorb(env)
         self.net.broadcast(i, env, targets)
         if i not in self.byzantine:
-            self.correct_broadcast.add(env.op.vertex.id)
+            self.correct_broadcast.add(env.vertex.id)
 
     def append(self, i: int) -> None:
         """A client append at replica i: a fresh operation sent to everyone."""
@@ -751,7 +740,7 @@ class Simulation:
             correct_indices=correct,
             correct_broadcast_ids=self.correct_broadcast,
             buffered_correct_origin=[
-                sum(1 for op in node.buffer.operations() if op.vertex.sender in correct_ids)
+                sum(1 for v in node.buffer.operations() if v.sender in correct_ids)
                 for node in nodes
             ],
         )
@@ -797,17 +786,15 @@ def run_lockstep_rounds(
     applied everywhere before the next round.  With `dummy_threshold` set the
     workload is idle and replicas emit dummies only while the width exceeds
     the threshold.  Returns the extremity count per round, index 0 being the
-    starting width.  Operations take up to `d` parents and dummies up to
-    `DUMMY_D`; the cap in use must be at least 2, and `u0` must not be
-    negative.
+    starting width.  Every operation, dummies included, takes up to `d`
+    parents; `d` must be at least 2, and `u0` must not be negative.
     """
     if n < 1 or rounds < 0:
         raise ValueError("need n >= 1 and rounds >= 0")
     if u0 is not None and u0 < 0:
         raise ValueError(f"u0 must be non-negative, got {u0}")
-    cap = d if dummy_threshold is None else DUMMY_D
-    if cap < 2:
-        raise ValueError(f"parent cap must be at least 2, got {cap}")
+    if d < 2:
+        raise ValueError(f"parent cap must be at least 2, got {d}")
     state = init("lockstep")
     senders = [SigningKey.from_seed(f"{seed}:lockstep:{i}").replica_id for i in range(n)]
     rngs = [Random(f"{seed}:lockstep-rng:{i}") for i in range(n)]
@@ -816,11 +803,11 @@ def run_lockstep_rounds(
         root = state.root
         for j in range(u0):
             payload = EventPayload("msg", j.to_bytes(4, "big"))
-            state.apply_add(AddOperation(make_vertex(payload, senders[j % n], seqs[j % n], (root,))))
+            state.apply_add(make_vertex(payload, senders[j % n], seqs[j % n], (root,)))
             seqs[j % n] += 1
     widths = [state.width()]
     for _ in range(rounds):
-        ops: list[AddOperation] = []
+        ops: list[Vertex] = []
         current_width = state.width()
         for i in range(n):
             if dummy_threshold is not None:
@@ -829,7 +816,7 @@ def run_lockstep_rounds(
                 payload = EventPayload("dummy", b"")
             else:
                 payload = EventPayload("msg", rngs[i].randbytes(8))
-            ops.append(generate_add(state, payload, cap, rngs[i], senders[i], seqs[i]))
+            ops.append(generate_add(state, payload, d, rngs[i], senders[i], seqs[i]))
             seqs[i] += 1
         for op in ops:
             state.apply_add(op)

@@ -6,9 +6,11 @@ by (due tick, enqueue sequence number), so identical configurations and seeds
 replay the identical event trace.  The queue is a heap of plain
 `(due, seq, sender, receiver, msg)` tuples; `seq` is unique, so the heap
 orders entries by integer comparison alone and never compares the messages.
-Messages and trace events are named tuples, which cost less to build than
-frozen dataclasses; they are told apart by type, never by tuple equality
-(a `GossipMessage` and a `BackfillRequest` of the same ids compare equal).
+An operation travels as its signed envelope, queued as it is (`OpMessage`
+names that type on the wire).  Gossip and backfill messages and trace events
+are named tuples, which cost less to build than frozen dataclasses; they are
+told apart by type, never by tuple equality (a `GossipMessage` and a
+`BackfillRequest` of the same ids compare equal).
 
 Two delivery guarantees are simulated for operation messages:
 
@@ -81,8 +83,7 @@ class NetworkConfig:
             raise ValueError(f"{self.guarantee.value} requires drop probability 0")
 
 
-class OpMessage(NamedTuple):
-    env: SignedEnvelope
+OpMessage = SignedEnvelope
 
 
 class GossipMessage(NamedTuple):
@@ -128,11 +129,11 @@ _KINDS = {
 
 def _msg_id(msg: object) -> EventId | None:
     if isinstance(msg, OpMessage):
-        return msg.env.op.vertex.id
+        return msg.vertex.id
     if isinstance(msg, BackfillRequest):
         return min(msg.missing)
     if isinstance(msg, BackfillResponse) and msg.envelopes:
-        return msg.envelopes[0].op.vertex.id
+        return msg.envelopes[0].vertex.id
     return None
 
 
@@ -191,18 +192,17 @@ class Network:
         synchronously.  A correct replica always targets all; restricted
         target sets model crash-mid-send and byzantine behavior.
         """
-        vid = env.op.vertex.id
+        vid = env.vertex.id
         self._log("SEND", sender, None, vid)
         recipients = set(range(self.n)) if targets is None else set(targets)
         recipients.discard(sender)
-        msg = OpMessage(env)
         for r in sorted(recipients):
             if self.config.drop > 0 and self._rng.random() < self.config.drop:
                 self._log("DROP", sender, r, vid)
                 continue
-            self._push(self.tick + self._sample_delay(), sender, r, msg)
+            self._push(self.tick + self._sample_delay(), sender, r, env)
             if self.config.duplicate > 0 and self._rng.random() < self.config.duplicate:
-                self._push(self.tick + self._sample_delay(), sender, r, msg)
+                self._push(self.tick + self._sample_delay(), sender, r, env)
 
     def gossip_extremities(self, sender: int, extremities: frozenset[EventId]) -> None:
         """Advertise the sender's extremity ids to every other replica."""

@@ -13,10 +13,10 @@ from random import Random
 from typing import Callable
 
 from .core import (
-    AddOperation,
     EventPayload,
     MegState,
     PendingBuffer,
+    Vertex,
     generate_add,
     ingest,
     init,
@@ -29,7 +29,7 @@ def soup_sender(i: int) -> bytes:
     return hashlib.sha256(f"soup-sender-{i}".encode()).digest()
 
 
-def make_op_soup(n_replicas: int, n_ops: int, seed: int) -> list[AddOperation]:
+def make_op_soup(n_replicas: int, n_ops: int, seed: int) -> list[Vertex]:
     """Build `n_ops` operations with concurrent batches, each with at most 2 parents.
 
     Each batch picks a random subset of replicas that all generate against the
@@ -43,10 +43,10 @@ def make_op_soup(n_replicas: int, n_ops: int, seed: int) -> list[AddOperation]:
     rng = Random(f"{seed}:soup")
     senders = [soup_sender(i) for i in range(n_replicas)]
     seqs = [0] * n_replicas
-    ops: list[AddOperation] = []
+    ops: list[Vertex] = []
     while len(ops) < n_ops:
         emitters = rng.sample(range(n_replicas), rng.randint(1, n_replicas))
-        batch: list[AddOperation] = []
+        batch: list[Vertex] = []
         for i in emitters:
             if len(ops) + len(batch) >= n_ops:
                 break
@@ -60,7 +60,7 @@ def make_op_soup(n_replicas: int, n_ops: int, seed: int) -> list[AddOperation]:
 
 
 def replay_schedule(
-    ops: list[AddOperation], check: Callable[[MegState], None] | None = None
+    ops: list[Vertex], check: Callable[[MegState], None] | None = None
 ) -> bytes:
     """Ingest ops in the given order into a fresh soup state; returns its digest.
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from random import Random
 
 from meg.core import init
-from meg.harness import parse_scenario, run_lockstep_rounds, run_scenario
+from meg.harness import DUMMY_D, parse_scenario, run_lockstep_rounds, run_scenario
 from meg.replay import make_op_soup, replay_schedule
 from meg.width import (
     brute_force_pmf,
@@ -384,9 +384,9 @@ def test_criterion_10_equivocation_agreement():
 
 def test_criterion_11_dummy_depletion_plateau():
     failures = []
-    cap = fixed_point(10, 3)
+    cap = fixed_point(DUMMY_D, 3)
     for seed in (1, 2, 5):
-        widths = run_lockstep_rounds(3, 2, rounds=30, seed=seed, u0=40, dummy_threshold=10)
+        widths = run_lockstep_rounds(3, DUMMY_D, rounds=30, seed=seed, u0=40, dummy_threshold=10)
         if widths[0] != 40:
             failures.append(f"seed {seed}: starting width {widths[0]} != 40")
         plateau = widths[-1]

@@ -18,7 +18,6 @@ from meg.core import (
     PendingBuffer,
     PreconditionError,
     Vertex,
-    AddOperation,
     generate_add,
     ingest,
     init,
@@ -39,7 +38,7 @@ def event_id(kind, body, sender, seq, parents):
 
 def make_child(state, parents, body=b"x", seq=0, sender=SENDER, kind="msg"):
     vid = event_id(kind, body, sender, seq, parents)
-    return AddOperation(Vertex(kind, body, vid, tuple(parents), sender, seq))
+    return Vertex(kind, body, vid, tuple(parents), sender, seq)
 
 
 # -- encoding ------------------------------------------------------------------
@@ -97,8 +96,8 @@ def test_apply_add_updates_extremities():
     state = init()
     op = make_child(state, (state.root,))
     assert state.apply_add(op) is True
-    assert state.get_extremities() == {op.vertex.id}
-    assert (op.vertex.id, state.root) in state.get_state()[1]
+    assert state.get_extremities() == {op.id}
+    assert (op.id, state.root) in state.get_state()[1]
 
 
 def test_apply_add_is_idempotent():
@@ -126,7 +125,7 @@ def test_get_state_snapshot_is_frozen():
     state.apply_add(op)
     vertices, edges = state.get_state()
     assert isinstance(vertices, frozenset) and isinstance(edges, frozenset)
-    assert len(vertices) == 2 and edges == {(op.vertex.id, state.root)}
+    assert len(vertices) == 2 and edges == {(op.id, state.root)}
 
 
 def test_copy_is_independent():
@@ -140,18 +139,18 @@ def test_copy_is_independent():
 def test_is_rooted_dag_detects_corruption():
     state = init()
     a = make_child(state, (state.root,), body=b"a")
-    b = make_child(state, (a.vertex.id,), body=b"b", seq=1)
+    b = make_child(state, (a.id,), body=b"b", seq=1)
     state.apply_add(a)
     state.apply_add(b)
     assert state.is_rooted_dag()
     # a cycle: pretend the earlier vertex also points at the later one
     broken = state.copy()
-    broken.vertices[a.vertex.id] = dataclasses.replace(a.vertex, parents=(state.root, b.vertex.id))
+    broken.vertices[a.id] = dataclasses.replace(a, parents=(state.root, b.id))
     assert not broken.is_rooted_dag()
     # an orphan island: vertex present with no edges at all
     island = state.copy()
     stray = make_child(state, (b"\x0a" * 32,), body=b"i", seq=2)
-    island.vertices[stray.vertex.id] = stray.vertex
+    island.vertices[stray.id] = stray
     assert not island.is_rooted_dag()
 
 
@@ -296,9 +295,9 @@ def test_generate_add_builds_valid_op():
     state = init()
     for seq in range(4):
         op = generate_add(state, EventPayload("m", bytes([seq])), 2, Random(seq), SENDER, seq)
-        assert set(op.vertex.parents) <= state.get_extremities()
-        assert op.vertex.id == event_id(
-            "m", bytes([seq]), SENDER, seq, op.vertex.parents
+        assert set(op.parents) <= state.get_extremities()
+        assert op.id == event_id(
+            "m", bytes([seq]), SENDER, seq, op.parents
         )
         state.apply_add(op)
     assert state.is_rooted_dag()
@@ -311,36 +310,36 @@ def test_ingest_buffers_until_parents_arrive():
     state = init()
     buffer = PendingBuffer()
     a = make_child(state, (state.root,), body=b"a")
-    b = make_child(state, (a.vertex.id,), body=b"b", seq=1)
-    c = make_child(state, (b.vertex.id,), body=b"c", seq=2)
+    b = make_child(state, (a.id,), body=b"b", seq=1)
+    c = make_child(state, (b.id,), body=b"c", seq=2)
     assert ingest(state, buffer, c) == []
     assert ingest(state, buffer, b) == []
     assert len(buffer) == 2
-    assert buffer.missing_parent_ids(state) == {a.vertex.id}
+    assert buffer.missing_parent_ids(state) == {a.id}
     applied = ingest(state, buffer, a)
-    assert applied == [a.vertex.id, b.vertex.id, c.vertex.id]
+    assert applied == [a.id, b.id, c.id]
     assert len(buffer) == 0
-    assert state.get_extremities() == {c.vertex.id}
+    assert state.get_extremities() == {c.id}
 
 
 def test_ingest_cascade_in_ascending_id_order():
     state = init()
     buffer = PendingBuffer()
     gate = make_child(state, (state.root,), body=b"gate")
-    siblings = [make_child(state, (gate.vertex.id,), body=bytes([i]), seq=i) for i in range(6)]
+    siblings = [make_child(state, (gate.id,), body=bytes([i]), seq=i) for i in range(6)]
     for op in siblings:
         assert ingest(state, buffer, op) == []
     assert buffer.ready_ops(state) == []
     applied = ingest(state, buffer, gate)
-    assert applied[0] == gate.vertex.id
-    assert applied[1:] == sorted(op.vertex.id for op in siblings)
+    assert applied[0] == gate.id
+    assert applied[1:] == sorted(op.id for op in siblings)
 
 
 def test_ingest_double_delivery_is_noop():
     state = init()
     buffer = PendingBuffer()
     op = make_child(state, (state.root,))
-    assert ingest(state, buffer, op) == [op.vertex.id]
+    assert ingest(state, buffer, op) == [op.id]
     assert ingest(state, buffer, op) == []
 
 
@@ -349,14 +348,14 @@ def test_ingest_rewakes_op_missing_two_parents():
     buffer = PendingBuffer()
     a = make_child(state, (state.root,), body=b"a")
     b = make_child(state, (state.root,), body=b"b", seq=1)
-    c = make_child(state, (a.vertex.id, b.vertex.id), body=b"c", seq=2)
+    c = make_child(state, (a.id, b.id), body=b"c", seq=2)
     assert ingest(state, buffer, c) == []
     # Woken by a, still blocked on b: it stays buffered and waits on b.
-    assert ingest(state, buffer, a) == [a.vertex.id]
-    assert c.vertex.id in buffer
+    assert ingest(state, buffer, a) == [a.id]
+    assert c.id in buffer
     assert buffer.ready_ops(state) == []
-    assert buffer.missing_parent_ids(state) == {b.vertex.id}
-    assert ingest(state, buffer, b) == [b.vertex.id, c.vertex.id]
+    assert buffer.missing_parent_ids(state) == {b.id}
+    assert ingest(state, buffer, b) == [b.id, c.id]
     assert len(buffer) == 0
 
 
@@ -364,7 +363,7 @@ def missing_parent_ids_loop(buffer, state):
     """`PendingBuffer.missing_parent_ids` as the plain loop, kept as its reference."""
     out = set()
     for op in buffer.operations():
-        for p in op.vertex.parents:
+        for p in op.parents:
             if not state.lookup(p) and p not in buffer:
                 out.add(p)
     return out
@@ -383,7 +382,7 @@ def test_missing_parent_ids_matches_the_loop(seed, data):
         if action == "ingest":
             ingest(state, buffer, op)
         elif action == "remove":
-            buffer.remove(op.vertex.id)
+            buffer.remove(op.id)
         elif state.precondition_holds(op):
             state.apply_add(op)
         missing = buffer.missing_parent_ids(state)
@@ -394,10 +393,10 @@ def test_missing_parent_ids_matches_the_loop(seed, data):
 def test_missing_parent_ids_is_kept_until_buffer_or_state_changes():
     state, buffer = init(), PendingBuffer()
     a = make_child(state, (state.root,), body=b"a")
-    b = make_child(state, (a.vertex.id, b"\x0b" * 32), body=b"b", seq=1)
+    b = make_child(state, (a.id, b"\x0b" * 32), body=b"b", seq=1)
     ingest(state, buffer, b)
     first = buffer.missing_parent_ids(state)
-    assert first == {a.vertex.id, b"\x0b" * 32}
+    assert first == {a.id, b"\x0b" * 32}
     assert buffer.missing_parent_ids(state) is first
     state.apply_add(a)
     assert buffer.missing_parent_ids(state) == {b"\x0b" * 32}
@@ -405,7 +404,7 @@ def test_missing_parent_ids_is_kept_until_buffer_or_state_changes():
     other = init()
     other.apply_add(make_child(other, (other.root,), body=b"c"))
     assert buffer.missing_parent_ids(other) == first
-    buffer.remove(b.vertex.id)
+    buffer.remove(b.id)
     assert buffer.missing_parent_ids(state) == frozenset()
 
 
@@ -414,15 +413,15 @@ def test_missing_parent_ids_changes_when_wake_releases_a_parent():
     # `wake` then takes b out of the buffer, so c misses b.
     state, buffer = init(), PendingBuffer()
     a = make_child(state, (state.root,), body=b"a")
-    b = make_child(state, (a.vertex.id,), body=b"b", seq=1)
-    c = make_child(state, (b.vertex.id,), body=b"c", seq=2)
+    b = make_child(state, (a.id,), body=b"b", seq=1)
+    c = make_child(state, (b.id,), body=b"c", seq=2)
     buffer.add(b)
     buffer.add(c)
-    assert buffer.missing_parent_ids(state) == {a.vertex.id}
+    assert buffer.missing_parent_ids(state) == {a.id}
     state.apply_add(a)
     assert buffer.missing_parent_ids(state) == frozenset()
-    assert buffer.wake(state, [a.vertex.id]) == [b]
-    assert buffer.missing_parent_ids(state) == {b.vertex.id}
+    assert buffer.wake(state, [a.id]) == [b]
+    assert buffer.missing_parent_ids(state) == {b.id}
 
 
 def full_scan_ingest(state, buffer, op):
@@ -433,9 +432,9 @@ def full_scan_ingest(state, buffer, op):
     applied, ready = [], [op]
     while ready:
         for nxt in ready:
-            buffer.remove(nxt.vertex.id)
+            buffer.remove(nxt.id)
             if state.apply_add(nxt):
-                applied.append(nxt.vertex.id)
+                applied.append(nxt.id)
         ready = buffer.ready_ops(state)
     return applied
 
@@ -458,8 +457,8 @@ def test_ingest_wakes_exactly_what_a_full_scan_finds(seed, data):
     order = []
     for action, op in schedule:
         if action == "remove":
-            buffer.remove(op.vertex.id)
-            ref_buffer.remove(op.vertex.id)
+            buffer.remove(op.id)
+            ref_buffer.remove(op.id)
         else:
             got = ingest(state, buffer, op)
             assert got == full_scan_ingest(ref_state, ref_buffer, op)
@@ -481,35 +480,35 @@ def test_waiting_room_skips_released_and_stale_filings():
     # and a wakes nothing a second time.
     state, buffer = init(), PendingBuffer()
     a = make_child(state, (state.root,), body=b"a")
-    x = make_child(state, (a.vertex.id,), body=b"x", seq=1)
-    y = make_child(state, (a.vertex.id,), body=b"y", seq=2)
+    x = make_child(state, (a.id,), body=b"x", seq=1)
+    y = make_child(state, (a.id,), body=b"y", seq=2)
     buffer.add(x)
     buffer.add(y)
-    buffer.remove(x.vertex.id)
+    buffer.remove(x.id)
     state.apply_add(a)
-    assert buffer.wake(state, [a.vertex.id]) == [y]
-    buffer.held[x.vertex.id] = x  # held, but no longer filed under a
-    assert buffer.wake(state, [a.vertex.id]) == []
+    assert buffer.wake(state, [a.id]) == [y]
+    buffer.held[x.id] = x  # held, but no longer filed under a
+    assert buffer.wake(state, [a.id]) == []
     # c misses a and b.  Removed and added again, it is filed under a twice;
     # woken by a, it is filed under b twice, and b hands it back once.
     state, buffer = init(), PendingBuffer()
     a = make_child(state, (state.root,), body=b"a")
     b = make_child(state, (state.root,), body=b"b", seq=1)
-    c = make_child(state, (a.vertex.id, b.vertex.id), body=b"c", seq=2)
+    c = make_child(state, (a.id, b.id), body=b"c", seq=2)
     buffer.add(c)
-    buffer.remove(c.vertex.id)
+    buffer.remove(c.id)
     buffer.add(c)
     state.apply_add(a)
-    assert buffer.wake(state, [a.vertex.id]) == []
-    assert c.vertex.id in buffer
+    assert buffer.wake(state, [a.id]) == []
+    assert c.id in buffer
     state.apply_add(b)
-    assert buffer.wake(state, [b.vertex.id]) == [c]
+    assert buffer.wake(state, [b.id]) == [c]
     assert len(buffer) == 0
     # Once c is ready, a stale filing hands it back at most once too.
     buffer.add(c)
-    buffer.remove(c.vertex.id)
+    buffer.remove(c.id)
     buffer.add(c)
-    assert buffer.wake(state, [a.vertex.id]) == [c]
+    assert buffer.wake(state, [a.id]) == [c]
 
 
 # -- order independence -----------------------------------------------------------------
@@ -568,7 +567,7 @@ def assert_picks_match_select_parents(state):
     ext = state.get_extremities()
     for s in range(4):
         op = generate_add(state, payload, 2, Random(s), SENDER, 0)
-        assert list(op.vertex.parents) == select_parents(ext, 2, Random(s))
+        assert list(op.parents) == select_parents(ext, 2, Random(s))
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000))

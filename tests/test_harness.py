@@ -14,6 +14,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 
 from meg.core import EventPayload, MegState, make_vertex
 from meg.harness import (
+    DUMMY_D,
     AdversarySpec,
     Equivocate,
     Metrics,
@@ -25,7 +26,6 @@ from meg.harness import (
     Withhold,
     check_eventual_delivery,
     check_strong_convergence,
-    equivocate,
     extremities_consistent,
     load_scenario,
     maybe_emit_dummy,
@@ -42,7 +42,6 @@ from meg.network import (
     DeliveryGuarantee,
     Network,
     NetworkConfig,
-    OpMessage,
     Partition,
 )
 from meg.width import fixed_point
@@ -417,8 +416,8 @@ def test_dag_invariants_catch_extremity_corruption_healed_later(monkeypatch):
         applied = original(self, op)
         if applied and not corrupted:
             # Leave a parent listed as an extremity ...
-            self._extremities.add(op.vertex.parents[0])
-            corrupted.append((self, op.vertex.parents[0]))
+            self._extremities.add(op.parents[0])
+            corrupted.append((self, op.parents[0]))
         elif applied and len(corrupted) == 1 and corrupted[0][0] is self:
             # ... and repair the bookkeeping on the same state's next apply.
             self._extremities.discard(corrupted[0][1])
@@ -467,25 +466,25 @@ def test_ingest_counts_a_stray_vertex(monkeypatch, corrupt):
     # and the next delivery, checked against the corrupted state, is not.
     writer, reader = make_node(0, n=2), make_node(1, n=2)
     first = writer.make_op(EventPayload("msg", b"first"), parents=(writer.state.root,))
-    assert reader.receive_envelope(first) == [first.op.vertex.id]
+    assert reader.receive_envelope(first) == [first.vertex.id]
     original = MegState.apply_add
     corrupted = []
 
     def corrupt_once(self, op):
         applied = original(self, op)
         if applied and not corrupted:
-            corrupt(self, op.vertex)
+            corrupt(self, op)
             self._sorted_extremities = None
-            corrupted.append(op.vertex.id)
+            corrupted.append(op.id)
         return applied
 
     monkeypatch.setattr(MegState, "apply_add", corrupt_once)
     env = writer.make_op(EventPayload("msg", b"a"), parents=(writer.state.root,))
-    assert reader.receive_envelope(env) == [env.op.vertex.id]
-    assert corrupted == [env.op.vertex.id]
+    assert reader.receive_envelope(env) == [env.vertex.id]
+    assert corrupted == [env.vertex.id]
     assert reader.invariant_failures == 1
-    child = writer.make_op(EventPayload("msg", b"b"), parents=(env.op.vertex.id,))
-    assert reader.receive_envelope(child) == [child.op.vertex.id]
+    child = writer.make_op(EventPayload("msg", b"b"), parents=(env.vertex.id,))
+    assert reader.receive_envelope(child) == [child.vertex.id]
     assert reader.invariant_failures == 1
 
 
@@ -494,13 +493,13 @@ def test_ingest_counts_a_vertex_reported_as_new_twice(monkeypatch):
     # does not grow by the number applied.
     original = MegState.apply_add
     monkeypatch.setattr(
-        MegState, "apply_add", lambda self, op: original(self, op) or op.vertex.id in self.vertices
+        MegState, "apply_add", lambda self, op: original(self, op) or op.id in self.vertices
     )
     writer, reader = make_node(0, n=2), make_node(1, n=2)
     env = writer.make_op(EventPayload("msg", b"a"))
-    assert reader.receive_envelope(env) == [env.op.vertex.id]
+    assert reader.receive_envelope(env) == [env.vertex.id]
     assert reader.invariant_failures == 0
-    assert reader.receive_envelope(env) == [env.op.vertex.id]
+    assert reader.receive_envelope(env) == [env.vertex.id]
     assert reader.invariant_failures == 1
     assert reader.state.is_rooted_dag() and extremities_consistent(reader.state)
 
@@ -578,14 +577,15 @@ def test_maybe_emit_dummy_threshold():
 def test_dummy_content_and_cap():
     node = make_node(d=2)
     env = maybe_emit_dummy(node, threshold=0, dummy_d=10)
-    assert env.op.vertex.kind == "dummy"
-    assert env.op.vertex.body == b""
+    assert env.vertex.kind == "dummy"
+    assert env.vertex.body == b""
 
 
 def test_equivocate_builds_two_concurrent_ops():
-    node = make_node(d=2)
-    env_a, env_b = equivocate(node, EventPayload("msg", b"a"), EventPayload("msg", b"b"))
-    va, vb = env_a.op.vertex, env_b.op.vertex
+    sim = Simulation(spec_with(f=1, adversary=EQUIVOCATOR))
+    node = sim.nodes[2]
+    assert Equivocate(subset_a=(0,), subset_b=(1,)).act(sim, node, 0)
+    va, vb = (node.store[ev.event].vertex for ev in sim.net.trace if ev.kind == "SEND")
     assert va.id != vb.id
     assert va.parents == vb.parents  # same snapshot
     assert {va.id, vb.id} <= node.state.vertices.keys()
@@ -601,10 +601,10 @@ def test_serve_backfill_returns_ancestor_closure(monkeypatch):
         env = node.make_op(EventPayload("msg", bytes([i])))
         node.absorb(env)
         envs.append(env)
-    tip = envs[-1].op.vertex.id
+    tip = envs[-1].vertex.id
     served = node.serve_backfill(frozenset({tip}))
-    served_ids = {e.op.vertex.id for e in served}
-    assert served_ids == {e.op.vertex.id for e in envs}  # whole chain, root excluded
+    served_ids = {e.vertex.id for e in served}
+    assert served_ids == {e.vertex.id for e in envs}  # whole chain, root excluded
     assert node.serve_backfill(frozenset({b"\x77" * 32})) == ()
     monkeypatch.setattr(harness, "BACKFILL_BATCH", 2)
     assert node.serve_backfill(frozenset({tip})) == (envs[-1], envs[-2])
@@ -613,11 +613,11 @@ def test_serve_backfill_returns_ancestor_closure(monkeypatch):
 def test_serve_backfill_answer_grows_once_a_buffered_id_applies(monkeypatch):
     writer, server = make_node(0, n=2), make_node(1, n=2)
     env_p = writer.make_op(EventPayload("msg", b"p"), parents=(writer.state.root,))
-    env_x = writer.make_op(EventPayload("msg", b"x"), parents=(env_p.op.vertex.id,))
+    env_x = writer.make_op(EventPayload("msg", b"x"), parents=(env_p.vertex.id,))
     assert server.receive_envelope(env_x) == []  # buffered, missing p
-    x = frozenset({env_x.op.vertex.id})
+    x = frozenset({env_x.vertex.id})
     assert server.serve_backfill(x) == (env_x,)
-    assert server.receive_envelope(env_p) == [env_p.op.vertex.id, env_x.op.vertex.id]
+    assert server.receive_envelope(env_p) == [env_p.vertex.id, env_x.vertex.id]
     assert server.serve_backfill(x) == (env_x, env_p)
     assert server.serve_backfill(x | {b"\x77" * 32}) == (env_x, env_p)
     monkeypatch.setattr(harness, "BACKFILL_BATCH", 1)
@@ -674,7 +674,7 @@ def test_backfill_skips_held_ids_before_verification(monkeypatch):
     writer, reader, reference = (make_node(i, n=3) for i in range(3))
     root = writer.state.root
     env_a = writer.make_op(EventPayload("msg", b"a"), parents=(root,))
-    env_b = writer.make_op(EventPayload("msg", b"b"), parents=(env_a.op.vertex.id,))
+    env_b = writer.make_op(EventPayload("msg", b"b"), parents=(env_a.vertex.id,))
     assert reader.receive_envelope(env_b) == []  # b is buffered, missing a
     forged_a = dataclasses.replace(env_a, signature=bytes(32))
     forged_b = dataclasses.replace(env_b, signature=bytes(32))
@@ -686,13 +686,13 @@ def test_backfill_skips_held_ids_before_verification(monkeypatch):
     assert reader.route(net, 0, response)
     assert verified[0] == 1
     assert reader.rejected_ops == 0
-    assert reader.applied == {env_a.op.vertex.id, env_b.op.vertex.id}
+    assert reader.applied == {env_a.vertex.id, env_b.vertex.id}
     assert len(reader.buffer) == 0
     assert reader.invariant_failures == 0
     for env in (env_a, env_b):
         reference.receive_envelope(env)
     assert reader.state.state_digest() == reference.state.state_digest()
-    assert reader.store[env_b.op.vertex.id] == env_b
+    assert reader.store[env_b.vertex.id] == env_b
 
 
 def test_stale_parent_ops_counts_first_applies_only():
@@ -703,24 +703,24 @@ def test_stale_parent_ops_counts_first_applies_only():
         writer.absorb(env)
         envs.append(env)
     for env in envs:
-        assert reader.receive_envelope(env) == [env.op.vertex.id]
+        assert reader.receive_envelope(env) == [env.vertex.id]
     assert reader.stale_parent_ops == 0
     for env in envs:  # re-delivery applies nothing and is not a stale reference
         assert reader.receive_envelope(env) == []
     assert reader.stale_parent_ops == 0
     old = late.make_op(EventPayload("msg", b"late"))  # parent: the root, long since covered
-    assert reader.receive_envelope(old) == [old.op.vertex.id]
+    assert reader.receive_envelope(old) == [old.vertex.id]
     assert reader.stale_parent_ops == 1
     # An op on the root and on a fresh parent counts once it applies, whether
     # it arrives after that parent or waits in the buffer until it arrives.
     a, b = envs[0], envs[1]  # a's parent is the root, b's is a
-    o = late.make_op(EventPayload("msg", b"o"), parents=(late.state.root, b.op.vertex.id))
+    o = late.make_op(EventPayload("msg", b"o"), parents=(late.state.root, b.vertex.id))
     for order in ((b, o), (o, b)):
         fresh = make_node(1, n=3)
         fresh.receive_envelope(a)
         for env in order:
             fresh.receive_envelope(env)
-        assert fresh.applied == {env.op.vertex.id for env in (a, b, o)}
+        assert fresh.applied == {env.vertex.id for env in (a, b, o)}
         assert fresh.stale_parent_ops == 1
 
 
@@ -1024,13 +1024,13 @@ def out_of_order_arrival(monkeypatch, guarantee):
     writer, reader = make_node(0, n=2), make_node(1, n=2)
     root = writer.state.root
     env_a = writer.make_op(EventPayload("msg", b"a"), parents=(root,))
-    env_b = writer.make_op(EventPayload("msg", b"b"), parents=(env_a.op.vertex.id,))
+    env_b = writer.make_op(EventPayload("msg", b"b"), parents=(env_a.vertex.id,))
     net = Network(2, NetworkConfig(guarantee, delay=(1, 5)))
     requests = []
     monkeypatch.setattr(
         net, "request_backfill", lambda me, peer, missing: requests.append((me, peer, set(missing)))
     )
-    assert not reader.route(net, 0, OpMessage(env_b))
+    assert not reader.route(net, 0, env_b)
     return reader, net, env_a, requests
 
 
@@ -1045,7 +1045,7 @@ def test_reliable_request_waits_for_the_delay_window(monkeypatch, parent_arrives
         reader.request_overdue(net)
         assert requests == []
         if parent_arrives and net.tick == due - 1:
-            assert reader.route(net, 0, OpMessage(env_a))
+            assert reader.route(net, 0, env_a)
         net.step()
     for _ in range(3):  # asked once at the deadline, never re-armed
         reader.request_overdue(net)
@@ -1053,12 +1053,12 @@ def test_reliable_request_waits_for_the_delay_window(monkeypatch, parent_arrives
     if parent_arrives:
         assert requests == [] and len(reader.buffer) == 0 and len(reader.applied) == 2
     else:
-        assert requests == [(1, 0, {env_a.op.vertex.id})]
+        assert requests == [(1, 0, {env_a.vertex.id})]
 
 
 def test_best_effort_request_goes_out_at_once(monkeypatch):
     reader, net, env_a, requests = out_of_order_arrival(monkeypatch, DeliveryGuarantee.BEST_EFFORT)
-    assert requests == [(1, 0, {env_a.op.vertex.id})]
+    assert requests == [(1, 0, {env_a.vertex.id})]
 
 
 def test_best_effort_duplicate_of_a_buffered_op_asks_again(monkeypatch):
@@ -1067,8 +1067,8 @@ def test_best_effort_duplicate_of_a_buffered_op_asks_again(monkeypatch):
     reader, net, env_a, requests = out_of_order_arrival(monkeypatch, DeliveryGuarantee.BEST_EFFORT)
     (env_b,) = (reader.store[vid] for vid in reader.buffer.held)
     verified = count_verifications(monkeypatch)
-    assert not reader.route(net, 0, OpMessage(env_b))
-    assert requests == [(1, 0, {env_a.op.vertex.id})] * 2
+    assert not reader.route(net, 0, env_b)
+    assert requests == [(1, 0, {env_a.vertex.id})] * 2
     assert verified[0] == 0
 
 
@@ -1077,12 +1077,12 @@ def test_reliable_duplicate_of_a_buffered_op_arms_no_second_deadline(monkeypatch
     (env_b,) = (reader.store[vid] for vid in reader.buffer.held)
     verified = count_verifications(monkeypatch)
     net.step()
-    assert not reader.route(net, 0, OpMessage(env_b))
+    assert not reader.route(net, 0, env_b)
     assert verified[0] == 0
     for _ in range(3 * net.config.delay[1]):
         reader.request_overdue(net)
         net.step()
-    assert requests == [(1, 0, {env_a.op.vertex.id})]
+    assert requests == [(1, 0, {env_a.vertex.id})]
 
 
 # -- stepping a simulation by hand -----------------------------------------------------------
@@ -1172,8 +1172,9 @@ def test_lockstep_rejects_a_negative_start_width():
 def test_lockstep_rejects_a_parent_cap_below_two():
     with pytest.raises(ValueError, match="parent cap"):
         run_lockstep_rounds(3, 1, rounds=0, seed=1)
-    # With dummies on, the cap is DUMMY_D, and d is not used.
-    assert run_lockstep_rounds(3, 1, rounds=0, seed=1, u0=5, dummy_threshold=2) == [5]
+    # Dummies take up to d parents too.
+    with pytest.raises(ValueError, match="parent cap"):
+        run_lockstep_rounds(3, 1, rounds=0, seed=1, u0=5, dummy_threshold=2)
 
 
 def test_lockstep_deterministic():
@@ -1197,9 +1198,9 @@ def test_lockstep_widths_are_pinned():
 
 
 def test_lockstep_dummy_depletion_plateaus():
-    widths = run_lockstep_rounds(3, 2, rounds=30, seed=2, u0=40, dummy_threshold=10)
+    widths = run_lockstep_rounds(3, DUMMY_D, rounds=30, seed=2, u0=40, dummy_threshold=10)
     assert widths[0] == 40
-    assert min(widths) <= fixed_point(10, 3)
+    assert min(widths) <= fixed_point(DUMMY_D, 3)
     # once below the threshold nothing changes any more
     tail = widths[-5:]
     assert len(set(tail)) == 1 and tail[0] <= 10

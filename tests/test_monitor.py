@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from meg.core import AddOperation, EventPayload, Vertex, generate_add, init, make_vertex
+from meg.core import EventPayload, Vertex, generate_add, init, make_vertex
 from meg.encoding import compute_event_id, encode_vertex_fields
 from meg.monitor import (
     MembershipDirectory,
@@ -59,7 +59,7 @@ def test_directory_requires_quorum_margin():
 
 def test_signatures_are_hmac_sha256_of_the_event_id():
     env = fresh_env()
-    vid = env.op.vertex.id
+    vid = env.vertex.id
     assert env.signature == hmac.new(KEY.verification_key, vid, hashlib.sha256).digest()
     # Signing and checking again give the same answer: the keyed HMAC is copied, not fed.
     assert KEY.sign(vid) == env.signature
@@ -81,21 +81,21 @@ def test_unknown_sender_rejected():
 
 def test_empty_parents_rejected():
     v = Vertex("msg", b"", b"\x01" * 32, (), KEY.replica_id, 0)
-    env = sign_envelope(AddOperation(v), KEY)
+    env = sign_envelope(v, KEY)
     assert verify_envelope(env, DIRECTORY) is VerificationFailure.EMPTY_PARENTS
 
 
 def test_duplicate_parents_rejected():
     p = b"\x02" * 32
     v = Vertex("msg", b"", b"\x01" * 32, (p, p), KEY.replica_id, 0)
-    env = sign_envelope(AddOperation(v), KEY)
+    env = sign_envelope(v, KEY)
     assert verify_envelope(env, DIRECTORY) is VerificationFailure.DUPLICATE_PARENTS
 
 
 def test_self_parent_rejected():
     vid = b"\x05" * 32
     v = Vertex("msg", b"", vid, (vid, b"\x06" * 32), KEY.replica_id, 0)
-    env = sign_envelope(AddOperation(v), KEY)
+    env = sign_envelope(v, KEY)
     assert verify_envelope(env, DIRECTORY) is VerificationFailure.SELF_PARENT
 
 
@@ -109,44 +109,44 @@ def test_oversized_payload_rejected():
 def test_tampered_body_fails_event_id():
     # The body changes after signing and the vertex keeps its signed id.
     env = fresh_env()
-    v = env.op.vertex
+    v = env.vertex
     tampered = Vertex(v.kind, b"changed", v.id, v.parents, v.sender, v.seq)
-    bad = SignedEnvelope(AddOperation(tampered), env.signature)
+    bad = SignedEnvelope(tampered, env.signature)
     assert verify_envelope(bad, DIRECTORY) is VerificationFailure.BAD_EVENT_ID
 
 
 def test_tampered_body_fails_signature():
     # The body changes after signing and the id is recomputed to match it.
     env = fresh_env()
-    v = env.op.vertex
+    v = env.vertex
     tampered = make_vertex(EventPayload(v.kind, b"changed"), v.sender, v.seq, v.parents)
-    bad = SignedEnvelope(AddOperation(tampered), env.signature)
+    bad = SignedEnvelope(tampered, env.signature)
     assert verify_envelope(bad, DIRECTORY) is VerificationFailure.BAD_SIGNATURE
 
 
 def test_wrong_key_fails_signature():
     # A key outside the directory signs KEY's vertex: the vertex's sender picks the key.
     env = fresh_env()
-    resigned = SignedEnvelope(env.op, OUTSIDER.sign(env.op.vertex.id))
+    resigned = SignedEnvelope(env.vertex, OUTSIDER.sign(env.vertex.id))
     assert verify_envelope(resigned, DIRECTORY) is VerificationFailure.BAD_SIGNATURE
 
 
 def test_sender_binding_mismatch_fails_signature():
     # OTHER, a member, relays KEY's vertex with its own signature.
     env = fresh_env()
-    hijacked = sign_envelope(env.op, OTHER_KEY)
+    hijacked = sign_envelope(env.vertex, OTHER_KEY)
     assert hijacked.signature != env.signature
     assert verify_envelope(hijacked, DIRECTORY) is VerificationFailure.BAD_SIGNATURE
 
 
 def test_forged_id_on_intact_content_fails_event_id():
     env = fresh_env()
-    v = env.op.vertex
+    v = env.vertex
     forged = Vertex(v.kind, v.body, b"\x42" * 32, v.parents, v.sender, v.seq)
     # The id is checked before the signature, so neither the original
     # signature nor one the creator makes over the forged id lets it pass.
     for signature in (env.signature, KEY.sign(forged.id)):
-        bad = SignedEnvelope(AddOperation(forged), signature)
+        bad = SignedEnvelope(forged, signature)
         assert verify_envelope(bad, DIRECTORY) is VerificationFailure.BAD_EVENT_ID
 
 
@@ -154,10 +154,10 @@ def test_reordered_parents_keep_id_and_signature():
     # The id's bytes sort the parent ids, so their order is not content.
     a, b = b"\x01" * 32, b"\x02" * 32
     v = make_vertex(EventPayload("msg", b"p"), KEY.replica_id, 0, (a, b))
-    env = sign_envelope(AddOperation(v), KEY)
+    env = sign_envelope(v, KEY)
     swapped = Vertex(v.kind, v.body, v.id, (b, a), v.sender, v.seq)
     assert compute_event_id(encode_vertex_fields("msg", b"p", KEY.replica_id, 0, (b, a))) == v.id
-    relayed = SignedEnvelope(AddOperation(swapped), env.signature)
+    relayed = SignedEnvelope(swapped, env.signature)
     assert verify_envelope(relayed, DIRECTORY) is None
 
 

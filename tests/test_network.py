@@ -150,7 +150,7 @@ def test_reliable_duplicates_skipped_by_the_envelope_store():
     net = reliable_net(seed=2, duplicate=1.0)
     nodes = replicas(3)
     _, env = Chain(0).env()
-    vid = env.op.vertex.id
+    vid = env.vertex.id
     with watched() as (applied, verify):
         nodes[0].absorb(env)
         net.broadcast(0, env)
@@ -168,7 +168,7 @@ def test_reliable_reorders_across_senders():
     for env in envs:
         net.broadcast(0, env)
     got = op_deliveries(drain(net))
-    assert [m.env for _, _, m in got] != envs
+    assert [m for _, _, m in got] != envs
 
 
 def test_reliable_delivers_each_send_to_its_targets():
@@ -182,10 +182,10 @@ def test_reliable_delivers_each_send_to_its_targets():
     net.broadcast(0, sign_envelope(op_1, key), targets=(1,))
     net.broadcast(0, sign_envelope(op_2, key))
     got = op_deliveries(drain(net))
-    assert {(r, m.env.op.vertex.id) for r, _, m in got} == {
-        (1, op_1.vertex.id),
-        (1, op_2.vertex.id),
-        (2, op_2.vertex.id),
+    assert {(r, m.vertex.id) for r, _, m in got} == {
+        (1, op_1.id),
+        (1, op_2.id),
+        (2, op_2.id),
     }
     assert net.queue_empty()
 
@@ -202,7 +202,7 @@ def test_reliable_resent_envelope_is_skipped_and_later_sends_apply():
             net.broadcast(0, env)
         drain_into(nodes, net)
     assert [ev.kind for ev in net.trace if ev.kind != "SEND"] == ["DELIVER"] * 3
-    assert applied[1] == [x.op.vertex.id, y.op.vertex.id]
+    assert applied[1] == [x.vertex.id, y.vertex.id]
     assert verify.call_count == 2
     assert net.queue_empty()
 
@@ -240,7 +240,7 @@ def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate,
                 route(nodes, net, net.step())
         drain_into(nodes, net)
     assert net.queue_empty()
-    ids = sorted(env.op.vertex.id for envs in sent for env in envs)
+    ids = sorted(env.vertex.id for envs in sent for env in envs)
     for node in nodes:
         assert sorted(applied[node.idx]) == ids
         assert len(node.buffer) == 0 and node.invariant_failures == 0
@@ -331,7 +331,7 @@ def test_cut_message_is_dropped_unless_a_reliable_op(guarantee, kind):
     cut = (Partition(0, 50, frozenset({0})),)
     net = Network(2, NetworkConfig(guarantee, delay=(2, 2), partitions=cut))
     env = Chain(0).env()[1]
-    vid = env.op.vertex.id
+    vid = env.vertex.id
     ids = frozenset({b"\x02" * 32, b"\x01" * 32})
     if kind == "op":
         net.broadcast(0, env)
@@ -349,7 +349,7 @@ def test_cut_message_is_dropped_unless_a_reliable_op(guarantee, kind):
     got = drain(net)
     lines = [ev.line() for ev in net.trace if ev.kind != "SEND"]
     if kind == "op" and guarantee is not DeliveryGuarantee.BEST_EFFORT:
-        assert got == [(1, 0, OpMessage(env))]
+        assert got == [(1, 0, env)]
         assert lines == [f"50\tDELIVER\tr0\tr1\t{named}"]
     else:
         assert got == []
@@ -391,6 +391,6 @@ def test_equivocation_equals_two_crashing_senders():
             net.broadcast(0, env_a, targets=(1,))
             net.broadcast(0, env_b, targets=(2,))
         got = op_deliveries(drain(net))
-        return {(r, m.env.op.vertex.id) for r, _, m in got}
+        return {(r, m.vertex.id) for r, _, m in got}
 
     assert deliveries_with(False) == deliveries_with(True)
