@@ -46,29 +46,13 @@ class EmptyExtremitiesError(MegError):
 
 
 @dataclass(frozen=True, slots=True)
-class EventPayload:
-    """Application content of an event, as handed to `make_vertex`.
-
-    It validates the content on the way in; the vertex built from it holds
-    `kind` and `body` inline and keeps no reference to it.  The body size
-    bound of 64 KiB (`MAX_PAYLOAD_BYTES`) is enforced where untrusted input
-    enters the system, not here, so that oversized test inputs can be built.
-    """
-
-    kind: str
-    body: bytes
-
-    def __post_init__(self) -> None:
-        if not self.kind:
-            raise ValueError("payload kind must be non-empty")
-
-
-@dataclass(frozen=True, slots=True)
 class Vertex:
-    """Immutable event: payload fields plus the parent ids it acknowledged.
+    """Immutable event: its content, `kind` and `body`, plus the parent ids it acknowledged.
 
-    `kind` and `body` are the payload's fields, held inline so that a stored
-    event is one object.  `id` is a claim that inbound verification checks
+    `make_vertex` builds every local event and rejects an empty `kind`.  The
+    64 KiB bound on `kind` and on `body` (`MAX_PAYLOAD_BYTES`) is enforced
+    where untrusted input enters the system, not here, so that oversized test
+    inputs can be built.  `id` is a claim that inbound verification checks
     against the canonical content hash; locally generated vertices always
     satisfy it.  Parents are kept in generation order; hashing sorts them, so
     order does not affect the id.
@@ -228,11 +212,12 @@ class MegState:
 
 
 def make_vertex(
-    payload: EventPayload, sender: ReplicaId, seq: int, parents: Iterable[EventId]
+    kind: str, body: bytes, sender: ReplicaId, seq: int, parents: Iterable[EventId]
 ) -> Vertex:
-    """Vertex whose id is the content hash of exactly these fields."""
+    """Vertex whose id is the content hash of exactly these fields; `kind` must be non-empty."""
+    if not kind:
+        raise ValueError("event kind must be non-empty")
     parents = tuple(parents)
-    kind, body = payload.kind, payload.body
     vid = compute_event_id(encode_vertex_fields(kind, body, sender, seq, parents))
     # Positional: a frozen dataclass matches keyword arguments at a cost.
     return Vertex(kind, body, vid, parents, sender, seq)
@@ -244,8 +229,7 @@ def init(room: str = DEFAULT_ROOM) -> MegState:
     The root id is a pure function of the room string, so replicas agree on
     the initial state without communicating.
     """
-    payload = EventPayload(kind="create", body=room.encode("utf-8"))
-    return MegState(make_vertex(payload, ROOT_SENDER, 0, ()))
+    return MegState(make_vertex("create", room.encode("utf-8"), ROOT_SENDER, 0, ()))
 
 
 def select_parents(extremities: Iterable[EventId], d: int, rng: Random) -> list[EventId]:
@@ -269,7 +253,8 @@ def _select_sorted(ext: list[EventId], d: int, rng: Random) -> list[EventId]:
 
 def generate_add(
     state: MegState,
-    payload: EventPayload,
+    kind: str,
+    body: bytes,
     d: int,
     rng: Random,
     sender: ReplicaId,
@@ -282,7 +267,7 @@ def generate_add(
     generating many events against one state version sorts once.
     """
     parents = _select_sorted(state.sorted_extremities(), d, rng)
-    return make_vertex(payload, sender, seq, parents)
+    return make_vertex(kind, body, sender, seq, parents)
 
 
 class PendingBuffer:

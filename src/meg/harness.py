@@ -41,7 +41,6 @@ from typing import Iterable
 
 from .core import (
     EventId,
-    EventPayload,
     MegState,
     PendingBuffer,
     Vertex,
@@ -99,8 +98,8 @@ class Equivocate:
         """Run this behavior at `node` for tick t; True if it sent anything."""
         if t != self.at_round:
             return False
-        env_a = node.make_op(node.random_payload())
-        env_b = node.make_op(node.random_payload())
+        env_a = node.make_op("msg", node.random_body())
+        env_b = node.make_op("msg", node.random_body())
         sim.send_own(node.idx, env_a, self.subset_a)
         sim.send_own(node.idx, env_b, self.subset_b)
         return True
@@ -115,7 +114,7 @@ class Withhold:
     def act(self, sim: Simulation, node: ReplicaNode, t: int) -> bool:
         sends = sim.spec.updates_per_round if t < sim.spec.rounds else 0
         for _ in range(sends):
-            env = node.make_op(node.random_payload())
+            env = node.make_op("msg", node.random_body())
             sim.send_own(node.idx, env, set(range(sim.spec.n)) - set(self.skip))
         return sends > 0
 
@@ -130,7 +129,7 @@ class OrphanFlood:
         sends = self.rate if t < sim.spec.rounds else 0
         for _ in range(sends):
             parents = (sim.orphan_rng.randbytes(32), sim.orphan_rng.randbytes(32))
-            sim.net.broadcast(node.idx, node.make_op(node.random_payload(), parents=parents))
+            sim.net.broadcast(node.idx, node.make_op("msg", node.random_body(), parents=parents))
         return sends > 0
 
 
@@ -394,19 +393,22 @@ class ReplicaNode:
         """Every vertex id but the root's: built on each read, to grade a run."""
         return self.state.vertices.keys() - {self.state.root}
 
-    def random_payload(self) -> EventPayload:
-        return EventPayload("msg", self.payload_rng.randbytes(8))
+    def random_body(self) -> bytes:
+        return self.payload_rng.randbytes(8)
 
     def make_op(
-        self, payload: EventPayload, d: int | None = None, parents: tuple[EventId, ...] | None = None
+        self,
+        kind: str,
+        body: bytes,
+        d: int | None = None,
+        parents: tuple[EventId, ...] | None = None,
     ) -> SignedEnvelope:
         """Sign the next operation: on `parents`, else on extremities picked with cap `d`."""
+        sender = self.key.replica_id
         if parents is None:
-            v = generate_add(
-                self.state, payload, d or self.d, self.parent_rng, self.key.replica_id, self.seq
-            )
+            v = generate_add(self.state, kind, body, d or self.d, self.parent_rng, sender, self.seq)
         else:
-            v = make_vertex(payload, self.key.replica_id, self.seq, parents)
+            v = make_vertex(kind, body, sender, self.seq, parents)
         self.seq += 1
         return sign_envelope(v, self.key)
 
@@ -561,7 +563,7 @@ def maybe_emit_dummy(node: ReplicaNode, threshold: int, dummy_d: int) -> SignedE
     """
     if node.state.width() <= threshold:
         return None
-    return node.make_op(EventPayload(kind="dummy", body=b""), d=dummy_d)
+    return node.make_op("dummy", b"", d=dummy_d)
 
 
 # -- metrics and verdict ---------------------------------------------------------
@@ -682,7 +684,7 @@ class Simulation:
 
     def append(self, i: int) -> None:
         """A client append at replica i: a fresh operation sent to everyone."""
-        self.send_own(i, self.nodes[i].make_op(self.nodes[i].random_payload()))
+        self.send_own(i, self.nodes[i].make_op("msg", self.nodes[i].random_body()))
 
     def step(self) -> None:
         """Run the next tick; a run has `spec.horizon` of them."""
@@ -802,8 +804,8 @@ def run_lockstep_rounds(
     if u0:
         root = state.root
         for j in range(u0):
-            payload = EventPayload("msg", j.to_bytes(4, "big"))
-            state.apply_add(make_vertex(payload, senders[j % n], seqs[j % n], (root,)))
+            v = make_vertex("msg", j.to_bytes(4, "big"), senders[j % n], seqs[j % n], (root,))
+            state.apply_add(v)
             seqs[j % n] += 1
     widths = [state.width()]
     for _ in range(rounds):
@@ -813,10 +815,10 @@ def run_lockstep_rounds(
             if dummy_threshold is not None:
                 if current_width <= dummy_threshold:
                     continue
-                payload = EventPayload("dummy", b"")
+                kind, body = "dummy", b""
             else:
-                payload = EventPayload("msg", rngs[i].randbytes(8))
-            ops.append(generate_add(state, payload, d, rngs[i], senders[i], seqs[i]))
+                kind, body = "msg", rngs[i].randbytes(8)
+            ops.append(generate_add(state, kind, body, d, rngs[i], senders[i], seqs[i]))
             seqs[i] += 1
         for op in ops:
             state.apply_add(op)

@@ -37,6 +37,7 @@ class VerificationFailure(Enum):
     DUPLICATE_PARENTS = "duplicate_parents"
     EMPTY_PARENTS = "empty_parents"
     OVERSIZED_PAYLOAD = "oversized_payload"
+    SEQ_OUT_OF_RANGE = "seq_out_of_range"
     SELF_PARENT = "self_parent"
 
 
@@ -106,7 +107,9 @@ def verify_envelope(
 ) -> VerificationFailure | None:
     """Run all acceptance checks; None means accepted.
 
-    A payload body over `MAX_PAYLOAD_BYTES` (64 KiB) is OVERSIZED_PAYLOAD.
+    A `kind` or `body` over `MAX_PAYLOAD_BYTES` (64 KiB, `kind` counted in
+    UTF-8 bytes) is OVERSIZED_PAYLOAD.  A `seq` outside [0, 2**64), which has
+    no canonical encoding, is SEQ_OUT_OF_RANGE.
 
     The key is the one of the vertex's declared creator.  The id check runs
     before the signature check, so content tampered after signing and a
@@ -127,8 +130,10 @@ def verify_envelope(
         return VerificationFailure.DUPLICATE_PARENTS
     if v.id in v.parents:
         return VerificationFailure.SELF_PARENT
-    if len(v.body) > MAX_PAYLOAD_BYTES:
+    if len(v.body) > MAX_PAYLOAD_BYTES or len(v.kind.encode("utf-8")) > MAX_PAYLOAD_BYTES:
         return VerificationFailure.OVERSIZED_PAYLOAD
+    if not 0 <= v.seq < 1 << 64:
+        return VerificationFailure.SEQ_OUT_OF_RANGE
     data = encode_vertex_fields(v.kind, v.body, v.sender, v.seq, v.parents)
     if compute_event_id(data) != v.id:
         return VerificationFailure.BAD_EVENT_ID

@@ -13,7 +13,6 @@ from random import Random
 from typing import Callable
 
 from .core import (
-    EventPayload,
     MegState,
     PendingBuffer,
     Vertex,
@@ -50,8 +49,7 @@ def make_op_soup(n_replicas: int, n_ops: int, seed: int) -> list[Vertex]:
         for i in emitters:
             if len(ops) + len(batch) >= n_ops:
                 break
-            payload = EventPayload("msg", rng.randbytes(4))
-            batch.append(generate_add(state, payload, 2, rng, senders[i], seqs[i]))
+            batch.append(generate_add(state, "msg", rng.randbytes(4), 2, rng, senders[i], seqs[i]))
             seqs[i] += 1
         for op in batch:
             state.apply_add(op)

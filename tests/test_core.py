@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from meg.core import (
     EmptyExtremitiesError,
-    EventPayload,
     MegState,
     PendingBuffer,
     PreconditionError,
@@ -48,7 +47,12 @@ def test_event_id_is_sha256_of_field_encoding():
     parents = (b"\x01" * 32, b"\x02" * 32)
     blob = encode_vertex_fields("msg", b"hello", SENDER, 3, parents)
     assert compute_event_id(blob) == hashlib.sha256(blob).digest()
-    assert make_vertex(EventPayload("msg", b"hello"), SENDER, 3, parents).id == compute_event_id(blob)
+    assert make_vertex("msg", b"hello", SENDER, 3, parents).id == compute_event_id(blob)
+
+
+def test_make_vertex_rejects_empty_kind():
+    with pytest.raises(ValueError, match="kind"):
+        make_vertex("", b"hello", SENDER, 3, (b"\x01" * 32,))
 
 
 def test_vertex_field_encoding_layout():
@@ -238,7 +242,7 @@ def state_bytes_per_vertex(writers, d, rounds):
         state = init("memory")
         for r in range(rounds):
             ops = [
-                generate_add(state, EventPayload("msg", rng.randbytes(8)), d, rng, sender, r)
+                generate_add(state, "msg", rng.randbytes(8), d, rng, sender, r)
                 for sender in senders
             ]
             for op in ops:
@@ -294,7 +298,7 @@ def test_select_parents_uniform_frequency():
 def test_generate_add_builds_valid_op():
     state = init()
     for seq in range(4):
-        op = generate_add(state, EventPayload("m", bytes([seq])), 2, Random(seq), SENDER, seq)
+        op = generate_add(state, "m", bytes([seq]), 2, Random(seq), SENDER, seq)
         assert set(op.parents) <= state.get_extremities()
         assert op.id == event_id(
             "m", bytes([seq]), SENDER, seq, op.parents
@@ -563,10 +567,9 @@ def test_soup_senders_are_stable():
 
 
 def assert_picks_match_select_parents(state):
-    payload = EventPayload("msg", b"pick")
     ext = state.get_extremities()
     for s in range(4):
-        op = generate_add(state, payload, 2, Random(s), SENDER, 0)
+        op = generate_add(state, "msg", b"pick", 2, Random(s), SENDER, 0)
         assert list(op.parents) == select_parents(ext, 2, Random(s))
 
 
@@ -591,4 +594,4 @@ def test_generate_add_picks_follow_every_state_version(seed):
 
 def test_generate_add_rejects_cap_below_two():
     with pytest.raises(ValueError):
-        generate_add(init(), EventPayload("msg", b""), 1, Random(0), SENDER, 0)
+        generate_add(init(), "msg", b"", 1, Random(0), SENDER, 0)

@@ -12,7 +12,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
-from meg.core import EventPayload, MegState, make_vertex
+from meg.core import MegState, make_vertex
 from meg.harness import (
     DUMMY_D,
     AdversarySpec,
@@ -438,7 +438,7 @@ FOREIGN_ID = b"\xee" * 32
 def slip_in_stray(state, vertex):
     # A vertex the delivery does not report, hidden from the extremities, so
     # only the size of the graph shows it.
-    stray = make_vertex(EventPayload("msg", b"stray"), vertex.sender, 99, (state.root,))
+    stray = make_vertex("msg", b"stray", vertex.sender, 99, (state.root,))
     state.vertices[stray.id] = stray
 
 
@@ -465,7 +465,7 @@ def test_ingest_counts_a_stray_vertex(monkeypatch, corrupt):
     # One delivery corrupts the state right after its apply: counted once,
     # and the next delivery, checked against the corrupted state, is not.
     writer, reader = make_node(0, n=2), make_node(1, n=2)
-    first = writer.make_op(EventPayload("msg", b"first"), parents=(writer.state.root,))
+    first = writer.make_op("msg", b"first", parents=(writer.state.root,))
     assert reader.receive_envelope(first) == [first.vertex.id]
     original = MegState.apply_add
     corrupted = []
@@ -479,11 +479,11 @@ def test_ingest_counts_a_stray_vertex(monkeypatch, corrupt):
         return applied
 
     monkeypatch.setattr(MegState, "apply_add", corrupt_once)
-    env = writer.make_op(EventPayload("msg", b"a"), parents=(writer.state.root,))
+    env = writer.make_op("msg", b"a", parents=(writer.state.root,))
     assert reader.receive_envelope(env) == [env.vertex.id]
     assert corrupted == [env.vertex.id]
     assert reader.invariant_failures == 1
-    child = writer.make_op(EventPayload("msg", b"b"), parents=(env.vertex.id,))
+    child = writer.make_op("msg", b"b", parents=(env.vertex.id,))
     assert reader.receive_envelope(child) == [child.vertex.id]
     assert reader.invariant_failures == 1
 
@@ -496,7 +496,7 @@ def test_ingest_counts_a_vertex_reported_as_new_twice(monkeypatch):
         MegState, "apply_add", lambda self, op: original(self, op) or op.id in self.vertices
     )
     writer, reader = make_node(0, n=2), make_node(1, n=2)
-    env = writer.make_op(EventPayload("msg", b"a"))
+    env = writer.make_op("msg", b"a")
     assert reader.receive_envelope(env) == [env.vertex.id]
     assert reader.invariant_failures == 0
     assert reader.receive_envelope(env) == [env.vertex.id]
@@ -564,7 +564,7 @@ def make_node(idx=0, d=2, n=1):
 def test_maybe_emit_dummy_threshold():
     node = make_node(d=2)
     for i in range(12):
-        env = node.make_op(EventPayload("msg", bytes([i])))
+        env = node.make_op("msg", bytes([i]))
         node.absorb(env)
         # re-parent everything on the root by marking ops as siblings:
     # width after a chain is 1; dummy must not fire
@@ -598,7 +598,7 @@ def test_serve_backfill_returns_ancestor_closure(monkeypatch):
     node = make_node(d=2)
     envs = []
     for i in range(5):
-        env = node.make_op(EventPayload("msg", bytes([i])))
+        env = node.make_op("msg", bytes([i]))
         node.absorb(env)
         envs.append(env)
     tip = envs[-1].vertex.id
@@ -612,8 +612,8 @@ def test_serve_backfill_returns_ancestor_closure(monkeypatch):
 
 def test_serve_backfill_answer_grows_once_a_buffered_id_applies(monkeypatch):
     writer, server = make_node(0, n=2), make_node(1, n=2)
-    env_p = writer.make_op(EventPayload("msg", b"p"), parents=(writer.state.root,))
-    env_x = writer.make_op(EventPayload("msg", b"x"), parents=(env_p.vertex.id,))
+    env_p = writer.make_op("msg", b"p", parents=(writer.state.root,))
+    env_x = writer.make_op("msg", b"x", parents=(env_p.vertex.id,))
     assert server.receive_envelope(env_x) == []  # buffered, missing p
     x = frozenset({env_x.vertex.id})
     assert server.serve_backfill(x) == (env_x,)
@@ -655,7 +655,7 @@ def count_encodings(monkeypatch) -> dict[str, int]:
 def test_make_op_encodes_the_event_once(monkeypatch, on_root):
     node = make_node(d=2)
     calls = count_encodings(monkeypatch)
-    node.make_op(EventPayload("msg", b"a"), parents=(node.state.root,) if on_root else None)
+    node.make_op("msg", b"a", parents=(node.state.root,) if on_root else None)
     assert calls == {"encode_vertex_fields": 1, "compute_event_id": 1}
 
 
@@ -673,8 +673,8 @@ def test_each_encoding_is_hashed_once(monkeypatch):
 def test_backfill_skips_held_ids_before_verification(monkeypatch):
     writer, reader, reference = (make_node(i, n=3) for i in range(3))
     root = writer.state.root
-    env_a = writer.make_op(EventPayload("msg", b"a"), parents=(root,))
-    env_b = writer.make_op(EventPayload("msg", b"b"), parents=(env_a.vertex.id,))
+    env_a = writer.make_op("msg", b"a", parents=(root,))
+    env_b = writer.make_op("msg", b"b", parents=(env_a.vertex.id,))
     assert reader.receive_envelope(env_b) == []  # b is buffered, missing a
     forged_a = dataclasses.replace(env_a, signature=bytes(32))
     forged_b = dataclasses.replace(env_b, signature=bytes(32))
@@ -699,7 +699,7 @@ def test_stale_parent_ops_counts_first_applies_only():
     writer, reader, late = (make_node(i, n=3) for i in range(3))
     envs = []
     for i in range(3):
-        env = writer.make_op(EventPayload("msg", bytes([i])))
+        env = writer.make_op("msg", bytes([i]))
         writer.absorb(env)
         envs.append(env)
     for env in envs:
@@ -708,13 +708,13 @@ def test_stale_parent_ops_counts_first_applies_only():
     for env in envs:  # re-delivery applies nothing and is not a stale reference
         assert reader.receive_envelope(env) == []
     assert reader.stale_parent_ops == 0
-    old = late.make_op(EventPayload("msg", b"late"))  # parent: the root, long since covered
+    old = late.make_op("msg", b"late")  # parent: the root, long since covered
     assert reader.receive_envelope(old) == [old.vertex.id]
     assert reader.stale_parent_ops == 1
     # An op on the root and on a fresh parent counts once it applies, whether
     # it arrives after that parent or waits in the buffer until it arrives.
     a, b = envs[0], envs[1]  # a's parent is the root, b's is a
-    o = late.make_op(EventPayload("msg", b"o"), parents=(late.state.root, b.vertex.id))
+    o = late.make_op("msg", b"o", parents=(late.state.root, b.vertex.id))
     for order in ((b, o), (o, b)):
         fresh = make_node(1, n=3)
         fresh.receive_envelope(a)
@@ -1023,8 +1023,8 @@ def out_of_order_arrival(monkeypatch, guarantee):
     """A reader that got b before its parent a; returns the pieces and the requests sent."""
     writer, reader = make_node(0, n=2), make_node(1, n=2)
     root = writer.state.root
-    env_a = writer.make_op(EventPayload("msg", b"a"), parents=(root,))
-    env_b = writer.make_op(EventPayload("msg", b"b"), parents=(env_a.vertex.id,))
+    env_a = writer.make_op("msg", b"a", parents=(root,))
+    env_b = writer.make_op("msg", b"b", parents=(env_a.vertex.id,))
     net = Network(2, NetworkConfig(guarantee, delay=(1, 5)))
     requests = []
     monkeypatch.setattr(
@@ -1091,10 +1091,17 @@ APPEND_TICKS = 20
 
 
 class SimulationMachine(RuleBasedStateMachine):
-    """Appends and ticks in random order, through the methods `run_scenario` uses."""
+    """Appends and ticks in random order, through the methods `run_scenario` uses.
+
+    Links are reliable without gossip, or, with gossip on, lossy or reliable,
+    so the repair paths that drops and gossip trigger meet the invariants too.
+    """
 
     @initialize(
         n=st.integers(min_value=2, max_value=4),
+        link=st.sampled_from(
+            [(0, "Reliable", 0.0), (10, "Reliable", 0.0), (10, "BestEffort", 0.2)]
+        ),
         duplicate=st.sampled_from([0.0, 0.3]),
         partition=st.none()
         | st.tuples(
@@ -1104,7 +1111,8 @@ class SimulationMachine(RuleBasedStateMachine):
         ),
         seed=st.integers(min_value=0, max_value=10_000),
     )
-    def start(self, n, duplicate, partition, seed):
+    def start(self, n, link, duplicate, partition, seed):
+        gossip_period, guarantee, drop = link
         partitions = []
         if partition is not None:
             start, length, side = partition
@@ -1112,6 +1120,9 @@ class SimulationMachine(RuleBasedStateMachine):
         self.sim = Simulation(
             spec_with(
                 n=n,
+                guarantee=guarantee,
+                drop=drop,
+                gossip_period=gossip_period,
                 duplicate=duplicate,
                 partitions=partitions,
                 rounds=0,

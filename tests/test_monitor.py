@@ -6,8 +6,9 @@ from random import Random
 
 import pytest
 
-from meg.core import EventPayload, Vertex, generate_add, init, make_vertex
+from meg.core import MAX_PAYLOAD_BYTES, Vertex, generate_add, init, make_vertex
 from meg.encoding import compute_event_id, encode_vertex_fields
+from meg.harness import ReplicaNode
 from meg.monitor import (
     MembershipDirectory,
     SignedEnvelope,
@@ -31,7 +32,7 @@ DIRECTORY = MembershipDirectory(
 
 def fresh_env(body=b"payload", key=KEY):
     state = init()
-    op = generate_add(state, EventPayload("msg", body), 2, Random(0), key.replica_id, 0)
+    op = generate_add(state, "msg", body, 2, Random(0), key.replica_id, 0)
     return sign_envelope(op, key)
 
 
@@ -106,6 +107,30 @@ def test_oversized_payload_rejected():
     assert verify_envelope(fresh_env(body=b"z" * (64 * 1024)), DIRECTORY) is None
 
 
+def test_oversized_kind_rejected():
+    # The bound holds for the kind too, counted in UTF-8 bytes, not characters.
+    root = init().root
+    for kind, failure in (
+        ("k" * (MAX_PAYLOAD_BYTES + 1), VerificationFailure.OVERSIZED_PAYLOAD),
+        ("\u00e9" * (MAX_PAYLOAD_BYTES // 2 + 1), VerificationFailure.OVERSIZED_PAYLOAD),
+        ("k" * MAX_PAYLOAD_BYTES, None),
+    ):
+        env = sign_envelope(make_vertex(kind, b"", KEY.replica_id, 0, (root,)), KEY)
+        assert verify_envelope(env, DIRECTORY) is failure
+
+
+@pytest.mark.parametrize("seq", [-1, 2**64])
+def test_seq_out_of_range_rejected(seq):
+    # No canonical encoding exists for such a seq, so the gate must refuse it
+    # before encoding: the replica counts a rejection and keeps running.
+    v = Vertex("msg", b"", b"\x07" * 32, (init("ingress").root,), KEY.replica_id, seq)
+    env = sign_envelope(v, KEY)
+    assert verify_envelope(env, DIRECTORY) is VerificationFailure.SEQ_OUT_OF_RANGE
+    node = ReplicaNode(1, OTHER_KEY, DIRECTORY, "ingress", 2, seed=0)
+    assert node.receive_envelope(env) == []
+    assert node.rejected_ops == 1
+
+
 def test_tampered_body_fails_event_id():
     # The body changes after signing and the vertex keeps its signed id.
     env = fresh_env()
@@ -119,7 +144,7 @@ def test_tampered_body_fails_signature():
     # The body changes after signing and the id is recomputed to match it.
     env = fresh_env()
     v = env.vertex
-    tampered = make_vertex(EventPayload(v.kind, b"changed"), v.sender, v.seq, v.parents)
+    tampered = make_vertex(v.kind, b"changed", v.sender, v.seq, v.parents)
     bad = SignedEnvelope(tampered, env.signature)
     assert verify_envelope(bad, DIRECTORY) is VerificationFailure.BAD_SIGNATURE
 
@@ -153,7 +178,7 @@ def test_forged_id_on_intact_content_fails_event_id():
 def test_reordered_parents_keep_id_and_signature():
     # The id's bytes sort the parent ids, so their order is not content.
     a, b = b"\x01" * 32, b"\x02" * 32
-    v = make_vertex(EventPayload("msg", b"p"), KEY.replica_id, 0, (a, b))
+    v = make_vertex("msg", b"p", KEY.replica_id, 0, (a, b))
     env = sign_envelope(v, KEY)
     swapped = Vertex(v.kind, v.body, v.id, (b, a), v.sender, v.seq)
     assert compute_event_id(encode_vertex_fields("msg", b"p", KEY.replica_id, 0, (b, a))) == v.id
@@ -168,6 +193,7 @@ def test_all_variants_reachable():
         VerificationFailure.DUPLICATE_PARENTS,
         VerificationFailure.SELF_PARENT,
         VerificationFailure.OVERSIZED_PAYLOAD,
+        VerificationFailure.SEQ_OUT_OF_RANGE,
         VerificationFailure.BAD_SIGNATURE,
         VerificationFailure.BAD_EVENT_ID,
     }

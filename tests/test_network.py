@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meg import harness
-from meg.core import EventPayload, generate_add, init
+from meg.core import generate_add, init
 from meg.harness import ReplicaNode
 from meg.monitor import MembershipDirectory, SigningKey, sign_envelope
 from meg.network import (
@@ -44,7 +44,7 @@ class Chain:
 
     def env(self, body: bytes = b""):
         op = generate_add(
-            self.state, EventPayload("msg", body), 2, self.rng, self.key.replica_id, self.seq
+            self.state, "msg", body, 2, self.rng, self.key.replica_id, self.seq
         )
         self.seq += 1
         self.state.apply_add(op)
@@ -176,7 +176,7 @@ def test_reliable_delivers_each_send_to_its_targets():
     net = reliable_net(delay=(1, 5), seed=14)
     key = KEYS[0]
     op_1, op_2 = (
-        generate_add(init("net"), EventPayload("msg", body), 2, Random(0), key.replica_id, seq)
+        generate_add(init("net"), "msg", body, 2, Random(0), key.replica_id, seq)
         for seq, body in enumerate((b"one", b"two"))
     )
     net.broadcast(0, sign_envelope(op_1, key), targets=(1,))
@@ -229,8 +229,8 @@ def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate,
             if sent[i] and data.draw(st.booleans()):
                 net.broadcast(i, data.draw(st.sampled_from(sent[i])))
             else:
-                payload = EventPayload("msg", bytes([step]))
-                op = generate_add(state, payload, 2, rng, KEYS[i].replica_id, len(sent[i]))
+                sender = KEYS[i].replica_id
+                op = generate_add(state, "msg", bytes([step]), 2, rng, sender, len(sent[i]))
                 state.apply_add(op)
                 env = sign_envelope(op, KEYS[i])
                 sent[i].append(env)
