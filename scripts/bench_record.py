@@ -36,6 +36,15 @@ between the two medians, and the µs-per-apply growth of each run pair.  One
 more child process steps the 20-round point under tracemalloc and records
 the bytes still traced at its last tick, per apply.  The package is
 imported from this checkout's `src/`, as in `fuzz_fingerprints.py`.
+
+Last, it records the import cost that the benchmark's `setup_s` pays on
+every repetition: `IMPORT_REPEATS` child processes each import
+`meg`, drop it from `sys.modules` and time a fresh `import meg`, as
+`bench/run.py` does.  One series writes no bytecode and reads none, so every
+module is compiled again, as on a host that sets `PYTHONDONTWRITEBYTECODE`;
+the other reads bytecode cached under a temporary `sys.pycache_prefix`.
+Neither writes bytecode into the checkout.  One more child records the
+median time to compile each module that `import meg` loads.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -76,6 +86,38 @@ SCALE_REPEATS = 3
 # Short bench runs whose peak RSS is recorded per workload.
 RSS_SECONDS = 0.1
 RSS_REPEATS = 3
+IMPORT_REPEATS = 15
+# Run in a child: argv is (src, pycache prefix, "1" to write bytecode there).
+# Prints the seconds of a fresh `import meg` and the meg modules it loaded.
+IMPORT_CHILD = """
+import json, sys, time
+src, sys.pycache_prefix, write = sys.argv[1:]
+sys.dont_write_bytecode = write != "1"
+sys.path.insert(0, src)
+import meg
+for name in [n for n in sys.modules if n == "meg" or n.startswith("meg.")]:
+    del sys.modules[name]
+start = time.perf_counter()
+import meg
+elapsed = time.perf_counter() - start
+print(json.dumps([elapsed, sorted(n for n in sys.modules if n == "meg" or n.startswith("meg."))]))
+"""
+# Run in a child: argv is (repeats, path, ...).  Prints the median seconds to
+# compile each file, as the import system does.
+COMPILE_CHILD = """
+import json, statistics, sys, time
+repeats, paths = int(sys.argv[1]), sys.argv[2:]
+medians = []
+for path in paths:
+    source = open(path, "rb").read()
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        compile(source, path, "exec", dont_inherit=True)
+        walls.append(time.perf_counter() - start)
+    medians.append(statistics.median(walls))
+print(json.dumps(medians))
+"""
 
 
 def ladder_spec(rounds: int) -> dict:
@@ -130,6 +172,37 @@ def run_bench(workload: str, *args: str) -> tuple[dict, dict]:
         raise SystemExit(f"error: {' '.join(cmd)} exited {done.returncode}: {done.stderr}")
     record, result = (json.loads(line) for line in done.stdout.splitlines()[-2:])
     return record, result
+
+
+def in_python(code: str, *args: str):
+    """What a fresh interpreter running `code` prints, as JSON."""
+    cmd = [sys.executable, "-c", code, *args]
+    done = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def import_cost() -> dict:
+    """A fresh `import meg` with every module compiled, and with cached bytecode."""
+    runs: dict[str, list[float]] = {"uncached": [], "cached": []}
+    with tempfile.TemporaryDirectory() as empty, tempfile.TemporaryDirectory() as cache:
+        _, modules = in_python(IMPORT_CHILD, str(SRC), cache, "1")  # fills the cache
+        for _ in range(IMPORT_REPEATS):
+            runs["uncached"].append(in_python(IMPORT_CHILD, str(SRC), empty, "0")[0])
+            runs["cached"].append(in_python(IMPORT_CHILD, str(SRC), cache, "0")[0])
+    paths = [
+        str(SRC / (name.replace(".", "/") + ("/__init__.py" if name == "meg" else ".py")))
+        for name in modules
+    ]
+    compile_s = dict(zip(modules, in_python(COMPILE_CHILD, str(IMPORT_REPEATS), *paths)))
+    cost = {
+        "repeats": IMPORT_REPEATS,
+        **{f"{mode}_s": statistics.median(walls) for mode, walls in runs.items()},
+        **{f"{mode}_s_runs": walls for mode, walls in runs.items()},
+        "compile_s": compile_s,
+        "compile_total_s": sum(compile_s.values()),
+    }
+    print(f"import cost: {json.dumps(cost)}", flush=True)
+    return cost
 
 
 def bench_runs() -> list[dict]:
@@ -350,6 +423,7 @@ def main(argv=None) -> int:
     record["state_size"] = state_size(harness)
     record["width_kernels"] = width_kernels(harness)
     record["scale_ladder"] = scale_ladder()
+    record["import_cost"] = import_cost()
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
     return 0

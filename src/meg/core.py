@@ -45,6 +45,7 @@ class EmptyExtremitiesError(MegError):
     """Parent selection was asked to choose from an empty extremity set."""
 
 
+# Slotted dataclass, not a NamedTuple: 80 B per vertex against a tuple's 88 B.
 @dataclass(frozen=True, slots=True)
 class Vertex:
     """Immutable event: its content, `kind` and `body`, plus the parent ids it acknowledged.

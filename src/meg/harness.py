@@ -37,7 +37,7 @@ import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 from random import Random
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     EventId,
@@ -79,8 +79,7 @@ class ScenarioError(ValueError):
 # -- adversary description ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Equivocate:
+class Equivocate(NamedTuple):
     """Send one operation to subset_a and a different one to subset_b.
 
     Both are made against the same snapshot before either is applied, so they
@@ -105,8 +104,7 @@ class Equivocate:
         return True
 
 
-@dataclass(frozen=True)
-class Withhold:
+class Withhold(NamedTuple):
     """Send workload operations to everyone except `skip`."""
 
     skip: tuple[int, ...]
@@ -119,8 +117,7 @@ class Withhold:
         return sends > 0
 
 
-@dataclass(frozen=True)
-class OrphanFlood:
+class OrphanFlood(NamedTuple):
     """Emit `rate` validly signed operations per round whose parents do not exist."""
 
     rate: int
@@ -133,17 +130,18 @@ class OrphanFlood:
         return sends > 0
 
 
+# Named tuples of different shapes, so behaviors of two kinds never compare equal.
 Behavior = Equivocate | Withhold | OrphanFlood
 
 
-@dataclass(frozen=True)
-class AdversarySpec:
+class AdversarySpec(NamedTuple):
     byzantine: frozenset[int]
     behaviors: tuple[Behavior, ...] = ()
 
 
 # -- scenario ------------------------------------------------------------------
 
+# Dataclass, not a NamedTuple: `__post_init__` validates every spec built.
 @dataclass(frozen=True)
 class ScenarioSpec:
     n: int
@@ -257,7 +255,7 @@ def _parse_behavior(raw: dict) -> Behavior:
     cls = {"equivocate": Equivocate, "withhold": Withhold, "orphan_flood": OrphanFlood}.get(kind)
     if cls is None:
         raise ScenarioError(f"unknown adversary behavior kind: {kind!r}")
-    _refuse_unexpected(raw, {"kind"} | {f.name for f in fields(cls)}, f"{kind} behavior")
+    _refuse_unexpected(raw, {"kind", *cls._fields}, f"{kind} behavior")
     if cls is Equivocate:
         return Equivocate(
             subset_a=_ints(raw["subset_a"], "subset_a"),
@@ -309,7 +307,7 @@ def parse_scenario(raw: dict) -> ScenarioSpec:
         adversary = None
         if raw["adversary"] is not None:
             adv = raw["adversary"]
-            _refuse_unexpected(adv, {f.name for f in fields(AdversarySpec)}, "adversary")
+            _refuse_unexpected(adv, set(AdversarySpec._fields), "adversary")
             adversary = AdversarySpec(
                 byzantine=frozenset(_ints(adv["byzantine"], "byzantine")),
                 behaviors=tuple(_parse_behavior(b) for b in adv.get("behaviors", [])),
@@ -471,7 +469,8 @@ class ReplicaNode:
         An operation copy or backfill envelope whose id is in the store, so
         applied or buffered (possibly by an earlier envelope of the same
         response), is skipped before verification: ids are content hashes,
-        so it could add nothing.  A forged envelope that reuses a held id is
+        so it could add nothing (this assumes an id names one content; see
+        `meg.monitor`).  A forged envelope that reuses a held id is
         therefore dropped without counting in `rejected_ops`.
 
         An operation that arrives before its parents is buffered.  Under
@@ -569,8 +568,7 @@ def maybe_emit_dummy(node: ReplicaNode, threshold: int, dummy_d: int) -> SignedE
 # -- metrics and verdict ---------------------------------------------------------
 
 
-@dataclass
-class Metrics:
+class Metrics(NamedTuple):
     width: list[list[int]]
     buffer_occupancy: list[list[int]]
     applied_counts: list[int]
@@ -586,8 +584,7 @@ class Metrics:
     buffered_correct_origin: list[int]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     strong_convergence: bool
     eventual_delivery: bool
     termination: bool

@@ -6,7 +6,13 @@ signature)`.  Every operation that arrives from the network passes through
 so verification can run anywhere.  Identifiers are content hashes of the canonical bytes and
 envelopes sign the id, so a payload cannot be altered without changing the
 id, and an id cannot be claimed without the matching content.  Distinct
-accepted vertices are assumed to have distinct ids (hash collision resistance).
+accepted vertices are assumed to have distinct ids, and the replica's
+store-skip rule (`ReplicaNode.route` drops unverified any copy whose id it
+holds) rests on that.  It takes two things: SHA-256's collision resistance,
+and a canonical encoding that is injective on what the gate accepts.  The
+encoding joins the sorted parent ids under one length prefix, so it is
+injective only because the gate admits 32-byte parents alone: a single
+64-byte parent p‖q would encode, and hash, like the two parents (p, q).
 
 The signature scheme is pluggable behind `SigningKey`; the default is a keyed
 hash (HMAC-SHA256) stand-in where the verification key equals the signing
@@ -27,10 +33,14 @@ from typing import Mapping
 from .core import MAX_PAYLOAD_BYTES, ReplicaId, Vertex
 from .encoding import compute_event_id, encode_vertex_fields
 
+# An event id, and so each parent, is a SHA-256 digest.
+_ID_BYTES = 32
+
 
 class VerificationFailure(Enum):
     """Why an envelope was rejected.  Each variant maps to exactly one check."""
 
+    MALFORMED_FIELD = "malformed_field"
     BAD_EVENT_ID = "bad_event_id"
     BAD_SIGNATURE = "bad_signature"
     UNKNOWN_SENDER = "unknown_sender"
@@ -41,6 +51,7 @@ class VerificationFailure(Enum):
     SELF_PARENT = "self_parent"
 
 
+# Slotted dataclass, not a NamedTuple: 48 B per envelope against a tuple's 56 B.
 @dataclass(frozen=True, slots=True)
 class SignedEnvelope:
     """An add operation, its vertex, bound to its claimed creator by a signature."""
@@ -105,7 +116,12 @@ def sign_envelope(v: Vertex, key: SigningKey) -> SignedEnvelope:
 def verify_envelope(
     env: SignedEnvelope, directory: MembershipDirectory
 ) -> VerificationFailure | None:
-    """Run all acceptance checks; None means accepted.
+    """Run all acceptance checks; None means accepted.  Never raises.
+
+    The shapes are checked first, so that no later check can raise: unless
+    `kind` is a `str` with a UTF-8 encoding, `body`, `sender` and the
+    signature are `bytes`, `seq` is an `int` (a `bool` is not one), and the
+    id and each parent are 32 `bytes`, the envelope is MALFORMED_FIELD.
 
     A `kind` or `body` over `MAX_PAYLOAD_BYTES` (64 KiB, `kind` counted in
     UTF-8 bytes) is OVERSIZED_PAYLOAD.  A `seq` outside [0, 2**64), which has
@@ -121,20 +137,41 @@ def verify_envelope(
     comes from the idempotent effector downstream.
     """
     v = env.vertex
+    kind, parents = v.kind, v.parents
+    # The shape check, in three statements: the field types, each parent,
+    # and the UTF-8 encoding of `kind`, which the size check below reads.
+    if not (
+        type(kind) is str
+        and type(v.body) is bytes
+        and type(v.sender) is bytes
+        and type(v.seq) is int
+        and type(env.signature) is bytes
+        and type(v.id) is bytes
+        and len(v.id) == _ID_BYTES
+        and type(parents) is tuple
+    ):
+        return VerificationFailure.MALFORMED_FIELD
+    for p in parents:
+        if type(p) is not bytes or len(p) != _ID_BYTES:
+            return VerificationFailure.MALFORMED_FIELD
+    try:
+        kind_size = len(kind.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate
+        return VerificationFailure.MALFORMED_FIELD
     keyed = directory.keyed_mac(v.sender)
     if keyed is None:
         return VerificationFailure.UNKNOWN_SENDER
-    if not v.parents:
+    if not parents:
         return VerificationFailure.EMPTY_PARENTS
-    if len(set(v.parents)) != len(v.parents):
+    if len(set(parents)) != len(parents):
         return VerificationFailure.DUPLICATE_PARENTS
-    if v.id in v.parents:
+    if v.id in parents:
         return VerificationFailure.SELF_PARENT
-    if len(v.body) > MAX_PAYLOAD_BYTES or len(v.kind.encode("utf-8")) > MAX_PAYLOAD_BYTES:
+    if len(v.body) > MAX_PAYLOAD_BYTES or kind_size > MAX_PAYLOAD_BYTES:
         return VerificationFailure.OVERSIZED_PAYLOAD
     if not 0 <= v.seq < 1 << 64:
         return VerificationFailure.SEQ_OUT_OF_RANGE
-    data = encode_vertex_fields(v.kind, v.body, v.sender, v.seq, v.parents)
+    data = encode_vertex_fields(kind, v.body, v.sender, v.seq, parents)
     if compute_event_id(data) != v.id:
         return VerificationFailure.BAD_EVENT_ID
     if not hmac.compare_digest(_mac(keyed, v.id), env.signature):

@@ -7,10 +7,11 @@ replay the identical event trace.  The queue is a heap of plain
 `(due, seq, sender, receiver, msg)` tuples; `seq` is unique, so the heap
 orders entries by integer comparison alone and never compares the messages.
 An operation travels as its signed envelope, queued as it is (`OpMessage`
-names that type on the wire).  Gossip and backfill messages and trace events
-are named tuples, which cost less to build than frozen dataclasses; they are
-told apart by type, never by tuple equality (a `GossipMessage` and a
-`BackfillRequest` of the same ids compare equal).
+names that type on the wire).  Gossip and backfill messages, trace events
+and partitions are named tuples, which cost less to build, and to define at
+import, than frozen dataclasses; they are told apart by type, never by tuple
+equality (a `GossipMessage` and a `BackfillRequest` of the same ids compare
+equal).
 
 Two delivery guarantees are simulated for operation messages:
 
@@ -45,8 +46,7 @@ class DeliveryGuarantee(Enum):
     BEST_EFFORT = "BestEffort"
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(NamedTuple):
     """Bipartition active on ticks [start, end); must heal (finite end)."""
 
     start: int
@@ -59,6 +59,7 @@ class Partition:
         return (a in self.side_a) != (b in self.side_a)
 
 
+# Dataclass, not a NamedTuple: `__post_init__` validates every config built.
 @dataclass(frozen=True)
 class NetworkConfig:
     """Transport parameters.  Delays are uniform integer ticks in [lo, hi]."""

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Union
+from typing import NamedTuple, Union
 
 Number = Union[Fraction, float]
 
@@ -140,6 +140,7 @@ def variance_removed_recursive(u: int, d: int, k: int, exact: bool = False) -> N
     return var if exact else float(var)
 
 
+# Dataclass, not a NamedTuple: `pmf[j]` is the mass at j, not the j-th field.
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function over removal counts."""
@@ -264,8 +265,7 @@ def transition_probability(i: int, j: int, d: int, k: int, exact: bool = False) 
 # -- mean-field trajectory ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+class TrajectoryRow(NamedTuple):
     """One round of the expected width iteration."""
 
     round: int
@@ -374,8 +374,7 @@ def simulate_urn_round(u: int, d: int, k: int, rng: Random) -> int:
     return u - int(reds)
 
 
-@dataclass(frozen=True)
-class MonteCarloRow:
+class MonteCarloRow(NamedTuple):
     """Per-round summary over independent trials."""
 
     round: int

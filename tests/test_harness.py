@@ -252,14 +252,21 @@ def test_parse_range_checks_indices_ticks_and_rates(raw, match):
 @pytest.mark.parametrize(
     ("adversary", "match"),
     [
-        ({"byzantine": [2], "behaviours": EQUIVOCATOR["behaviors"]}, "adversary keys"),
+        ({"byzantine": [2], "behaviours": EQUIVOCATOR["behaviors"]}, "adversary keys unexpected"),
         (
             {**EQUIVOCATOR, "behaviors": [{**EQUIVOCATOR["behaviors"][0], "at_roud": 3}]},
-            "equivocate behavior keys",
+            "equivocate behavior keys unexpected",
         ),
-        ({**EQUIVOCATOR, "behaviors": [{"kind": "orphan_flood", "rate": 2, "burst": 4}]}, "orphan_flood"),
+        (
+            {**EQUIVOCATOR, "behaviors": [{"kind": "withhold", "skip": [1], "rate": 2}]},
+            "withhold behavior keys unexpected",
+        ),
+        (
+            {**EQUIVOCATOR, "behaviors": [{"kind": "orphan_flood", "rate": 2, "burst": 4}]},
+            "orphan_flood behavior keys unexpected",
+        ),
     ],
-    ids=["adversary-behaviours", "equivocate-at_roud", "orphan_flood-extra"],
+    ids=["adversary-behaviours", "equivocate-at_roud", "withhold-extra", "orphan_flood-extra"],
 )
 def test_parse_rejects_unknown_nested_keys(adversary, match):
     # Each would parse to a runnable spec that quietly ignores the key.

@@ -5,6 +5,8 @@ import hmac
 from random import Random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from meg.core import MAX_PAYLOAD_BYTES, Vertex, generate_add, init, make_vertex
 from meg.encoding import compute_event_id, encode_vertex_fields
@@ -131,6 +133,127 @@ def test_seq_out_of_range_rejected(seq):
     assert node.rejected_ops == 1
 
 
+def well_formed_fields(**changes) -> dict:
+    """The fields of a signed, accepted vertex on the "ingress" root, with `changes`."""
+    v = make_vertex("msg", b"p", KEY.replica_id, 0, (init("ingress").root,))
+    fields = {
+        "kind": v.kind,
+        "body": v.body,
+        "id": v.id,
+        "parents": v.parents,
+        "sender": v.sender,
+        "seq": v.seq,
+        "signature": KEY.sign(v.id),
+    }
+    return {**fields, **changes}
+
+
+def envelope_of(fields: dict) -> SignedEnvelope:
+    return SignedEnvelope(
+        Vertex(*(fields[k] for k in ("kind", "body", "id", "parents", "sender", "seq"))),
+        fields["signature"],
+    )
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"kind": "\ud800"},
+        {"kind": b"msg"},
+        {"body": "p"},
+        {"parents": (7,)},
+        {"parents": [init("ingress").root]},
+        {"seq": 1.0},
+        {"seq": "1"},
+        {"seq": True},
+        {"sender": [1]},
+        {"id": b"\x07" * 31},
+        {"signature": "not bytes"},
+    ],
+    ids=[
+        "kind-lone-surrogate",
+        "kind-bytes",
+        "body-str",
+        "parent-int",
+        "parents-list",
+        "seq-float",
+        "seq-str",
+        "seq-bool",
+        "sender-list",
+        "id-31-bytes",
+        "signature-str",
+    ],
+)
+def test_malformed_field_rejected(changes):
+    # An ill-typed field is a counted rejection, never an exception that
+    # would stop the whole run.
+    env = envelope_of(well_formed_fields(**changes))
+    assert verify_envelope(env, DIRECTORY) is VerificationFailure.MALFORMED_FIELD
+    node = ReplicaNode(1, OTHER_KEY, DIRECTORY, "ingress", 2, seed=0)
+    assert node.receive_envelope(env) == []
+    assert node.rejected_ops == 1
+
+
+def test_re_split_parent_twin_rejected():
+    # One 64-byte parent p‖q encodes like the two parents (p, q), so both
+    # vertices get one id; only the well-formed one may pass the gate.
+    p, q = b"\x01" * 32, b"\x02" * 32
+    pair = make_vertex("msg", b"x", KEY.replica_id, 0, (p, q))
+    twin = make_vertex("msg", b"x", KEY.replica_id, 0, (p + q,))
+    assert twin.id == pair.id
+    assert verify_envelope(sign_envelope(pair, KEY), DIRECTORY) is None
+    rejected = verify_envelope(sign_envelope(twin, KEY), DIRECTORY)
+    assert rejected is VerificationFailure.MALFORMED_FIELD
+
+
+JUNK = st.one_of(
+    st.text(st.characters(blacklist_categories=())),  # lone surrogates included
+    st.binary(max_size=40),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.lists(st.integers(), max_size=3),
+)
+ID_LIKE = st.one_of(st.sampled_from([init("ingress").root, KEY.replica_id]), JUNK)
+
+
+@given(
+    changes=st.fixed_dictionaries(
+        {},
+        optional={
+            "kind": JUNK,
+            "body": JUNK,
+            "sender": st.one_of(st.just(OTHER_KEY.replica_id), JUNK),
+            "seq": JUNK,
+            "id": ID_LIKE,
+            "parents": st.one_of(JUNK, st.lists(ID_LIKE, max_size=3).map(tuple)),
+            "signature": JUNK,
+        },
+    )
+)
+def test_gate_never_raises_and_counts_each_rejection(changes):
+    env = envelope_of(well_formed_fields(**changes))
+    reason = verify_envelope(env, DIRECTORY)
+    assert reason is None or isinstance(reason, VerificationFailure)
+    v = env.vertex
+    shaped = (
+        type(v.kind) is str
+        and type(v.body) is bytes
+        and type(v.sender) is bytes
+        and type(v.seq) is int
+        and type(env.signature) is bytes
+        and type(v.id) is bytes
+        and len(v.id) == 32
+        and type(v.parents) is tuple
+        and all(type(p) is bytes and len(p) == 32 for p in v.parents)
+        and not any(0xD800 <= ord(c) <= 0xDFFF for c in v.kind)
+    )
+    assert (reason is VerificationFailure.MALFORMED_FIELD) == (not shaped)
+    node = ReplicaNode(1, OTHER_KEY, DIRECTORY, "ingress", 2, seed=0)
+    node.receive_envelope(env)
+    assert node.rejected_ops == (reason is not None)
+
+
 def test_tampered_body_fails_event_id():
     # The body changes after signing and the vertex keeps its signed id.
     env = fresh_env()
@@ -188,6 +311,7 @@ def test_reordered_parents_keep_id_and_signature():
 
 def test_all_variants_reachable():
     seen = {
+        VerificationFailure.MALFORMED_FIELD,
         VerificationFailure.UNKNOWN_SENDER,
         VerificationFailure.EMPTY_PARENTS,
         VerificationFailure.DUPLICATE_PARENTS,
