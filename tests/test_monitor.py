@@ -207,7 +207,7 @@ def test_re_split_parent_twin_rejected():
 
 
 JUNK = st.one_of(
-    st.text(st.characters(blacklist_categories=())),  # lone surrogates included
+    st.text(st.characters(exclude_categories=())),  # lone surrogates included
     st.binary(max_size=40),
     st.integers(),
     st.floats(),
