@@ -37,6 +37,9 @@ more child process steps the 20-round point under tracemalloc and records
 the bytes still traced at its last tick, per apply.  The package is
 imported from this checkout's `src/`, as in `fuzz_fingerprints.py`.
 
+Every child process starts through `LAUNCHER`, so that the peak RSS it
+records is its own: see there.
+
 Last, it records the import cost that the benchmark's `setup_s` pays on
 every repetition: `IMPORT_REPEATS` child processes each import
 `meg`, drop it from `sys.modules` and time a fresh `import meg`, as
@@ -53,7 +56,6 @@ import argparse
 import importlib
 import json
 import math
-import multiprocessing
 import os
 import platform
 import resource
@@ -65,7 +67,6 @@ import tracemalloc
 from collections import Counter
 from pathlib import Path
 from time import perf_counter
-from unittest import mock
 
 from fuzz_fingerprints import import_harness
 
@@ -87,6 +88,21 @@ SCALE_REPEATS = 3
 RSS_SECONDS = 0.1
 RSS_REPEATS = 3
 IMPORT_REPEATS = 15
+# CPython starts a child process with vfork, and such a child reports its
+# parent's peak RSS as its own when that is the higher: after this script
+# imported its modules, a child that only reads its peak read 20.4 MB, and
+# 13.1 MB when started from a shell.  So every child is started from this
+# launcher, a bare interpreter that runs the command in a child of its own
+# and exits with its status.
+LAUNCHER = ("-c", "import subprocess, sys; sys.exit(subprocess.call(sys.argv[1:]))")
+# Run in a child: argv is (scripts directory, function name, int argument).
+# Prints what that function of this script returns, as JSON.
+CALL_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import bench_record
+print(json.dumps(getattr(bench_record, sys.argv[2])(int(sys.argv[3]))))
+"""
 # Run in a child: argv is (src, pycache prefix, "1" to write bytecode there).
 # Prints the seconds of a fresh `import meg` and the meg modules it loaded.
 IMPORT_CHILD = """
@@ -167,17 +183,21 @@ def workload_names() -> list[str]:
 def run_bench(workload: str, *args: str) -> tuple[dict, dict]:
     """The record line and the result line of one `bench/run.py` run."""
     cmd = [sys.executable, str(BENCH / "run.py"), "--workload", workload, *args]
-    done = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    done = launch(cmd, cwd=ROOT)
     if done.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} exited {done.returncode}: {done.stderr}")
     record, result = (json.loads(line) for line in done.stdout.splitlines()[-2:])
     return record, result
 
 
+def launch(cmd: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """Run `cmd` through `LAUNCHER`, its output captured as text."""
+    return subprocess.run([sys.executable, *LAUNCHER, *cmd], capture_output=True, text=True, **kwargs)
+
+
 def in_python(code: str, *args: str):
     """What a fresh interpreter running `code` prints, as JSON."""
-    cmd = [sys.executable, "-c", code, *args]
-    done = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    done = launch([sys.executable, "-c", code, *args], check=True)
     return json.loads(done.stdout)
 
 
@@ -230,6 +250,22 @@ def short_run_rss() -> dict:
     return {"seconds": RSS_SECONDS, "repeats": RSS_REPEATS, "workloads": rss}
 
 
+def counting_verifies(harness, spec):
+    """`run_scenario(spec)`'s metrics and verdict, and its `verify_envelope` calls."""
+    verify, calls = harness.verify_envelope, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return verify(*args)
+
+    harness.verify_envelope = counted
+    try:
+        metrics, verdict = harness.run_scenario(spec)
+    finally:
+        harness.verify_envelope = verify
+    return metrics, verdict, calls[0]
+
+
 def ladder(harness) -> list[dict]:
     points = []
     for rounds in LADDER_ROUNDS:
@@ -239,9 +275,7 @@ def ladder(harness) -> list[dict]:
             start = perf_counter()
             harness.run_scenario(spec)
             walls.append(perf_counter() - start)
-        with mock.patch.object(harness, "verify_envelope", wraps=harness.verify_envelope) as verify:
-            metrics, verdict = harness.run_scenario(spec)
-        calls = verify.call_count
+        metrics, verdict, calls = counting_verifies(harness, spec)
         kinds = Counter(ev.kind for ev in metrics.trace)
         deliveries = kinds["DELIVER"]
         point = {
@@ -352,9 +386,9 @@ def traced_memory(rounds: int) -> dict:
     return {"rounds": rounds, "applies": applies, "traced_bytes": traced, "bytes_per_apply": traced / applies}
 
 
-def in_child(fn, *args):
-    with multiprocessing.get_context("spawn").Pool(1) as pool:
-        return pool.apply(fn, args)
+def in_child(fn, rounds: int):
+    """`fn(rounds)`, run in a fresh interpreter."""
+    return in_python(CALL_CHILD, str(Path(__file__).resolve().parent), fn.__name__, str(rounds))
 
 
 def scale_ladder() -> dict:

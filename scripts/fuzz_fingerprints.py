@@ -17,9 +17,10 @@ hash, and earlier fingerprint files still compare byte for byte.  Each case
 runs through `meg.harness.Simulation` imported from `--src`, stepped to its
 horizon as `run_scenario` does, and its line records the spec hash, the
 SHA-256 of the trace, of the width and buffer series, of the applied sets and
-of every replica's stored envelope signatures (in id order), the applied
-counts, `rejected_ops`, `stale_parent_ops`, the convergence and quiescence
-ticks, the final digests and the verdict.  Two checkouts behave the same on
+of the signatures of every replica's applied and buffered ops (in id order,
+from either replica layout: see `held_signatures`), the applied counts,
+`rejected_ops`, `stale_parent_ops`, the convergence and quiescence ticks,
+the final digests and the verdict.  Two checkouts behave the same on
 these cases when their files are byte-identical; `--compare` prints the cases
 that differ, grouped by guarantee, faults and behaviour, tallies the differing
 cases per field, and exits 1 if there is any.  It then sums up the verdicts
@@ -130,6 +131,21 @@ def group_of(raw: dict) -> dict:
     }
 
 
+def held_signatures(node) -> bytes:
+    """The signatures of the ops a replica applied or buffered, in id order.
+
+    A checkout whose replicas keep an envelope store (`node.store`, id to
+    envelope) reads it; later ones hold the signed envelope itself in the
+    state and the buffer, and the root carries no signature.
+    """
+    store = getattr(node, "store", None)
+    if store is not None:
+        return b"".join(env.signature for _, env in sorted(store.items()))
+    held = {**node.state.vertices, **node.buffer.held}
+    del held[node.state.root]
+    return b"".join(held[vid].signature for vid in sorted(held))
+
+
 def fingerprint(harness, i: int) -> dict:
     raw = make_case(i)
     spec = harness.parse_scenario(raw)
@@ -137,9 +153,7 @@ def fingerprint(harness, i: int) -> dict:
     for _ in range(spec.horizon):
         sim.step()
     metrics, verdict = sim.finish()
-    signatures = b"|".join(
-        b"".join(env.signature for _, env in sorted(node.store.items())) for node in sim.nodes
-    )
+    signatures = b"|".join(held_signatures(node) for node in sim.nodes)
     return {
         "case": i,
         **group_of(raw),

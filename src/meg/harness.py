@@ -63,7 +63,6 @@ from .network import (
     GossipMessage,
     Network,
     NetworkConfig,
-    OpMessage,
     Partition,
     TraceEvent,
 )
@@ -356,7 +355,12 @@ def extremities_consistent(state: MegState) -> bool:
 
 
 class ReplicaNode:
-    """One replica: verification gate, DAG state, pending buffer, envelope store."""
+    """One replica: verification gate, DAG state and pending buffer.
+
+    Each event but the root is held once, as its signed envelope: in the
+    state once applied, in the buffer while it waits.  An id is held when
+    it is in the state or in the buffer.
+    """
 
     def __init__(
         self,
@@ -375,8 +379,6 @@ class ReplicaNode:
         self.byzantine = byzantine
         self.state = init(room)
         self.buffer = PendingBuffer()
-        # Envelopes of exactly the applied and the buffered operations.
-        self.store: dict[EventId, SignedEnvelope] = {}
         # (due tick, op id, sender) of buffered arrivals not yet asked about.
         self._deadlines: list[tuple[int, EventId, int]] = []
         self.parent_rng = Random(f"{seed}:parents:{idx}")
@@ -418,8 +420,9 @@ class ReplicaNode:
         return self.absorb(env)
 
     def absorb(self, env: SignedEnvelope) -> list[EventId]:
-        """Store an own or verified envelope, deliver it through `ingest`, and
-        check what the delivery changed.  Returns the event ids applied.
+        """Deliver an own or verified envelope through `ingest`, which keeps
+        the envelope as the vertex, and check what the delivery changed.
+        Returns the event ids applied.
 
         Each applied vertex, in order, must be reported once and have a
         non-empty, duplicate-free parent list of vertices present before it.
@@ -436,10 +439,9 @@ class ReplicaNode:
         reference, accepted but counted in `stale_parent_ops`.
         """
         state = self.state
-        self.store[env.vertex.id] = env
         extremities = set(state.extremities_view())
         count = len(state.vertices)
-        applied = ingest(state, self.buffer, env.vertex)
+        applied = ingest(state, self.buffer, env)
         this_or_later = set(applied)
         ok = len(this_or_later) == len(applied)
         for vid in applied:
@@ -466,18 +468,19 @@ class ReplicaNode:
         Byzantine replicas take operations in, but count no activity and
         stay silent on the auxiliary protocols.
 
-        An operation copy or backfill envelope whose id is in the store, so
-        applied or buffered (possibly by an earlier envelope of the same
-        response), is skipped before verification: ids are content hashes,
-        so it could add nothing (this assumes an id names one content; see
-        `meg.monitor`).  A forged envelope that reuses a held id is
-        therefore dropped without counting in `rejected_ops`.
+        An operation copy or backfill envelope whose id is held, so in the
+        state or in the buffer (possibly through an earlier envelope of the
+        same response), is skipped before verification: ids are content
+        hashes, so it could add nothing (this assumes an id names one
+        content; see `meg.monitor`).  A forged envelope that reuses a held id
+        is therefore dropped without counting in `rejected_ops`.  An id that
+        is not `bytes` is never held; the gate rejects it as MALFORMED_FIELD.
 
         An operation that arrives before its parents is buffered.  Under
         BestEffort a dropped parent never arrives, so the replica asks the
         sender for the parents it lacks at once, and again on each later
         copy.  Under Reliable a correct sender's parent arrives within
-        `delay[1]` ticks unless a partition holds it, so the copy that stores
+        `delay[1]` ticks unless a partition holds it, so the copy that buffers
         the operation arms one deadline, and the replica asks only if it is
         still buffered then (`request_overdue`).
 
@@ -486,22 +489,25 @@ class ReplicaNode:
         advertised ids, the buffer's kept frozenset is sent as it is.
         """
         state, buffer = self.state, self.buffer
-        if isinstance(msg, OpMessage):
-            vertex = msg.vertex
-            held = vertex.id in self.store
+        vertices, waiting = state.vertices, buffer.held
+        if isinstance(msg, SignedEnvelope):
+            vid = msg.id
+            typed = type(vid) is bytes  # an id of any other type may not even hash
+            held = typed and (vid in vertices or vid in waiting)
             applied = [] if held else self.receive_envelope(msg)
-            if not self.byzantine and vertex.id in buffer:
+            if typed and not self.byzantine and vid in waiting:
                 if net.config.guarantee is DeliveryGuarantee.BEST_EFFORT:
-                    net.request_backfill(self.idx, sender, self._lacking(vertex.parents))
+                    net.request_backfill(self.idx, sender, self._lacking(msg.parents))
                 elif not held:
                     due = net.tick + net.config.delay[1]
-                    heapq.heappush(self._deadlines, (due, vertex.id, sender))
+                    heapq.heappush(self._deadlines, (due, vid, sender))
         elif self.byzantine:
             return False
         elif isinstance(msg, BackfillResponse):
             applied = []
             for env in msg.envelopes:
-                if env.vertex.id not in self.store:
+                vid = env.id
+                if type(vid) is not bytes or (vid not in vertices and vid not in waiting):
                     applied += self.receive_envelope(env)
         else:
             if isinstance(msg, GossipMessage):
@@ -524,31 +530,32 @@ class ReplicaNode:
         deadlines = self._deadlines
         while deadlines and deadlines[0][0] <= net.tick:
             _, vid, sender = heapq.heappop(deadlines)
-            if vid in self.buffer:
-                parents = self.store[vid].vertex.parents
-                net.request_backfill(self.idx, sender, self._lacking(parents))
+            op = self.buffer.held.get(vid)
+            if op is not None:
+                net.request_backfill(self.idx, sender, self._lacking(op.parents))
 
     def serve_backfill(self, missing: frozenset[EventId]) -> tuple[SignedEnvelope, ...]:
-        """Ancestor closure of the requested ids from the local envelope store.
+        """Ancestor closure of the requested ids among the held envelopes.
 
         Breadth-first from the requested ids so the requested events and near
         ancestors come first; capped at `BACKFILL_BATCH` envelopes per
         response, the requester retries for the rest on its next trigger.
+        It walks the state and the buffer, but never serves the unsigned root.
         """
-        store, limit = self.store, BACKFILL_BATCH
+        vertices, held, limit = self.state.vertices, self.buffer.held, BACKFILL_BATCH
         out: list[SignedEnvelope] = []
-        seen: set[EventId] = set()
-        frontier = sorted(store.keys() & missing)
+        seen: set[EventId] = {self.state.root}
+        frontier = sorted(((vertices.keys() & missing) | missing.intersection(held)) - seen)
         while frontier and len(out) < limit:
             nxt: list[EventId] = []
             for mid in frontier:
                 seen.add(mid)
-                env = store[mid]
+                env = vertices[mid] if mid in vertices else held[mid]
                 out.append(env)
                 if len(out) >= limit:
                     break
-                for p in env.vertex.parents:
-                    if p not in seen and p in store:
+                for p in env.parents:
+                    if p not in seen and (p in vertices or p in held):
                         nxt.append(p)
             frontier = sorted(set(nxt) - seen)
         return tuple(out)
@@ -677,7 +684,7 @@ class Simulation:
         self.nodes[i].absorb(env)
         self.net.broadcast(i, env, targets)
         if i not in self.byzantine:
-            self.correct_broadcast.add(env.vertex.id)
+            self.correct_broadcast.add(env.id)
 
     def append(self, i: int) -> None:
         """A client append at replica i: a fresh operation sent to everyone."""

@@ -1,18 +1,20 @@
 """Inbound gatekeeper: authentication, integrity, and shape checks.
 
-An operation travels between replicas as its `SignedEnvelope(vertex,
-signature)`.  Every operation that arrives from the network passes through
-`verify_envelope` before it may touch replica state.  Checks are stateless,
-so verification can run anywhere.  Identifiers are content hashes of the canonical bytes and
+An operation travels between replicas as its `SignedEnvelope`, the vertex
+plus a `signature`, which the replica keeps as that vertex.  Every operation
+that arrives from the network passes through `verify_envelope` before it may
+touch replica state.  Checks are stateless, so verification can run
+anywhere.  Identifiers are content hashes of the canonical bytes and
 envelopes sign the id, so a payload cannot be altered without changing the
 id, and an id cannot be claimed without the matching content.  Distinct
-accepted vertices are assumed to have distinct ids, and the replica's
-store-skip rule (`ReplicaNode.route` drops unverified any copy whose id it
-holds) rests on that.  It takes two things: SHA-256's collision resistance,
-and a canonical encoding that is injective on what the gate accepts.  The
-encoding joins the sorted parent ids under one length prefix, so it is
-injective only because the gate admits 32-byte parents alone: a single
-64-byte parent p‖q would encode, and hash, like the two parents (p, q).
+accepted vertices are assumed to have distinct ids, and the replica's skip
+rule (`ReplicaNode.route` drops unverified any copy whose id is in its state
+or its pending buffer) rests on that.  It takes two things: SHA-256's
+collision resistance, and a canonical encoding that is injective on what the
+gate accepts.  The encoding joins the sorted parent ids under one length
+prefix, so it is injective only because the gate admits 32-byte parents
+alone: a single 64-byte parent p‖q would encode, and hash, like the two
+parents (p, q).
 
 The signature scheme is pluggable behind `SigningKey`; the default is a keyed
 hash (HMAC-SHA256) stand-in where the verification key equals the signing
@@ -51,18 +53,16 @@ class VerificationFailure(Enum):
     SELF_PARENT = "self_parent"
 
 
-# Slotted dataclass, not a NamedTuple: 48 B per envelope against a tuple's 56 B.
+# A slotted subclass adds one slot: 88 B per signed event.
 @dataclass(frozen=True, slots=True)
-class SignedEnvelope:
-    """An add operation, its vertex, bound to its claimed creator by a signature."""
+class SignedEnvelope(Vertex):
+    """A vertex bound to its claimed creator by a signature over its id, which is not hashed."""
 
-    vertex: Vertex
     signature: bytes
 
-    @property
-    def op(self) -> "SignedEnvelope":
-        # The benchmark's old path `env.op.vertex`; goes when `bench/` moves to `env.vertex`.
-        return self
+    # The envelope itself, for the benchmark's read `env.op.vertex`
+    # (`bench/spans.py`); both names go with ROADMAP item 13.
+    op = vertex = property(lambda self: self)
 
 
 def _mac(keyed: hmac.HMAC, data: bytes) -> bytes:
@@ -110,7 +110,7 @@ class MembershipDirectory:
 
 def sign_envelope(v: Vertex, key: SigningKey) -> SignedEnvelope:
     """Sign the event id, the hash of every field of the vertex, its sender included."""
-    return SignedEnvelope(v, key.sign(v.id))
+    return SignedEnvelope(v.kind, v.body, v.id, v.parents, v.sender, v.seq, key.sign(v.id))
 
 
 def verify_envelope(
@@ -119,9 +119,10 @@ def verify_envelope(
     """Run all acceptance checks; None means accepted.  Never raises.
 
     The shapes are checked first, so that no later check can raise: unless
-    `kind` is a `str` with a UTF-8 encoding, `body`, `sender` and the
-    signature are `bytes`, `seq` is an `int` (a `bool` is not one), and the
-    id and each parent are 32 `bytes`, the envelope is MALFORMED_FIELD.
+    `kind` is a non-empty `str` with a UTF-8 encoding (`make_vertex` builds
+    no event with an empty one), `body`, `sender` and the signature are
+    `bytes`, `seq` is an `int` (a `bool` is not one), and the id and each
+    parent are 32 `bytes`, the envelope is MALFORMED_FIELD.
 
     A `kind` or `body` over `MAX_PAYLOAD_BYTES` (64 KiB, `kind` counted in
     UTF-8 bytes) is OVERSIZED_PAYLOAD.  A `seq` outside [0, 2**64), which has
@@ -136,18 +137,18 @@ def verify_envelope(
     Re-delivery of an accepted envelope is not an error here; replay safety
     comes from the idempotent effector downstream.
     """
-    v = env.vertex
-    kind, parents = v.kind, v.parents
+    kind, parents = env.kind, env.parents
     # The shape check, in three statements: the field types, each parent,
     # and the UTF-8 encoding of `kind`, which the size check below reads.
     if not (
         type(kind) is str
-        and type(v.body) is bytes
-        and type(v.sender) is bytes
-        and type(v.seq) is int
+        and kind
+        and type(env.body) is bytes
+        and type(env.sender) is bytes
+        and type(env.seq) is int
         and type(env.signature) is bytes
-        and type(v.id) is bytes
-        and len(v.id) == _ID_BYTES
+        and type(env.id) is bytes
+        and len(env.id) == _ID_BYTES
         and type(parents) is tuple
     ):
         return VerificationFailure.MALFORMED_FIELD
@@ -158,22 +159,22 @@ def verify_envelope(
         kind_size = len(kind.encode("utf-8"))
     except UnicodeEncodeError:  # a lone surrogate
         return VerificationFailure.MALFORMED_FIELD
-    keyed = directory.keyed_mac(v.sender)
+    keyed = directory.keyed_mac(env.sender)
     if keyed is None:
         return VerificationFailure.UNKNOWN_SENDER
     if not parents:
         return VerificationFailure.EMPTY_PARENTS
     if len(set(parents)) != len(parents):
         return VerificationFailure.DUPLICATE_PARENTS
-    if v.id in parents:
+    if env.id in parents:
         return VerificationFailure.SELF_PARENT
-    if len(v.body) > MAX_PAYLOAD_BYTES or kind_size > MAX_PAYLOAD_BYTES:
+    if len(env.body) > MAX_PAYLOAD_BYTES or kind_size > MAX_PAYLOAD_BYTES:
         return VerificationFailure.OVERSIZED_PAYLOAD
-    if not 0 <= v.seq < 1 << 64:
+    if not 0 <= env.seq < 1 << 64:
         return VerificationFailure.SEQ_OUT_OF_RANGE
-    data = encode_vertex_fields(kind, v.body, v.sender, v.seq, parents)
-    if compute_event_id(data) != v.id:
+    data = encode_vertex_fields(kind, env.body, env.sender, env.seq, parents)
+    if compute_event_id(data) != env.id:
         return VerificationFailure.BAD_EVENT_ID
-    if not hmac.compare_digest(_mac(keyed, v.id), env.signature):
+    if not hmac.compare_digest(_mac(keyed, env.id), env.signature):
         return VerificationFailure.BAD_SIGNATURE
     return None

@@ -6,8 +6,8 @@ by (due tick, enqueue sequence number), so identical configurations and seeds
 replay the identical event trace.  The queue is a heap of plain
 `(due, seq, sender, receiver, msg)` tuples; `seq` is unique, so the heap
 orders entries by integer comparison alone and never compares the messages.
-An operation travels as its signed envelope, queued as it is (`OpMessage`
-names that type on the wire).  Gossip and backfill messages, trace events
+An operation travels as its signed envelope, the vertex with its signature,
+queued as it is.  Gossip and backfill messages, trace events
 and partitions are named tuples, which cost less to build, and to define at
 import, than frozen dataclasses; they are told apart by type, never by tuple
 equality (a `GossipMessage` and a `BackfillRequest` of the same ids compare
@@ -19,7 +19,7 @@ Two delivery guarantees are simulated for operation messages:
   crossing traffic.
 * RELIABLE: no drops; traffic crossing a partition is deferred until the
   cut heals.  Duplicates are handed over like any copy: the receiving
-  replica's envelope store tells it which copies can add nothing.
+  replica skips a copy whose id is in its state or its pending buffer.
   Parent-causal delivery is done by the replica's pending buffer.
 
 Gossip and backfill messages are auxiliary and always best-effort: partitions
@@ -84,6 +84,8 @@ class NetworkConfig:
             raise ValueError(f"{self.guarantee.value} requires drop probability 0")
 
 
+# The benchmark's name for an operation on the wire (`bench/spans.py`); goes
+# with ROADMAP item 13.
 OpMessage = SignedEnvelope
 
 
@@ -121,7 +123,7 @@ class TraceEvent(NamedTuple):
 
 # The trace kind of a message that is handed over.
 _KINDS = {
-    OpMessage: "DELIVER",
+    SignedEnvelope: "DELIVER",
     GossipMessage: "GOSSIP",
     BackfillRequest: "BACKFILL_REQ",
     BackfillResponse: "BACKFILL_RESP",
@@ -129,12 +131,12 @@ _KINDS = {
 
 
 def _msg_id(msg: object) -> EventId | None:
-    if isinstance(msg, OpMessage):
-        return msg.vertex.id
+    if isinstance(msg, SignedEnvelope):
+        return msg.id
     if isinstance(msg, BackfillRequest):
         return min(msg.missing)
     if isinstance(msg, BackfillResponse) and msg.envelopes:
-        return msg.envelopes[0].vertex.id
+        return msg.envelopes[0].id
     return None
 
 
@@ -193,7 +195,7 @@ class Network:
         synchronously.  A correct replica always targets all; restricted
         target sets model crash-mid-send and byzantine behavior.
         """
-        vid = env.vertex.id
+        vid = env.id
         self._log("SEND", sender, None, vid)
         recipients = set(range(self.n)) if targets is None else set(targets)
         recipients.discard(sender)
@@ -237,7 +239,7 @@ class Network:
         while queue and queue[0][0] <= t:
             _, _, sender, receiver, msg = heapq.heappop(queue)
             if self._separated(sender, receiver, t):
-                if reliable and isinstance(msg, OpMessage):
+                if reliable and isinstance(msg, SignedEnvelope):
                     self._push(self._next_open_tick(sender, receiver, t), sender, receiver, msg)
                 else:
                     self._log("DROP", sender, receiver, _msg_id(msg))
@@ -259,7 +261,7 @@ class Network:
         pending work; undelivered operations do.
         """
         for *_, msg in self._queue:
-            if isinstance(msg, OpMessage):
+            if isinstance(msg, SignedEnvelope):
                 return True
             if isinstance(msg, BackfillResponse) and msg.envelopes:
                 return True

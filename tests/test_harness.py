@@ -36,7 +36,7 @@ from meg.harness import (
     width_series_csv,
 )
 from meg import core, harness, monitor
-from meg.monitor import MembershipDirectory, SigningKey
+from meg.monitor import MembershipDirectory, SigningKey, verify_envelope
 from meg.network import (
     BackfillResponse,
     DeliveryGuarantee,
@@ -473,7 +473,7 @@ def test_ingest_counts_a_stray_vertex(monkeypatch, corrupt):
     # and the next delivery, checked against the corrupted state, is not.
     writer, reader = make_node(0, n=2), make_node(1, n=2)
     first = writer.make_op("msg", b"first", parents=(writer.state.root,))
-    assert reader.receive_envelope(first) == [first.vertex.id]
+    assert reader.receive_envelope(first) == [first.id]
     original = MegState.apply_add
     corrupted = []
 
@@ -487,11 +487,11 @@ def test_ingest_counts_a_stray_vertex(monkeypatch, corrupt):
 
     monkeypatch.setattr(MegState, "apply_add", corrupt_once)
     env = writer.make_op("msg", b"a", parents=(writer.state.root,))
-    assert reader.receive_envelope(env) == [env.vertex.id]
-    assert corrupted == [env.vertex.id]
+    assert reader.receive_envelope(env) == [env.id]
+    assert corrupted == [env.id]
     assert reader.invariant_failures == 1
-    child = writer.make_op("msg", b"b", parents=(env.vertex.id,))
-    assert reader.receive_envelope(child) == [child.vertex.id]
+    child = writer.make_op("msg", b"b", parents=(env.id,))
+    assert reader.receive_envelope(child) == [child.id]
     assert reader.invariant_failures == 1
 
 
@@ -504,9 +504,9 @@ def test_ingest_counts_a_vertex_reported_as_new_twice(monkeypatch):
     )
     writer, reader = make_node(0, n=2), make_node(1, n=2)
     env = writer.make_op("msg", b"a")
-    assert reader.receive_envelope(env) == [env.vertex.id]
+    assert reader.receive_envelope(env) == [env.id]
     assert reader.invariant_failures == 0
-    assert reader.receive_envelope(env) == [env.vertex.id]
+    assert reader.receive_envelope(env) == [env.id]
     assert reader.invariant_failures == 1
     assert reader.state.is_rooted_dag() and extremities_consistent(reader.state)
 
@@ -584,15 +584,15 @@ def test_maybe_emit_dummy_threshold():
 def test_dummy_content_and_cap():
     node = make_node(d=2)
     env = maybe_emit_dummy(node, threshold=0, dummy_d=10)
-    assert env.vertex.kind == "dummy"
-    assert env.vertex.body == b""
+    assert env.kind == "dummy"
+    assert env.body == b""
 
 
 def test_equivocate_builds_two_concurrent_ops():
     sim = Simulation(spec_with(f=1, adversary=EQUIVOCATOR))
     node = sim.nodes[2]
     assert Equivocate(subset_a=(0,), subset_b=(1,)).act(sim, node, 0)
-    va, vb = (node.store[ev.event].vertex for ev in sim.net.trace if ev.kind == "SEND")
+    va, vb = (node.state.vertices[ev.event] for ev in sim.net.trace if ev.kind == "SEND")
     assert va.id != vb.id
     assert va.parents == vb.parents  # same snapshot
     assert {va.id, vb.id} <= node.state.vertices.keys()
@@ -608,23 +608,33 @@ def test_serve_backfill_returns_ancestor_closure(monkeypatch):
         env = node.make_op("msg", bytes([i]))
         node.absorb(env)
         envs.append(env)
-    tip = envs[-1].vertex.id
+    tip = envs[-1].id
     served = node.serve_backfill(frozenset({tip}))
-    served_ids = {e.vertex.id for e in served}
-    assert served_ids == {e.vertex.id for e in envs}  # whole chain, root excluded
+    served_ids = {e.id for e in served}
+    assert served_ids == {e.id for e in envs}  # whole chain, root excluded
     assert node.serve_backfill(frozenset({b"\x77" * 32})) == ()
     monkeypatch.setattr(harness, "BACKFILL_BATCH", 2)
     assert node.serve_backfill(frozenset({tip})) == (envs[-1], envs[-2])
 
 
+def test_serve_backfill_never_serves_the_root():
+    # The root is in the state the walk reads, but nobody signed it.
+    node = make_node(d=2)
+    env = node.make_op("msg", b"a")
+    node.absorb(env)
+    root = node.state.root
+    assert node.serve_backfill(frozenset({root})) == ()
+    assert node.serve_backfill(frozenset({root, env.id})) == (env,)
+
+
 def test_serve_backfill_answer_grows_once_a_buffered_id_applies(monkeypatch):
     writer, server = make_node(0, n=2), make_node(1, n=2)
     env_p = writer.make_op("msg", b"p", parents=(writer.state.root,))
-    env_x = writer.make_op("msg", b"x", parents=(env_p.vertex.id,))
+    env_x = writer.make_op("msg", b"x", parents=(env_p.id,))
     assert server.receive_envelope(env_x) == []  # buffered, missing p
-    x = frozenset({env_x.vertex.id})
+    x = frozenset({env_x.id})
     assert server.serve_backfill(x) == (env_x,)
-    assert server.receive_envelope(env_p) == [env_p.vertex.id, env_x.vertex.id]
+    assert server.receive_envelope(env_p) == [env_p.id, env_x.id]
     assert server.serve_backfill(x) == (env_x, env_p)
     assert server.serve_backfill(x | {b"\x77" * 32}) == (env_x, env_p)
     monkeypatch.setattr(harness, "BACKFILL_BATCH", 1)
@@ -681,7 +691,7 @@ def test_backfill_skips_held_ids_before_verification(monkeypatch):
     writer, reader, reference = (make_node(i, n=3) for i in range(3))
     root = writer.state.root
     env_a = writer.make_op("msg", b"a", parents=(root,))
-    env_b = writer.make_op("msg", b"b", parents=(env_a.vertex.id,))
+    env_b = writer.make_op("msg", b"b", parents=(env_a.id,))
     assert reader.receive_envelope(env_b) == []  # b is buffered, missing a
     forged_a = dataclasses.replace(env_a, signature=bytes(32))
     forged_b = dataclasses.replace(env_b, signature=bytes(32))
@@ -693,13 +703,31 @@ def test_backfill_skips_held_ids_before_verification(monkeypatch):
     assert reader.route(net, 0, response)
     assert verified[0] == 1
     assert reader.rejected_ops == 0
-    assert reader.applied == {env_a.vertex.id, env_b.vertex.id}
+    assert reader.applied == {env_a.id, env_b.id}
     assert len(reader.buffer) == 0
     assert reader.invariant_failures == 0
     for env in (env_a, env_b):
         reference.receive_envelope(env)
     assert reader.state.state_digest() == reference.state.state_digest()
-    assert reader.store[env_b.vertex.id] == env_b
+    assert reader.state.vertices[env_b.id] is env_b  # the first, verified copy
+
+
+@pytest.mark.parametrize("guarantee", list(DeliveryGuarantee))
+def test_route_rejects_an_unhashable_id_on_both_arms(monkeypatch, guarantee):
+    # An id that is not bytes may not even hash, so it is never looked up as
+    # held: as an operation and in a backfill answer alike, the copy goes to
+    # the gate, counts as rejected, and asks for no repair.
+    writer, reader = make_node(0, n=2), make_node(1, n=2)
+    env = writer.make_op("msg", b"a", parents=(writer.state.root,))
+    bad = dataclasses.replace(env, id=[1, 2])
+    net = Network(2, NetworkConfig(guarantee))
+    requests = []
+    monkeypatch.setattr(net, "request_backfill", lambda *args: requests.append(args))
+    assert not reader.route(net, 0, bad)
+    assert reader.route(net, 0, BackfillResponse((bad, env)))  # the rest still applies
+    assert reader.rejected_ops == 2
+    assert reader.applied == {env.id}
+    assert requests == [] and not reader._deadlines
 
 
 def test_stale_parent_ops_counts_first_applies_only():
@@ -710,24 +738,24 @@ def test_stale_parent_ops_counts_first_applies_only():
         writer.absorb(env)
         envs.append(env)
     for env in envs:
-        assert reader.receive_envelope(env) == [env.vertex.id]
+        assert reader.receive_envelope(env) == [env.id]
     assert reader.stale_parent_ops == 0
     for env in envs:  # re-delivery applies nothing and is not a stale reference
         assert reader.receive_envelope(env) == []
     assert reader.stale_parent_ops == 0
     old = late.make_op("msg", b"late")  # parent: the root, long since covered
-    assert reader.receive_envelope(old) == [old.vertex.id]
+    assert reader.receive_envelope(old) == [old.id]
     assert reader.stale_parent_ops == 1
     # An op on the root and on a fresh parent counts once it applies, whether
     # it arrives after that parent or waits in the buffer until it arrives.
     a, b = envs[0], envs[1]  # a's parent is the root, b's is a
-    o = late.make_op("msg", b"o", parents=(late.state.root, b.vertex.id))
+    o = late.make_op("msg", b"o", parents=(late.state.root, b.id))
     for order in ((b, o), (o, b)):
         fresh = make_node(1, n=3)
         fresh.receive_envelope(a)
         for env in order:
             fresh.receive_envelope(env)
-        assert fresh.applied == {env.vertex.id for env in (a, b, o)}
+        assert fresh.applied == {env.id for env in (a, b, o)}
         assert fresh.stale_parent_ops == 1
 
 
@@ -1031,7 +1059,7 @@ def out_of_order_arrival(monkeypatch, guarantee):
     writer, reader = make_node(0, n=2), make_node(1, n=2)
     root = writer.state.root
     env_a = writer.make_op("msg", b"a", parents=(root,))
-    env_b = writer.make_op("msg", b"b", parents=(env_a.vertex.id,))
+    env_b = writer.make_op("msg", b"b", parents=(env_a.id,))
     net = Network(2, NetworkConfig(guarantee, delay=(1, 5)))
     requests = []
     monkeypatch.setattr(
@@ -1060,28 +1088,28 @@ def test_reliable_request_waits_for_the_delay_window(monkeypatch, parent_arrives
     if parent_arrives:
         assert requests == [] and len(reader.buffer) == 0 and len(reader.applied) == 2
     else:
-        assert requests == [(1, 0, {env_a.vertex.id})]
+        assert requests == [(1, 0, {env_a.id})]
 
 
 def test_best_effort_request_goes_out_at_once(monkeypatch):
     reader, net, env_a, requests = out_of_order_arrival(monkeypatch, DeliveryGuarantee.BEST_EFFORT)
-    assert requests == [(1, 0, {env_a.vertex.id})]
+    assert requests == [(1, 0, {env_a.id})]
 
 
 def test_best_effort_duplicate_of_a_buffered_op_asks_again(monkeypatch):
     # The first request or its answer may have been dropped, so each copy
     # that finds the operation still buffered asks again, unverified.
     reader, net, env_a, requests = out_of_order_arrival(monkeypatch, DeliveryGuarantee.BEST_EFFORT)
-    (env_b,) = (reader.store[vid] for vid in reader.buffer.held)
+    (env_b,) = reader.buffer.held.values()
     verified = count_verifications(monkeypatch)
     assert not reader.route(net, 0, env_b)
-    assert requests == [(1, 0, {env_a.vertex.id})] * 2
+    assert requests == [(1, 0, {env_a.id})] * 2
     assert verified[0] == 0
 
 
 def test_reliable_duplicate_of_a_buffered_op_arms_no_second_deadline(monkeypatch):
     reader, net, env_a, requests = out_of_order_arrival(monkeypatch, DeliveryGuarantee.RELIABLE)
-    (env_b,) = (reader.store[vid] for vid in reader.buffer.held)
+    (env_b,) = reader.buffer.held.values()
     verified = count_verifications(monkeypatch)
     net.step()
     assert not reader.route(net, 0, env_b)
@@ -1089,7 +1117,7 @@ def test_reliable_duplicate_of_a_buffered_op_arms_no_second_deadline(monkeypatch
     for _ in range(3 * net.config.delay[1]):
         reader.request_overdue(net)
         net.step()
-    assert requests == [(1, 0, {env_a.vertex.id})]
+    assert requests == [(1, 0, {env_a.id})]
 
 
 # -- stepping a simulation by hand -----------------------------------------------------------
@@ -1150,12 +1178,14 @@ class SimulationMachine(RuleBasedStateMachine):
         self.sim.step()
 
     @invariant()
-    def store_holds_the_applied_and_buffered_ops(self):
-        # `route` skips a copy whose id is in the store, so it must hold
-        # exactly what the replica has applied or buffered.
+    def held_ops_verify(self):
+        # `route` skips a copy whose id is held, so every op held in the
+        # state or the buffer but the root must be an envelope the gate accepts.
         for node in self.sim.nodes:
-            held = (node.state.vertices.keys() - {node.state.root}) | node.buffer.held.keys()
-            assert set(node.store) == held
+            held = [*node.state.vertices.values(), *node.buffer.held.values()]
+            for op in held:
+                if op.id != node.state.root:
+                    assert verify_envelope(op, node.directory) is None
 
     @invariant()
     def replicas_stay_consistent(self):

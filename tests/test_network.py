@@ -1,7 +1,7 @@
 """Transport behavior per guarantee: ordering, duplicates, partitions, determinism.
 
 The transport filters no duplicates; the duplicate tests route its deliveries
-into replicas, which skip the copies their envelope store already holds.
+into replicas, which skip the copies whose ids they already hold.
 """
 
 from collections import defaultdict
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from meg import harness
 from meg.core import generate_add, init
 from meg.harness import ReplicaNode
-from meg.monitor import MembershipDirectory, SigningKey, sign_envelope
+from meg.monitor import MembershipDirectory, SignedEnvelope, SigningKey, sign_envelope
 from meg.network import (
     BackfillRequest,
     BackfillResponse,
@@ -24,7 +24,6 @@ from meg.network import (
     GossipMessage,
     Network,
     NetworkConfig,
-    OpMessage,
     Partition,
     TraceEvent,
 )
@@ -62,7 +61,7 @@ def drain(net, max_ticks=10_000):
 
 
 def op_deliveries(deliveries):
-    return [(r, s, m) for (r, s, m) in deliveries if isinstance(m, OpMessage)]
+    return [(r, s, m) for (r, s, m) in deliveries if isinstance(m, SignedEnvelope)]
 
 
 def replicas(n):
@@ -144,13 +143,13 @@ def test_reliable_delivers_to_every_other_replica():
     assert sorted(r for r, _, _ in got) == [1, 2]
 
 
-def test_reliable_duplicates_skipped_by_the_envelope_store():
+def test_reliable_duplicates_skipped_as_held():
     # Both copies are handed over; each replica verifies and applies the
-    # first and skips the second, which its envelope store already holds.
+    # first and skips the second, whose id its state already holds.
     net = reliable_net(seed=2, duplicate=1.0)
     nodes = replicas(3)
     _, env = Chain(0).env()
-    vid = env.vertex.id
+    vid = env.id
     with watched() as (applied, verify):
         nodes[0].absorb(env)
         net.broadcast(0, env)
@@ -182,7 +181,7 @@ def test_reliable_delivers_each_send_to_its_targets():
     net.broadcast(0, sign_envelope(op_1, key), targets=(1,))
     net.broadcast(0, sign_envelope(op_2, key))
     got = op_deliveries(drain(net))
-    assert {(r, m.vertex.id) for r, _, m in got} == {
+    assert {(r, m.id) for r, _, m in got} == {
         (1, op_1.id),
         (1, op_2.id),
         (2, op_2.id),
@@ -202,7 +201,7 @@ def test_reliable_resent_envelope_is_skipped_and_later_sends_apply():
             net.broadcast(0, env)
         drain_into(nodes, net)
     assert [ev.kind for ev in net.trace if ev.kind != "SEND"] == ["DELIVER"] * 3
-    assert applied[1] == [x.vertex.id, y.vertex.id]
+    assert applied[1] == [x.id, y.id]
     assert verify.call_count == 2
     assert net.queue_empty()
 
@@ -240,7 +239,7 @@ def test_resent_envelopes_drain_and_deliver_each_id_once(n, seed, hi, duplicate,
                 route(nodes, net, net.step())
         drain_into(nodes, net)
     assert net.queue_empty()
-    ids = sorted(env.vertex.id for envs in sent for env in envs)
+    ids = sorted(env.id for envs in sent for env in envs)
     for node in nodes:
         assert sorted(applied[node.idx]) == ids
         assert len(node.buffer) == 0 and node.invariant_failures == 0
@@ -331,7 +330,7 @@ def test_cut_message_is_dropped_unless_a_reliable_op(guarantee, kind):
     cut = (Partition(0, 50, frozenset({0})),)
     net = Network(2, NetworkConfig(guarantee, delay=(2, 2), partitions=cut))
     env = Chain(0).env()[1]
-    vid = env.vertex.id
+    vid = env.id
     ids = frozenset({b"\x02" * 32, b"\x01" * 32})
     if kind == "op":
         net.broadcast(0, env)
@@ -391,6 +390,6 @@ def test_equivocation_equals_two_crashing_senders():
             net.broadcast(0, env_a, targets=(1,))
             net.broadcast(0, env_b, targets=(2,))
         got = op_deliveries(drain(net))
-        return {(r, m.vertex.id) for r, _, m in got}
+        return {(r, m.id) for r, _, m in got}
 
     assert deliveries_with(False) == deliveries_with(True)
