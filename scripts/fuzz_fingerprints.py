@@ -18,15 +18,17 @@ runs through `meg.harness.Simulation` imported from `--src`, stepped to its
 horizon as `run_scenario` does, and its line records the spec hash, the
 SHA-256 of the trace, of the width and buffer series, of the applied sets and
 of the signatures of every replica's applied and buffered ops (in id order,
-from either replica layout: see `held_signatures`), the applied counts,
-`rejected_ops`, `stale_parent_ops`, the convergence and quiescence ticks,
-the final digests and the verdict.  Two checkouts behave the same on
+from either replica layout: see `held_signatures`), the number of
+trace lines of each kind, the applied counts, `rejected_ops`,
+`stale_parent_ops`, the convergence and quiescence ticks, the final digests
+and the verdict.  Two checkouts behave the same on
 these cases when their files are byte-identical; `--compare` prints the cases
 that differ, grouped by guarantee, faults and behaviour, tallies the differing
 cases per field, and exits 1 if there is any.  It then sums up the verdicts
 from A to B: for each flag, the cases that went true to false and false to
-true, and the change in convergence tick over the cases that converged on
-both sides.
+true, the change in convergence tick over the cases that converged on
+both sides, and, per trace kind, the lines summed over the cases in both
+files with the change from A to B.
 """
 
 from __future__ import annotations
@@ -159,6 +161,7 @@ def fingerprint(harness, i: int) -> dict:
         **group_of(raw),
         "spec": _sha(json.dumps(raw, sort_keys=True).encode()),
         "trace": _sha(harness.trace_tsv(metrics).encode()),
+        "kinds": Counter(ev.kind for ev in metrics.trace),
         "widths": _sha(harness.width_series_csv(metrics).encode()),
         "occupancy": _sha(json.dumps(metrics.buffer_occupancy).encode()),
         "applied_sets": _sha(b"|".join(b"".join(sorted(s)) for s in metrics.applied_sets)),
@@ -224,7 +227,9 @@ def compare(a_path: Path, b_path: Path) -> int:
     if by_field:
         print("by field: " + ", ".join(f"{k} {v}" for k, v in sorted(by_field.items())))
     print(f"{len(differing)} of {len(set(a) | set(b))} cases differ")
-    verdict_summary([(a[i], b[i]) for i in sorted(set(a) & set(b))])
+    pairs = [(a[i], b[i]) for i in sorted(set(a) & set(b))]
+    verdict_summary(pairs)
+    kind_summary(pairs)
     return 1 if differing else 0
 
 
@@ -252,6 +257,21 @@ def verdict_summary(pairs: list[tuple[dict, dict]]) -> None:
         )
     else:
         print("convergence_tick delta: no case converged on both sides")
+
+
+def kind_summary(pairs: list[tuple[dict, dict]]) -> None:
+    """Print the trace lines of each kind summed over `pairs`, A to B.
+
+    A file written before the kinds were recorded counts as having none.
+    """
+    total_a: Counter = Counter()
+    total_b: Counter = Counter()
+    for ra, rb in pairs:
+        total_a.update(ra.get("kinds", {}))
+        total_b.update(rb.get("kinds", {}))
+    for kind in sorted(total_a.keys() | total_b.keys()):
+        was, now = total_a[kind], total_b[kind]
+        print(f"trace {kind}: {was} -> {now} ({now - was:+d})")
 
 
 def main(argv=None) -> int:

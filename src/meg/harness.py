@@ -381,6 +381,9 @@ class ReplicaNode:
         self.buffer = PendingBuffer()
         # (due tick, op id, sender) of buffered arrivals not yet asked about.
         self._deadlines: list[tuple[int, EventId, int]] = []
+        # Per peer, the last request its gossip triggered: (the ids, as the
+        # frozenset sent, the extremities that gossip advertised, answered).
+        self._asked: dict[int, tuple[frozenset[EventId], frozenset[EventId], bool]] = {}
         self.parent_rng = Random(f"{seed}:parents:{idx}")
         self.payload_rng = Random(f"{seed}:payload:{idx}")
         self.seq = 0
@@ -485,8 +488,19 @@ class ReplicaNode:
         still buffered then (`request_overdue`).
 
         Gossip is answered with a request for the advertised ids the replica
-        lacks and the parents its buffer misses; when it lacks none of the
-        advertised ids, the buffer's kept frozenset is sent as it is.
+        lacks and the parents its buffer misses, unless the peer already
+        answered that very request and has applied nothing since: no request
+        is sent when it would name exactly the ids of the last one gossip from
+        this peer triggered, the peer's answer to it has arrived (matched by
+        the frozenset the answer echoes, which is the one that request sent),
+        and the gossip advertises the same extremities as the gossip that
+        triggered it.  This loses nothing.  A peer that applied anything
+        advertises a new extremity, since the last vertex it applied has no
+        applied child; so the same extremities mean the same vertices, and
+        the walk it served from them would serve nothing more.  Only its
+        pending buffer can differ, and an op held there alone has been
+        applied by no correct replica.  A request still unanswered, because
+        it is in flight or a partition cut it or its answer, is sent again.
         """
         state, buffer = self.state, self.buffer
         vertices, waiting = state.vertices, buffer.held
@@ -504,6 +518,9 @@ class ReplicaNode:
         elif self.byzantine:
             return False
         elif isinstance(msg, BackfillResponse):
+            asked = self._asked.get(sender)
+            if asked is not None and asked[0] is msg.answers:
+                self._asked[sender] = (asked[0], asked[1], True)
             applied = []
             for env in msg.envelopes:
                 vid = env.id
@@ -511,11 +528,24 @@ class ReplicaNode:
                     applied += self.receive_envelope(env)
         else:
             if isinstance(msg, GossipMessage):
-                unknown = {w for w in msg.extremities.difference(state.vertices) if w not in buffer}
+                advertised = msg.extremities
+                unknown = {w for w in advertised.difference(state.vertices) if w not in buffer}
                 missing = buffer.missing_parent_ids(state)
-                net.request_backfill(self.idx, sender, unknown | missing if unknown else missing)
+                wanted = unknown | missing if unknown else missing
+                asked = self._asked.get(sender)
+                if asked is not None and asked[1] == advertised and asked[0] == wanted:
+                    if asked[2]:
+                        return False
+                    # Sent again as the same frozenset: served after this
+                    # peer advertised these extremities, as the first was.
+                    wanted = asked[0]
+                elif wanted:
+                    # A frozenset of its own, which no earlier request sent.
+                    wanted = frozenset(list(wanted))
+                    self._asked[sender] = (wanted, advertised, False)
+                net.request_backfill(self.idx, sender, wanted)
             elif isinstance(msg, BackfillRequest):
-                net.respond_backfill(self.idx, sender, self.serve_backfill(msg.missing))
+                net.respond_backfill(self.idx, sender, msg.missing, self.serve_backfill(msg.missing))
             return False
         return bool(applied) and not self.byzantine
 

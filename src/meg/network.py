@@ -1,11 +1,14 @@
 """Deterministic discrete-event message transport between replicas.
 
 Time advances in integer ticks.  Sends schedule deliveries after a bounded
-random delay; `step` hands back everything due at the current tick, ordered
-by (due tick, enqueue sequence number), so identical configurations and seeds
-replay the identical event trace.  The queue is a heap of plain
-`(due, seq, sender, receiver, msg)` tuples; `seq` is unique, so the heap
-orders entries by integer comparison alone and never compares the messages.
+random delay; `step` hands back everything due at the current tick in send
+order, so identical configurations and seeds replay the identical event
+trace.  The queue is a dict from each due tick to the list of plain
+`(sender, receiver, msg)` tuples due then: scheduling appends to one list,
+and `step` pops one.  That is the order of (due tick, send sequence number),
+because nothing is ever scheduled for the current tick or an earlier one:
+every delay is at least one tick, and a partition defers an operation to the
+tick it heals, which is later.
 An operation travels as its signed envelope, the vertex with its signature,
 queued as it is.  Gossip and backfill messages, trace events
 and partitions are named tuples, which cost less to build, and to define at
@@ -31,7 +34,7 @@ own operations synchronously at broadcast time.
 
 from __future__ import annotations
 
-import heapq
+from collections import defaultdict
 from dataclasses import dataclass
 from enum import Enum
 from random import Random
@@ -98,7 +101,15 @@ class BackfillRequest(NamedTuple):
 
 
 class BackfillResponse(NamedTuple):
+    """The envelopes served for a request, and that request's ids.
+
+    `answers` is the request's own frozenset, echoed so that the requester
+    can tell which of its requests this answers; the empty default answers
+    none.
+    """
+
     envelopes: tuple[SignedEnvelope, ...]
+    answers: frozenset[EventId] = frozenset()
 
 
 class TraceEvent(NamedTuple):
@@ -150,18 +161,13 @@ class Network:
         self.config = config
         self.tick = 0
         self.trace: list[TraceEvent] = []
-        self._queue: list[tuple[int, int, int, int, object]] = []
-        self._seq = 0
+        self._queue: defaultdict[int, list[tuple[int, int, object]]] = defaultdict(list)
         self._rng = Random(f"{config.seed}:net")
 
     # -- helpers -----------------------------------------------------------
 
     def _log(self, kind: str, sender: int, receiver: int | None, event: EventId | None) -> None:
         self.trace.append(TraceEvent(self.tick, kind, sender, receiver, event))
-
-    def _separated(self, a: int, b: int, tick: int) -> bool:
-        partitions = self.config.partitions
-        return bool(partitions) and any(p.separates(a, b, tick) for p in partitions)
 
     def _next_open_tick(self, a: int, b: int, tick: int) -> int:
         """First tick from `tick` on at which no partition separates a and b."""
@@ -174,12 +180,12 @@ class Network:
             t = max(ends)
 
     def _push(self, due: int, sender: int, receiver: int, msg: object) -> None:
-        heapq.heappush(self._queue, (due, self._seq, sender, receiver, msg))
-        self._seq += 1
+        self._queue[due].append((sender, receiver, msg))
 
     def _sample_delay(self) -> int:
         lo, hi = self.config.delay
-        return self._rng.randint(lo, hi)
+        # What `randint(lo, hi)` calls, so the draws are the same.
+        return self._rng.randrange(lo, hi + 1)
 
     # -- sends -------------------------------------------------------------
 
@@ -197,30 +203,43 @@ class Network:
         """
         vid = env.id
         self._log("SEND", sender, None, vid)
-        recipients = set(range(self.n)) if targets is None else set(targets)
-        recipients.discard(sender)
-        for r in sorted(recipients):
-            if self.config.drop > 0 and self._rng.random() < self.config.drop:
+        config, rng, queue, tick = self.config, self._rng, self._queue, self.tick
+        drop, duplicate = config.drop, config.duplicate
+        lo, hi = config.delay
+        for r in range(self.n) if targets is None else sorted(set(targets)):
+            if r == sender:
+                continue
+            if drop and rng.random() < drop:
                 self._log("DROP", sender, r, vid)
                 continue
-            self._push(self.tick + self._sample_delay(), sender, r, env)
-            if self.config.duplicate > 0 and self._rng.random() < self.config.duplicate:
-                self._push(self.tick + self._sample_delay(), sender, r, env)
+            queue[tick + rng.randrange(lo, hi + 1)].append((sender, r, env))
+            if duplicate and rng.random() < duplicate:
+                queue[tick + rng.randrange(lo, hi + 1)].append((sender, r, env))
 
     def gossip_extremities(self, sender: int, extremities: frozenset[EventId]) -> None:
         """Advertise the sender's extremity ids to every other replica."""
         msg = GossipMessage(extremities)
+        lo, hi = self.config.delay
+        draw, queue, tick = self._rng.randrange, self._queue, self.tick
         for r in range(self.n):
             if r != sender:
-                self._push(self.tick + self._sample_delay(), sender, r, msg)
+                queue[tick + draw(lo, hi + 1)].append((sender, r, msg))
 
     def request_backfill(self, requester: int, peer: int, missing: Iterable[EventId]) -> None:
         missing = frozenset(missing)
         if missing:
             self._push(self.tick + self._sample_delay(), requester, peer, BackfillRequest(missing))
 
-    def respond_backfill(self, sender: int, peer: int, envelopes: Iterable[SignedEnvelope]) -> None:
-        self._push(self.tick + self._sample_delay(), sender, peer, BackfillResponse(tuple(envelopes)))
+    def respond_backfill(
+        self,
+        sender: int,
+        peer: int,
+        answers: frozenset[EventId],
+        envelopes: Iterable[SignedEnvelope],
+    ) -> None:
+        """Answer `peer`'s request for the ids `answers`, echoing that frozenset."""
+        msg = BackfillResponse(tuple(envelopes), answers)
+        self._push(self.tick + self._sample_delay(), sender, peer, msg)
 
     # -- delivery ----------------------------------------------------------
 
@@ -234,17 +253,17 @@ class Network:
         """
         t = self.tick
         out: list[tuple[int, int, object]] = []
-        queue = self._queue
+        partitions = self.config.partitions
         reliable = self.config.guarantee is not DeliveryGuarantee.BEST_EFFORT
-        while queue and queue[0][0] <= t:
-            _, _, sender, receiver, msg = heapq.heappop(queue)
-            if self._separated(sender, receiver, t):
+        trace = self.trace
+        for sender, receiver, msg in self._queue.pop(t, ()):
+            if partitions and any(p.separates(sender, receiver, t) for p in partitions):
                 if reliable and isinstance(msg, SignedEnvelope):
                     self._push(self._next_open_tick(sender, receiver, t), sender, receiver, msg)
                 else:
                     self._log("DROP", sender, receiver, _msg_id(msg))
                 continue
-            self._log(_KINDS[type(msg)], sender, receiver, _msg_id(msg))
+            trace.append(TraceEvent(t, _KINDS[type(msg)], sender, receiver, _msg_id(msg)))
             out.append((receiver, sender, msg))
         self.tick = t + 1
         return out
@@ -260,9 +279,10 @@ class Network:
         Gossip that nobody will answer and empty responses do not count as
         pending work; undelivered operations do.
         """
-        for *_, msg in self._queue:
-            if isinstance(msg, SignedEnvelope):
-                return True
-            if isinstance(msg, BackfillResponse) and msg.envelopes:
-                return True
+        for due in self._queue.values():
+            for *_, msg in due:
+                if isinstance(msg, SignedEnvelope):
+                    return True
+                if isinstance(msg, BackfillResponse) and msg.envelopes:
+                    return True
         return False

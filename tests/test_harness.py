@@ -38,8 +38,10 @@ from meg.harness import (
 from meg import core, harness, monitor
 from meg.monitor import MembershipDirectory, SigningKey, verify_envelope
 from meg.network import (
+    BackfillRequest,
     BackfillResponse,
     DeliveryGuarantee,
+    GossipMessage,
     Network,
     NetworkConfig,
     Partition,
@@ -1011,8 +1013,19 @@ def test_reliable_repair_trace_is_pinned():
     assert metrics.convergence_tick == 64
     # Taken like the deferral pin above.
     assert hashlib.sha256(trace_tsv(metrics).encode()).hexdigest() == (
-        "8181f93976924e34aec0bd515e0cefde8982c5ad4e59160297119087e67243a5"
+        "3030f2b32c4d0df68795cc509246f792dd1d01e143824cfdcc5bfed1a1689931"
     )
+    # Requests correct replicas still get once the run has converged: a
+    # peer that answered and has applied nothing since is not asked again.
+    # Asking on every gossip, the count was 278.
+    late_requests = sum(
+        1
+        for ev in metrics.trace
+        if ev.kind == "BACKFILL_REQ"
+        and ev.tick > metrics.convergence_tick
+        and ev.receiver in metrics.correct_indices
+    )
+    assert late_requests == 6
     assert hashlib.sha256(b"".join(metrics.final_digests)).hexdigest() == (
         "4f2ce3270a4f9e16823bb5c7b8990c4d0b18fe87e130d270e15931d0f403c105"
     )
@@ -1118,6 +1131,116 @@ def test_reliable_duplicate_of_a_buffered_op_arms_no_second_deadline(monkeypatch
         reader.request_overdue(net)
         net.step()
     assert requests == [(1, 0, {env_a.id})]
+
+
+# -- no repeat request to a peer that answered and has not changed -----------------------------
+
+PHANTOM = b"\x55" * 32
+
+
+def orphan_at_the_reader(monkeypatch, guarantee, partitions=()):
+    """A writer, and a reader holding one op whose parent nobody has.
+
+    Returns the two replicas, a network with one-tick delays, and the list of
+    requests the reader sends, each as (peer, the frozenset sent).
+    """
+    writer, reader = make_node(0, n=2), make_node(1, n=2)
+    orphan = writer.make_op("msg", b"x", parents=(PHANTOM,))
+    assert reader.receive_envelope(orphan) == []
+    net = Network(2, NetworkConfig(guarantee, delay=(1, 1), partitions=partitions))
+    sent = []
+    request = net.request_backfill
+
+    def recorded(me, peer, missing):
+        if me == reader.idx:
+            sent.append((peer, missing))
+        request(me, peer, missing)
+
+    monkeypatch.setattr(net, "request_backfill", recorded)
+    return writer, reader, net, sent
+
+
+def deliver(nodes, net):
+    """Step until the network hands something over, and route it; return the messages.
+
+    Returns [] once nothing is left in flight.
+    """
+    while not net.queue_empty():
+        got = net.step()
+        for receiver, sender, msg in got:
+            nodes[receiver].route(net, sender, msg)
+        if got:
+            return [msg for _, _, msg in got]
+    return []
+
+
+@pytest.mark.parametrize("guarantee", list(DeliveryGuarantee))
+def test_an_unchanged_peer_that_answered_is_not_asked_again(monkeypatch, guarantee):
+    writer, reader, net, sent = orphan_at_the_reader(monkeypatch, guarantee)
+    nodes = (writer, reader)
+    gossip = GossipMessage(writer.state.get_extremities())
+    reader.route(net, 0, gossip)
+    assert sent == [(0, frozenset({PHANTOM}))]
+    (request,) = deliver(nodes, net)
+    assert isinstance(request, BackfillRequest)
+    (answer,) = deliver(nodes, net)
+    assert answer.envelopes == () and answer.answers is request.missing
+    reader.route(net, 0, GossipMessage(writer.state.get_extremities()))
+    assert len(sent) == 1 and net.queue_empty()
+
+
+def test_an_answer_to_another_request_does_not_count(monkeypatch):
+    # The overdue request names the same ids, but it is not the request the
+    # gossip triggered; an answer to it leaves that one unanswered.
+    writer, reader, net, sent = orphan_at_the_reader(monkeypatch, DeliveryGuarantee.RELIABLE)
+    gossip = GossipMessage(writer.state.get_extremities())
+    reader.route(net, 0, gossip)
+    overdue = frozenset({PHANTOM})
+    reader.route(net, 0, BackfillResponse(writer.serve_backfill(overdue), overdue))
+    reader.route(net, 0, gossip)
+    assert [missing for _, missing in sent] == [overdue, overdue]
+    # The second request is the first sent again, so either answer counts.
+    assert sent[1][1] is sent[0][1]
+    reader.route(net, 0, BackfillResponse((), sent[0][1]))
+    reader.route(net, 0, gossip)
+    assert len(sent) == 2
+
+
+def test_a_peer_with_new_extremities_is_asked_again(monkeypatch):
+    writer, reader, net, sent = orphan_at_the_reader(monkeypatch, DeliveryGuarantee.RELIABLE)
+    nodes = (writer, reader)
+    reader.route(net, 0, GossipMessage(writer.state.get_extremities()))
+    deliver(nodes, net)
+    deliver(nodes, net)
+    # The writer applies an op the reader holds too: the request would name
+    # the same ids, but the peer is not the one that answered.
+    env = writer.make_op("msg", b"y")
+    writer.absorb(env)
+    assert reader.receive_envelope(env) == [env.id]
+    reader.route(net, 0, GossipMessage(writer.state.get_extremities()))
+    assert [missing for _, missing in sent] == [frozenset({PHANTOM})] * 2
+    assert sent[1][1] is not sent[0][1]
+
+
+def test_a_request_a_partition_cut_is_asked_again(monkeypatch):
+    cut = (Partition(0, 4, frozenset({0})),)
+    writer, reader, net, sent = orphan_at_the_reader(
+        monkeypatch, DeliveryGuarantee.RELIABLE, partitions=cut
+    )
+    nodes = (writer, reader)
+    gossip = GossipMessage(writer.state.get_extremities())
+    for asked in (1, 2):
+        reader.route(net, 0, gossip)
+        assert len(sent) == asked
+        assert deliver(nodes, net) == []  # cut: dropped, never answered
+    assert [ev.kind for ev in net.trace] == ["DROP", "DROP"]
+    reader.route(net, 0, gossip)  # healed: this one is answered
+    assert len(sent) == 3
+    deliver(nodes, net)
+    deliver(nodes, net)
+    assert [ev.kind for ev in net.trace][2:] == ["BACKFILL_REQ", "BACKFILL_RESP"]
+    reader.route(net, 0, gossip)
+    assert len(sent) == 3
 
 
 # -- stepping a simulation by hand -----------------------------------------------------------

@@ -4,6 +4,7 @@ The transport filters no duplicates; the duplicate tests route its deliveries
 into replicas, which skip the copies whose ids they already hold.
 """
 
+import heapq
 from collections import defaultdict
 from contextlib import contextmanager
 from random import Random
@@ -26,6 +27,8 @@ from meg.network import (
     NetworkConfig,
     Partition,
     TraceEvent,
+    _KINDS,
+    _msg_id,
 )
 
 KEYS = [SigningKey.from_seed(f"net-test:{i}") for i in range(4)]
@@ -300,7 +303,7 @@ def test_gossip_and_backfill_flow():
     reqs = [(r, m) for r, _, m in got if isinstance(m, BackfillRequest)]
     assert [r for r, _ in reqs] == [0]
     _, env = Chain(0).env()
-    net.respond_backfill(0, 1, (env,))
+    net.respond_backfill(0, 1, reqs[0][1].missing, (env,))
     got = drain(net)
     resps = [(r, m) for r, _, m in got if isinstance(m, BackfillResponse)]
     assert [r for r, _ in resps] == [1]
@@ -310,7 +313,7 @@ def test_gossip_and_backfill_flow():
 def test_pending_payload_tracks_ops_not_gossip():
     net = reliable_net(seed=13)
     net.gossip_extremities(0, frozenset({b"\x01" * 32}))
-    net.respond_backfill(0, 1, ())
+    net.respond_backfill(0, 1, frozenset(), ())
     assert not net.pending_payload()
     net.broadcast(0, Chain(0).env()[1])
     assert net.pending_payload()
@@ -342,7 +345,7 @@ def test_cut_message_is_dropped_unless_a_reliable_op(guarantee, kind):
         net.request_backfill(0, 1, ids)
         named = ("01" * 32)[:16]
     else:
-        net.respond_backfill(0, 1, (env,))
+        net.respond_backfill(0, 1, ids, (env,))
         named = vid.hex()[:16]
     assert net.pending_payload() == (kind in ("op", "response"))
     got = drain(net)
@@ -393,3 +396,138 @@ def test_equivocation_equals_two_crashing_senders():
         return {(r, m.id) for r, _, m in got}
 
     assert deliveries_with(False) == deliveries_with(True)
+
+
+# -- the per-tick queue against the heap it replaced ----------------------------------------
+
+
+class HeapNetwork(Network):
+    """The scheduler as it was: one heap of `(due, seq, sender, receiver, msg)`.
+
+    Its fan-out draws each delay with `randint`, addresses a sorted set of
+    receivers, and `step` pops entries while the earliest is due.
+    """
+
+    def __init__(self, n, config):
+        super().__init__(n, config)
+        self._queue = []
+        self._seq = 0
+
+    def _push(self, due, sender, receiver, msg):
+        heapq.heappush(self._queue, (due, self._seq, sender, receiver, msg))
+        self._seq += 1
+
+    def _sample_delay(self):
+        lo, hi = self.config.delay
+        return self._rng.randint(lo, hi)
+
+    def broadcast(self, sender, env, targets=None):
+        vid = env.id
+        self._log("SEND", sender, None, vid)
+        recipients = set(range(self.n)) if targets is None else set(targets)
+        recipients.discard(sender)
+        for r in sorted(recipients):
+            if self.config.drop > 0 and self._rng.random() < self.config.drop:
+                self._log("DROP", sender, r, vid)
+                continue
+            self._push(self.tick + self._sample_delay(), sender, r, env)
+            if self.config.duplicate > 0 and self._rng.random() < self.config.duplicate:
+                self._push(self.tick + self._sample_delay(), sender, r, env)
+
+    def gossip_extremities(self, sender, extremities):
+        msg = GossipMessage(extremities)
+        for r in range(self.n):
+            if r != sender:
+                self._push(self.tick + self._sample_delay(), sender, r, msg)
+
+    def step(self):
+        t = self.tick
+        out = []
+        queue = self._queue
+        partitions = self.config.partitions
+        reliable = self.config.guarantee is not DeliveryGuarantee.BEST_EFFORT
+        while queue and queue[0][0] <= t:
+            _, _, sender, receiver, msg = heapq.heappop(queue)
+            if any(p.separates(sender, receiver, t) for p in partitions):
+                if reliable and isinstance(msg, SignedEnvelope):
+                    self._push(self._next_open_tick(sender, receiver, t), sender, receiver, msg)
+                else:
+                    self._log("DROP", sender, receiver, _msg_id(msg))
+                continue
+            self._log(_KINDS[type(msg)], sender, receiver, _msg_id(msg))
+            out.append((receiver, sender, msg))
+        self.tick = t + 1
+        return out
+
+    def queue_empty(self):
+        return not self._queue
+
+    def pending_payload(self):
+        return any(
+            isinstance(msg, SignedEnvelope) or (isinstance(msg, BackfillResponse) and msg.envelopes)
+            for *_, msg in self._queue
+        )
+
+
+CHAIN_ENVELOPES = [Chain(i).env()[1] for i in range(len(KEYS))]
+IDS = [bytes([i]) * 32 for i in range(1, 5)]
+
+
+@given(
+    n=st.integers(min_value=2, max_value=4),
+    guarantee=st.sampled_from(list(DeliveryGuarantee)),
+    hi=st.integers(min_value=1, max_value=12),
+    drop=st.sampled_from([0.0, 0.3]),
+    duplicate=st.sampled_from([0.0, 0.3]),
+    cut=st.none()
+    | st.tuples(st.integers(min_value=0, max_value=15), st.integers(min_value=1, max_value=20)),
+    seed=st.integers(min_value=0, max_value=10_000),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_per_tick_queue_hands_over_what_the_heap_did(
+    n, guarantee, hi, drop, duplicate, cut, seed, data
+):
+    # Broadcasts with and without targets, gossip and backfill messages and
+    # steps, drawn in any order, go to both schedulers; every step must hand
+    # over the same messages in the same order, and the traces must match.
+    partitions = () if cut is None else (Partition(cut[0], cut[0] + cut[1], frozenset({0})),)
+    config = NetworkConfig(
+        guarantee,
+        delay=(1, hi),
+        drop=drop if guarantee is DeliveryGuarantee.BEST_EFFORT else 0.0,
+        duplicate=duplicate,
+        partitions=partitions,
+        seed=seed,
+    )
+    nets = (Network(n, config), HeapNetwork(n, config))
+    replica = st.integers(min_value=0, max_value=n - 1)
+    ids = st.frozensets(st.sampled_from(IDS), min_size=1)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=40))):
+        action = data.draw(st.sampled_from(["broadcast", "gossip", "request", "respond", "step"]))
+        if action == "broadcast":
+            args = (
+                data.draw(replica),
+                data.draw(st.sampled_from(CHAIN_ENVELOPES)),
+                data.draw(st.none() | st.lists(replica, max_size=n)),
+            )
+            send = [net.broadcast for net in nets]
+        elif action == "gossip":
+            args = (data.draw(replica), data.draw(ids))
+            send = [net.gossip_extremities for net in nets]
+        elif action == "request":
+            args = (data.draw(replica), data.draw(replica), data.draw(ids))
+            send = [net.request_backfill for net in nets]
+        elif action == "respond":
+            envelopes = data.draw(st.lists(st.sampled_from(CHAIN_ENVELOPES), max_size=3))
+            args = (data.draw(replica), data.draw(replica), data.draw(ids), tuple(envelopes))
+            send = [net.respond_backfill for net in nets]
+        else:
+            args, send = (), [net.step for net in nets]
+        assert send[0](*args) == send[1](*args)
+        assert nets[0].pending_payload() == nets[1].pending_payload()
+        assert nets[0].queue_empty() == nets[1].queue_empty()
+    for _ in range(200):
+        assert nets[0].step() == nets[1].step()
+    assert nets[0].queue_empty() and nets[1].queue_empty()
+    assert nets[0].trace == nets[1].trace
