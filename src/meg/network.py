@@ -203,27 +203,25 @@ class Network:
         """
         vid = env.id
         self._log("SEND", sender, None, vid)
-        config, rng, queue, tick = self.config, self._rng, self._queue, self.tick
-        drop, duplicate = config.drop, config.duplicate
-        lo, hi = config.delay
+        drop, duplicate, random = self.config.drop, self.config.duplicate, self._rng.random
+        delay, queue, tick = self._sample_delay, self._queue, self.tick
         for r in range(self.n) if targets is None else sorted(set(targets)):
             if r == sender:
                 continue
-            if drop and rng.random() < drop:
+            if drop and random() < drop:
                 self._log("DROP", sender, r, vid)
                 continue
-            queue[tick + rng.randrange(lo, hi + 1)].append((sender, r, env))
-            if duplicate and rng.random() < duplicate:
-                queue[tick + rng.randrange(lo, hi + 1)].append((sender, r, env))
+            queue[tick + delay()].append((sender, r, env))
+            if duplicate and random() < duplicate:
+                queue[tick + delay()].append((sender, r, env))
 
     def gossip_extremities(self, sender: int, extremities: frozenset[EventId]) -> None:
         """Advertise the sender's extremity ids to every other replica."""
         msg = GossipMessage(extremities)
-        lo, hi = self.config.delay
-        draw, queue, tick = self._rng.randrange, self._queue, self.tick
+        delay, queue, tick = self._sample_delay, self._queue, self.tick
         for r in range(self.n):
             if r != sender:
-                queue[tick + draw(lo, hi + 1)].append((sender, r, msg))
+                queue[tick + delay()].append((sender, r, msg))
 
     def request_backfill(self, requester: int, peer: int, missing: Iterable[EventId]) -> None:
         missing = frozenset(missing)
