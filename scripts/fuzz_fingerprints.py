@@ -17,12 +17,11 @@ hash, and earlier fingerprint files still compare byte for byte.  Each case
 runs through `meg.harness.Simulation` imported from `--src`, stepped to its
 horizon as `run_scenario` does, and its line records the spec hash, the
 SHA-256 of the trace, of the width and buffer series, of the applied sets and
-of the signatures of every replica's applied and buffered ops (in id order,
-from either replica layout: see `held_signatures`), the number of
-trace lines of each kind, the applied counts, `rejected_ops`,
-`stale_parent_ops`, the convergence and quiescence ticks, the final digests
-and the verdict.  Two checkouts behave the same on
-these cases when their files are byte-identical; `--compare` prints the cases
+of the signatures of every replica's applied and buffered ops (in id
+order), the number of trace lines of each kind, the applied counts,
+`rejected_ops`, `stale_parent_ops`, the convergence and quiescence ticks,
+the final digests and the verdict.  Two checkouts behave the same on these
+cases when their files are byte-identical; `--compare` prints the cases
 that differ, grouped by guarantee, faults and behaviour, tallies the differing
 cases per field, and exits 1 if there is any.  It then sums up the verdicts
 from A to B: for each flag, the cases that went true to false and false to
@@ -136,13 +135,9 @@ def group_of(raw: dict) -> dict:
 def held_signatures(node) -> bytes:
     """The signatures of the ops a replica applied or buffered, in id order.
 
-    A checkout whose replicas keep an envelope store (`node.store`, id to
-    envelope) reads it; later ones hold the signed envelope itself in the
-    state and the buffer, and the root carries no signature.
+    The replica holds each signed envelope itself, in the state or the
+    buffer; the root carries no signature.
     """
-    store = getattr(node, "store", None)
-    if store is not None:
-        return b"".join(env.signature for _, env in sorted(store.items()))
     held = {**node.state.vertices, **node.buffer.held}
     del held[node.state.root]
     return b"".join(held[vid].signature for vid in sorted(held))

@@ -228,9 +228,6 @@ def _verify_sec() -> list[Check]:
     checks: list[Check] = []
     base = dict(
         f=0,
-        drop=0.0,
-        duplicate=0.0,
-        partitions=(),
         adversary=None,
         updates_per_round=2,
         d=2,

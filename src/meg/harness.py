@@ -75,6 +75,22 @@ class ScenarioError(ValueError):
     """A scenario file or dict violates a structural constraint."""
 
 
+def _int(value: object, name: str) -> int:
+    """`value` itself if it is an int; a bool, float or string is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _ints(values: object, kind: type, name: str) -> tuple | frozenset:
+    """`values` itself if it is a `kind` (tuple or frozenset) of ints."""
+    if not isinstance(values, kind):
+        raise ScenarioError(f"{name} must be a {kind.__name__} of integers, got {values!r}")
+    for value in values:
+        _int(value, name)
+    return values
+
+
 # -- adversary description ----------------------------------------------------
 
 
@@ -92,6 +108,12 @@ class Equivocate(NamedTuple):
     subset_b: tuple[int, ...]
     at_round: int = 0
 
+    def check(self, spec: ScenarioSpec) -> tuple[int, ...]:
+        """Check each field's type, then its range; return the replica indices named."""
+        if not 0 <= _int(self.at_round, "at_round") < spec.horizon:
+            raise ScenarioError(f"at_round must be in [0, {spec.horizon}), got {self.at_round}")
+        return _ints(self.subset_a, tuple, "subset_a") + _ints(self.subset_b, tuple, "subset_b")
+
     def act(self, sim: Simulation, node: ReplicaNode, t: int) -> bool:
         """Run this behavior at `node` for tick t; True if it sent anything."""
         if t != self.at_round:
@@ -108,6 +130,9 @@ class Withhold(NamedTuple):
 
     skip: tuple[int, ...]
 
+    def check(self, spec: ScenarioSpec) -> tuple[int, ...]:
+        return _ints(self.skip, tuple, "skip")
+
     def act(self, sim: Simulation, node: ReplicaNode, t: int) -> bool:
         sends = sim.spec.updates_per_round if t < sim.spec.rounds else 0
         for _ in range(sends):
@@ -121,6 +146,11 @@ class OrphanFlood(NamedTuple):
 
     rate: int
 
+    def check(self, spec: ScenarioSpec) -> tuple[int, ...]:
+        if _int(self.rate, "rate") < 0:
+            raise ScenarioError(f"rate must be at least 0, got {self.rate}")
+        return ()
+
     def act(self, sim: Simulation, node: ReplicaNode, t: int) -> bool:
         sends = self.rate if t < sim.spec.rounds else 0
         for _ in range(sends):
@@ -130,6 +160,7 @@ class OrphanFlood(NamedTuple):
 
 
 # Named tuples of different shapes, so behaviors of two kinds never compare equal.
+# Each checks its own fields for the spec (`check`) and acts in the run (`act`).
 Behavior = Equivocate | Withhold | OrphanFlood
 
 
@@ -140,16 +171,22 @@ class AdversarySpec(NamedTuple):
 
 # -- scenario ------------------------------------------------------------------
 
-# Dataclass, not a NamedTuple: `__post_init__` validates every spec built.
-@dataclass(frozen=True)
-class ScenarioSpec:
+
+# A dataclass, not a NamedTuple: `__post_init__` checks every spec built.
+@dataclass(frozen=True, kw_only=True)
+class ScenarioSpec(NetworkConfig):
+    """A scenario: its link (the `NetworkConfig` fields; the spec is the
+    transport's config), replicas, adversary, workload and length.
+
+    Every spec is checked here once, parsed or built in code (by
+    `dataclasses.replace` too).  First each field's type, so that no later
+    check raises anything but `ScenarioError`: an integer is an int, not a
+    bool; a number an int or a float; a record of its class, and each
+    behavior checks its own fields.  Then the ranges, the link's included.
+    """
+
     n: int
     f: int
-    guarantee: DeliveryGuarantee
-    delay: tuple[int, int]
-    drop: float
-    duplicate: float
-    partitions: tuple[Partition, ...]
     adversary: AdversarySpec | None
     rounds: int
     updates_per_round: int
@@ -159,9 +196,39 @@ class ScenarioSpec:
     gossip_period: int
     horizon: int
     grace: int
-    seed: int
 
     def __post_init__(self) -> None:
+        # Each annotation is a string, so this finds every int and float field.
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "int":
+                _int(value, field.name)
+            elif field.type == "float" and type(value) not in (int, float):
+                raise ScenarioError(f"{field.name} must be a number, got {value!r}")
+        if not isinstance(self.guarantee, DeliveryGuarantee):
+            raise ScenarioError(f"unknown guarantee {self.guarantee!r}")
+        _ints(self.delay, tuple, "delay")
+        if len(self.delay) != 2:
+            raise ScenarioError("delay must be a [lo, hi] pair")
+        partitions = self.partitions
+        if not (isinstance(partitions, tuple) and all(isinstance(p, Partition) for p in partitions)):
+            raise ScenarioError(f"partitions must be a tuple of Partition, got {partitions!r}")
+        named: list[int] = []
+        for part in partitions:
+            _int(part.start, "partition start")
+            _int(part.end, "partition end")
+            named += _ints(part.side_a, frozenset, "partition side")
+        adversary = self.adversary
+        if adversary is not None:
+            if not isinstance(adversary, AdversarySpec):
+                raise ScenarioError(f"adversary must be an AdversarySpec or None, got {adversary!r}")
+            named += _ints(adversary.byzantine, frozenset, "byzantine")
+            behaviors = adversary.behaviors
+            if not (isinstance(behaviors, tuple) and all(isinstance(b, Behavior) for b in behaviors)):
+                raise ScenarioError(f"behaviors must be a tuple of behaviors, got {behaviors!r}")
+            for b in behaviors:
+                named += b.check(self)
+        # Ranges, now that every field has its type.
         if self.n < 1:
             raise ScenarioError("n must be at least 1")
         if not (0 <= self.f < self.n):
@@ -177,70 +244,39 @@ class ScenarioSpec:
         if self.dummy_threshold > 0 and self.dummy_d < 2:
             raise ScenarioError("dummy_d must be at least 2 when dummies are enabled")
         try:
-            self.network_config()
+            super().__post_init__()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
         # Every replica index the spec names, checked against [0, n) in one place.
-        named = [i for part in self.partitions for i in part.side_a]
-        if self.adversary is not None:
-            named += self.adversary.byzantine
-            for b in self.adversary.behaviors:
-                if isinstance(b, Equivocate):
-                    named += b.subset_a + b.subset_b
-                    if not 0 <= b.at_round < self.horizon:
-                        raise ScenarioError(f"at_round must be in [0, {self.horizon}), got {b.at_round}")
-                elif isinstance(b, Withhold):
-                    named += b.skip
-                elif b.rate < 0:
-                    raise ScenarioError(f"rate must be at least 0, got {b.rate}")
         out_of_range = sorted({i for i in named if not 0 <= i < self.n})
         if out_of_range:
             raise ScenarioError(f"replica indices {out_of_range} out of range [0, {self.n})")
-        for part in self.partitions:
+        for part in partitions:
             if part.end > self.horizon:
                 raise ScenarioError(
                     f"partition [{part.start}, {part.end}) must heal within horizon {self.horizon}"
                 )
             if not part.side_a or len(part.side_a) == self.n:
                 raise ScenarioError("partition side must be a non-empty proper subset")
-        if self.adversary is not None:
-            byz = self.adversary.byzantine
-            if len(byz) != self.f:
-                raise ScenarioError(f"adversary names {len(byz)} replicas but f={self.f}")
+        if adversary is not None:
+            if len(adversary.byzantine) != self.f:
+                raise ScenarioError(f"adversary names {len(adversary.byzantine)} replicas but f={self.f}")
+            if adversary.behaviors and not adversary.byzantine:
+                raise ScenarioError("adversary behaviors need a byzantine replica to act")
         elif self.f != 0:
             raise ScenarioError("f > 0 requires an adversary naming the faulty replicas")
 
-    def network_config(self) -> NetworkConfig:
-        """The transport parameters; `NetworkConfig` checks them, the guarantee's drop rule too."""
-        return NetworkConfig(
-            guarantee=self.guarantee,
-            delay=self.delay,
-            drop=self.drop,
-            duplicate=self.duplicate,
-            partitions=self.partitions,
-            seed=self.seed,
-        )
+
+SCENARIO_KEYS = frozenset(f.name for f in fields(ScenarioSpec))
+# Each guarantee by its name, and the Reliable transport's old name, kept
+# while the benchmark's causal-clean spec and the fuzz generator's cases use it.
+_GUARANTEES = {g.value: g for g in DeliveryGuarantee}
+_GUARANTEES["CausalOrderReliable"] = DeliveryGuarantee.RELIABLE
 
 
-SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioSpec))
-
-
-def _int(value: object, name: str) -> int:
-    """`value` itself if it is an int; a bool, float or string is an error."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _ints(values: list, name: str) -> tuple[int, ...]:
-    return tuple(_int(v, name) for v in values)
-
-
-def _probability(value: object, name: str) -> float:
-    """`value` as a float if it is an int or a float; a bool or string is an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{name} must be a number, got {value!r}")
-    return float(value)
+def _tuple(value: object) -> object:
+    """A JSON list as a tuple; anything else as it is, for the spec to check."""
+    return tuple(value) if isinstance(value, list) else value
 
 
 def _refuse_unexpected(raw: dict, allowed: set[str], what: str) -> None:
@@ -250,85 +286,48 @@ def _refuse_unexpected(raw: dict, allowed: set[str], what: str) -> None:
 
 
 def _parse_behavior(raw: dict) -> Behavior:
+    """The behavior `raw["kind"]` names, built from its own fields."""
     kind = raw.get("kind")
     cls = {"equivocate": Equivocate, "withhold": Withhold, "orphan_flood": OrphanFlood}.get(kind)
     if cls is None:
         raise ScenarioError(f"unknown adversary behavior kind: {kind!r}")
     _refuse_unexpected(raw, {"kind", *cls._fields}, f"{kind} behavior")
-    if cls is Equivocate:
-        return Equivocate(
-            subset_a=_ints(raw["subset_a"], "subset_a"),
-            subset_b=_ints(raw["subset_b"], "subset_b"),
-            at_round=_int(raw.get("at_round", 0), "at_round"),
-        )
-    if cls is Withhold:
-        return Withhold(skip=_ints(raw["skip"], "skip"))
-    return OrphanFlood(rate=_int(raw["rate"], "rate"))
+    return cls(**{name: _tuple(raw[name]) for name in cls._fields if name in raw})
+
+
+def _partition(start: object, end: object, side_a: Iterable) -> Partition:
+    return Partition(start, end, frozenset(side_a))
 
 
 def parse_scenario(raw: dict) -> ScenarioSpec:
-    """Validate a scenario dict: exactly the documented keys, each of the right shape.
+    """Map a scenario dict to its `ScenarioSpec`, which checks every field.
 
-    The adversary block and each behavior hold no other keys either, but may
-    leave out `behaviors` and `at_round`.  Counts, indices and ticks must be
-    JSON integers, and `drop` and `duplicate` JSON numbers; nothing is
-    coerced, so `3.9`, `true` or `"1"` where an integer belongs is a
-    `ScenarioError`.
+    The dict holds exactly the documented keys, and the adversary block and
+    each behavior no others (`behaviors` and `at_round` may be left out).
+    The guarantee is read by name; lists become tuples, frozensets (sides,
+    `byzantine`) and records.  Nothing is coerced, so `3.9`, `true` or `"1"`
+    where an integer belongs is a `ScenarioError` from the spec; a value
+    that cannot be mapped (a number where a list belongs) is one from here.
     """
     try:
-        got = set(raw)
-        want = set(SCENARIO_KEYS)
-        if got != want:
-            missing = sorted(want - got)
-            extra = sorted(got - want)
+        if set(raw) != SCENARIO_KEYS:
+            missing, extra = sorted(SCENARIO_KEYS - set(raw)), sorted(set(raw) - SCENARIO_KEYS)
             raise ScenarioError(f"scenario keys mismatch: missing={missing} unexpected={extra}")
-        # The Reliable transport's old name, kept while the benchmark's
-        # causal-clean spec and the fuzz generator's cases still use it.
-        name = "Reliable" if raw["guarantee"] == "CausalOrderReliable" else raw["guarantee"]
-        try:
-            guarantee = DeliveryGuarantee(name)
-        except ValueError as exc:
-            raise ScenarioError(f"unknown guarantee {raw['guarantee']!r}") from exc
-        delay = raw["delay"]
-        if not (isinstance(delay, (list, tuple)) and len(delay) == 2):
-            raise ScenarioError("delay must be a [lo, hi] pair")
-        partitions = []
-        for item in raw["partitions"]:
-            if not (isinstance(item, (list, tuple)) and len(item) == 3):
-                raise ScenarioError("each partition must be [start, end, side_a]")
-            partitions.append(
-                Partition(
-                    start=_int(item[0], "partition start"),
-                    end=_int(item[1], "partition end"),
-                    side_a=frozenset(_ints(item[2], "partition side")),
-                )
-            )
-        adversary = None
-        if raw["adversary"] is not None:
-            adv = raw["adversary"]
-            _refuse_unexpected(adv, set(AdversarySpec._fields), "adversary")
+        adversary = raw["adversary"]
+        if adversary is not None:
+            _refuse_unexpected(adversary, set(AdversarySpec._fields), "adversary")
             adversary = AdversarySpec(
-                byzantine=frozenset(_ints(adv["byzantine"], "byzantine")),
-                behaviors=tuple(_parse_behavior(b) for b in adv.get("behaviors", [])),
+                byzantine=frozenset(adversary["byzantine"]),
+                behaviors=tuple(_parse_behavior(b) for b in adversary.get("behaviors", ())),
             )
         return ScenarioSpec(
-            n=_int(raw["n"], "n"),
-            f=_int(raw["f"], "f"),
-            guarantee=guarantee,
-            delay=_ints(delay, "delay"),
-            drop=_probability(raw["drop"], "drop"),
-            duplicate=_probability(raw["duplicate"], "duplicate"),
-            partitions=tuple(partitions),
-            adversary=adversary,
-            rounds=_int(raw["rounds"], "rounds"),
-            updates_per_round=_int(raw["updates_per_round"], "updates_per_round"),
-            d=_int(raw["d"], "d"),
-            dummy_threshold=_int(raw["dummy_threshold"], "dummy_threshold"),
-            dummy_d=_int(raw["dummy_d"], "dummy_d"),
-            gossip_period=_int(raw["gossip_period"], "gossip_period"),
-            horizon=_int(raw["horizon"], "horizon"),
-            grace=_int(raw["grace"], "grace"),
-            seed=_int(raw["seed"], "seed"),
+            **{
+                **raw,
+                "guarantee": _GUARANTEES.get(raw["guarantee"], raw["guarantee"]),
+                "delay": _tuple(raw["delay"]),
+                "partitions": tuple(_partition(*item) for item in raw["partitions"]),
+                "adversary": adversary,
+            }
         )
     except (TypeError, KeyError, AttributeError) as exc:
         raise ScenarioError(f"malformed scenario ({type(exc).__name__}: {exc})") from exc
@@ -702,7 +701,7 @@ class Simulation:
             ReplicaNode(i, keys[i], directory, room, spec.d, spec.seed, byzantine=i in self.byzantine)
             for i in range(spec.n)
         ]
-        self.net = Network(spec.n, spec.network_config())
+        self.net = Network(spec.n, spec)
         self.orphan_rng = Random(f"{spec.seed}:orphans")
         self.correct_broadcast: set[EventId] = set()
         self.width = [[0] * spec.horizon for _ in range(spec.n)]
@@ -770,7 +769,7 @@ class Simulation:
             rejected_ops=[node.rejected_ops for node in nodes],
             convergence_tick=quiescence_tick if converged else None,
             quiescence_tick=quiescence_tick,
-            trace=list(self.net.trace),
+            trace=self.net.trace,
             final_digests=final_digests,
             applied_sets=applied_sets,
             correct_indices=correct,

@@ -36,7 +36,7 @@ from meg.harness import (
     width_series_csv,
 )
 from meg import core, harness, monitor
-from meg.monitor import MembershipDirectory, SigningKey, verify_envelope
+from meg.monitor import MembershipDirectory, SigningKey, sign_envelope, verify_envelope
 from meg.network import (
     BackfillRequest,
     BackfillResponse,
@@ -301,6 +301,65 @@ def test_parse_adversary_behaviors():
             Withhold(skip=(2,)),
             OrphanFlood(rate=2),
         ),
+    )
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [("n", 2.5), ("seed", "7"), ("rounds", True), ("guarantee", "Mostly"), ("drop", "0")],
+)
+def test_spec_built_in_code_is_refused_as_the_parser_refuses(field, value):
+    # `dataclasses.replace` is what `meg sim --seed` does; the spec checks
+    # it as it checks a parsed one, with the same words.
+    with pytest.raises(ScenarioError) as parsed:
+        spec_with(**{field: value})
+    with pytest.raises(ScenarioError) as built:
+        dataclasses.replace(spec_with(), **{field: value})
+    assert str(built.value) == str(parsed.value)
+
+
+@pytest.mark.parametrize(
+    ("changes", "match"),
+    [
+        ({"guarantee": "Reliable"}, "unknown guarantee 'Reliable'"),
+        ({"delay": [1, 5]}, "delay must be a tuple of integers"),
+        ({"delay": (1, 5, 9)}, r"delay must be a \[lo, hi\] pair"),
+        ({"partitions": ([0, 10, [0]],)}, "partitions must be a tuple of Partition"),
+        ({"partitions": (Partition(0, 10, [0]),)}, "partition side must be a frozenset"),
+        ({"partitions": (Partition(0, 10.0, frozenset({0})),)}, "partition end must be an integer"),
+        ({"f": 1, "adversary": {"byzantine": [2]}}, "adversary must be an AdversarySpec"),
+        ({"f": 1, "adversary": AdversarySpec(frozenset({2.0}))}, "byzantine must be an integer"),
+        ({"f": 1, "adversary": AdversarySpec(frozenset({2}), [OrphanFlood(1)])}, "behaviors must be"),
+        ({"f": 1, "adversary": AdversarySpec(frozenset({2}), ({"rate": 1},))}, "behaviors must be"),
+        ({"f": 1, "adversary": AdversarySpec(frozenset({2}), (OrphanFlood(1.5),))}, "rate must be an"),
+        ({"f": 1, "adversary": AdversarySpec(frozenset({2}), (Withhold([1]),))}, "skip must be a tuple"),
+        (
+            {"f": 1, "adversary": AdversarySpec(frozenset({2}), (Equivocate((0,), 1),))},
+            "subset_b must be a tuple",
+        ),
+    ],
+)
+def test_spec_built_in_code_checks_every_field_type(changes, match):
+    # Each would build a spec whose run raises or quietly misbehaves.
+    with pytest.raises(ScenarioError, match=match):
+        dataclasses.replace(spec_with(), **changes)
+
+
+def test_simulation_runs_on_the_spec_itself():
+    # The spec is the transport's config: the link is checked once, when
+    # the spec is built, and not again for each run.
+    spec = spec_with()
+    assert Simulation(spec).net.config is spec
+
+
+def test_behaviors_need_a_byzantine_replica():
+    # Else no replica runs the flood: no orphan is sent, and every verdict holds.
+    raw = json.loads((SCENARIOS / "happy3.json").read_text())
+    idle = {"byzantine": [], "behaviors": [{"kind": "orphan_flood", "rate": 5}]}
+    with pytest.raises(ScenarioError, match="behaviors need a byzantine replica"):
+        parse_scenario({**raw, "adversary": idle})
+    assert parse_scenario({**raw, "adversary": {"byzantine": []}}).adversary == AdversarySpec(
+        frozenset()
     )
 
 
@@ -962,6 +1021,34 @@ def test_run_settles_after_backfilling_a_left_out_op(name, seed):
     metrics, verdict = run_scenario(spec)
     assert verdict.all_ok()
     assert len(set(metrics.applied_counts)) == 1
+
+
+def test_re_split_twin_does_not_stop_delivery():
+    # A byzantine replica sends replica 0 the re-split twin of a vertex, one
+    # 64-byte parent p+q with the id of the vertex on (p, q), and sends the
+    # vertex itself only to the others.  Replica 0 must refuse the twin at
+    # the gate; had it buffered the twin, it would skip every later copy of
+    # the vertex by its id, and delivery to it would stop.
+    raw = json.loads((SCENARIOS / "happy3.json").read_text())
+    raw.update(n=4, f=1, adversary={"byzantine": [3]}, rounds=20, gossip_period=10)
+    sim = Simulation(parse_scenario(raw))
+    byz = sim.nodes[3]
+    for t in range(sim.spec.horizon):
+        if t == 8:
+            p, q = sorted(byz.applied)[:2]
+            well = byz.make_op("msg", b"twin", parents=(p, q))
+            twin = make_vertex(well.kind, well.body, well.sender, well.seq, (p + q,))
+            assert twin.id == well.id
+            sim.net.broadcast(3, sign_envelope(twin, byz.key), [0])
+        if t == 18:
+            sim.net.broadcast(3, well, [1, 2])
+        sim.step()
+    metrics, verdict = sim.finish()
+    assert verdict.all_ok(), verdict
+    assert metrics.rejected_ops == [1, 0, 0, 0]
+    assert sim.nodes[0].state.vertices[well.id].parents == (p, q)
+    assert metrics.applied_counts == [121, 121, 121, 120]
+    assert all(len(node.buffer) == 0 for node in sim.nodes)
 
 
 DEFERRAL_PINNED = dict(
